@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke bench-baseline fault-smoke service-smoke soak-smoke chaos-smoke fmt-check tier1 verify clean
+.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke bench-baseline perfbench-test fault-smoke service-smoke soak-smoke chaos-smoke fmt-check tier1 verify clean
 
 all: build
 
@@ -91,6 +91,12 @@ bench-smoke:
 bench-baseline:
 	$(GO) run ./cmd/autopipebench -label baseline -o BENCH_baseline.json
 
+# perfbench-test runs the repository benchmark's own tests. perfbench is a
+# Go module of its own (it imports this one through a replace directive), so
+# the root `go test ./...` does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # fault-smoke executes a schedule under the checked-in basic fault plan —
 # the README's resilience quickstart must keep working end to end.
 fault-smoke:
@@ -144,10 +150,10 @@ tier1: build test
 # detector, the deep race pass over the planner engine and the whole
 # service/observability/bench surface (race-all), a one-shot benchmark
 # smoke, the fault-injection smoke, the service smoke, the crash-recovery
-# soak, the chaos-loadgen smoke, the sanitized executions, and the tier-1
-# gate. (CI additionally runs fuzz-smoke, kept out of verify so the local
+# soak, the chaos-loadgen smoke, the sanitized executions, the tier-1
+# gate, and the repository benchmark's own tests. (CI additionally runs fuzz-smoke, kept out of verify so the local
 # gate stays fast.)
-verify: fmt-check vet lint tier1 race race-all bench-smoke fault-smoke service-smoke soak-smoke chaos-smoke sanitize
+verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke service-smoke soak-smoke chaos-smoke sanitize
 
 clean:
 	$(GO) clean ./...

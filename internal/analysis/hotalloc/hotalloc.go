@@ -1,8 +1,9 @@
 // Package hotalloc enforces the repository's hot-path allocation budget at
 // lint time. BENCH_baseline.json pins allocs/op for the engine wave loop, the
 // exec event loop, schedule dependency-graph construction, the slicer's inner
-// loop, and the obs sinkless Emit — but a benchmark only catches a regression
-// after it runs. hotalloc makes the same budget a static invariant: functions
+// loop, and the obs sinkless Emit, and tests pin the simulator's
+// Scratch.Summarize and Algorithm 1's Table.Bounds at zero — but a benchmark
+// or test only catches a regression after it runs. hotalloc makes the same budget a static invariant: functions
 // marked hot (a `//hot` comment on the declaration, or the analyzer's
 // configured hot list) must not allocate per iteration, and neither may
 // anything they transitively call within the package.
@@ -59,6 +60,8 @@ var DefaultScope = []string{
 	"autopipe/internal/schedule",
 	"autopipe/internal/slicer",
 	"autopipe/internal/obs",
+	"autopipe/internal/sim",
+	"autopipe/internal/partition",
 }
 
 // DefaultHot names the designated hot functions (types.Func.FullName form),
@@ -72,6 +75,8 @@ var DefaultHot = []string{
 	"(*autopipe/internal/schedule.Schedule).Dependencies",
 	"autopipe/internal/slicer.SolveProfile",
 	"(*autopipe/internal/obs.Registry).Emit",
+	"(*autopipe/internal/sim.Scratch).Summarize",
+	"(*autopipe/internal/partition.Table).Bounds",
 }
 
 // Analyzer checks the production hot-path packages.

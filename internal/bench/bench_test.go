@@ -283,6 +283,40 @@ func TestRunSuiteSmoke(t *testing.T) {
 	}
 }
 
+// plannerAllocsPin is planner/plan_gpt2_345m_g8's allocs/op at parallelism
+// 1: the whole plan search — Algorithm 1 table, every candidate's
+// simulation, master moves, memory check, slicing — plus the observer
+// registry's telemetry. The search loop itself allocates only each
+// candidate's partition, its key, and its cache entry.
+const plannerAllocsPin = 248
+
+// TestPlannerEntryAllocsPinned runs the plan-search entry at parallelism 1,
+// where the count is independent of the machine, and fails if a change
+// makes it allocate more than the pin.
+func TestPlannerEntryAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the planner entry needs testing.Benchmark")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes allocation counts")
+	}
+	setBenchtime(t, "20x")
+	base, err := RunSuite("pin", Options{
+		Parallelism: 1,
+		Match:       func(name string) bool { return name == "planner/plan_gpt2_345m_g8" },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := base.Entry("planner/plan_gpt2_345m_g8")
+	if e == nil {
+		t.Fatal("planner/plan_gpt2_345m_g8 missing from the suite")
+	}
+	if e.AllocsPerOp > plannerAllocsPin {
+		t.Errorf("planner/plan_gpt2_345m_g8 at parallelism 1: %g allocs/op, pinned at %d", e.AllocsPerOp, plannerAllocsPin)
+	}
+}
+
 func TestRunSuiteNoMatch(t *testing.T) {
 	if _, err := RunSuite("none", Options{Match: func(string) bool { return false }}); err == nil {
 		t.Error("RunSuite with empty filter succeeded")

@@ -58,11 +58,12 @@ func (o Options) parallelism() int {
 	return o.Parallelism
 }
 
-// runTasks evaluates task(0..n) with at most width concurrent workers. Tasks
-// write results into their own pre-allocated slots; the caller merges them in
-// deterministic order afterwards. Cancellation is checked between tasks;
-// in-flight tasks finish.
-func runTasks(ctx context.Context, width, n int, task func(int)) {
+// runTasks evaluates task(w, 0..n) with at most width concurrent workers,
+// w in [0, width) naming the worker that runs the task so it can use that
+// worker's scratch. Tasks write results into their own pre-allocated slots;
+// the caller merges them in deterministic order afterwards. Cancellation is
+// checked between tasks; in-flight tasks finish.
+func runTasks(ctx context.Context, width, n int, task func(w, i int)) {
 	if width > n {
 		width = n
 	}
@@ -71,7 +72,7 @@ func runTasks(ctx context.Context, width, n int, task func(int)) {
 			if ctx.Err() != nil {
 				return
 			}
-			task(i)
+			task(0, i)
 		}
 		return
 	}
@@ -83,7 +84,7 @@ func runTasks(ctx context.Context, width, n int, task func(int)) {
 			defer wg.Done()
 			for i := range idx {
 				if ctx.Err() == nil {
-					task(i)
+					task(w, i)
 				}
 			}
 		}()
@@ -95,6 +96,35 @@ func runTasks(ctx context.Context, width, n int, task func(int)) {
 	wg.Wait()
 }
 
+// scored is the engine's form of a candidate: a partition, its Key (the
+// visited-set and cache identity, computed once), and the simulator summary
+// the search decides on. The full sim.Result is materialized only for the
+// candidates a PlanResult returns.
+type scored struct {
+	part partition.Partition
+	key  string
+	sum  sim.Summary
+}
+
+// worker is one search worker's reusable simulation scratch: the flat
+// recurrence arrays and the stage-time buffers of the profile it simulates,
+// sized for the deepest possible partition (one stage per block).
+type worker struct {
+	sim  sim.Scratch
+	f, b []float64
+}
+
+func newWorker(bl *model.Blocks) worker {
+	return worker{f: make([]float64, bl.Len()), b: make([]float64, bl.Len())}
+}
+
+// summarize simulates part with m micro-batches on the worker's scratch.
+func (w *worker) summarize(bl *model.Blocks, part partition.Partition, m int) (sim.Summary, error) {
+	f, b := w.f[:part.Stages()], w.b[:part.Stages()]
+	part.StageTimesInto(bl, f, b)
+	return w.sim.Summarize(sim.StageProfile{Fwd: f, Bwd: b, Comm: bl.Comm, Micro: m})
+}
+
 // cacheKey identifies one simulator evaluation: the partition bounds plus the
 // micro-batch count (different depths plan with different counts).
 type cacheKey struct {
@@ -103,39 +133,43 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	once sync.Once
-	cand Candidate
-	err  error
+	// ready is released once sum and err are final.
+	ready sync.WaitGroup
+	sum   sim.Summary
+	err   error
 }
 
 // simCache memoizes simulator evaluations. It is safe for concurrent
-// readers: the first caller of a key computes under a per-key once, and
-// concurrent callers of the same key block on that computation and share the
-// result instead of duplicating it.
+// callers: the first caller of a key computes it, and concurrent callers of
+// the same key block on that computation and share the result instead of
+// duplicating it.
 type simCache struct {
-	entries      sync.Map // cacheKey -> *cacheEntry
+	mu           sync.Mutex
+	entries      map[cacheKey]*cacheEntry
 	hits, misses atomic.Int64
 }
 
-func (c *simCache) eval(bl *model.Blocks, part partition.Partition, m int) (Candidate, error) {
-	key := cacheKey{part: part.Key(), micro: m}
-	//lint:allow hotalloc memoized: entry and key boxing amortize over every repeat evaluation
-	v, loaded := c.entries.LoadOrStore(key, new(cacheEntry))
-	e := v.(*cacheEntry)
-	if loaded {
+// eval returns the summary of part (whose Key is key) with m micro-batches,
+// simulating it on w's scratch if no caller has before.
+func (c *simCache) eval(w *worker, bl *model.Blocks, part partition.Partition, key string, m int) (scored, error) {
+	k := cacheKey{part: key, micro: m}
+	c.mu.Lock()
+	e, hit := c.entries[k]
+	if !hit {
+		e = new(cacheEntry) //lint:allow hotalloc once per distinct cache key
+		e.ready.Add(1)
+		c.entries[k] = e
+	}
+	c.mu.Unlock()
+	if hit {
 		c.hits.Add(1)
+		e.ready.Wait()
 	} else {
 		c.misses.Add(1)
+		e.sum, e.err = w.summarize(bl, part, m)
+		e.ready.Done()
 	}
-	e.once.Do(func() { //lint:allow hotalloc once per distinct cache key
-		r, err := sim.SimulateProfile(part.Profile(bl, m))
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.cand = Candidate{Partition: part, Sim: r}
-	})
-	return e.cand, e.err
+	return scored{part: part, key: key, sum: e.sum}, e.err
 }
 
 // depthState is one fixed-depth search progressing through global waves.
@@ -148,10 +182,10 @@ type depthState struct {
 
 	seen map[string]bool
 	tel  Telemetry
-	best Candidate
-	seed Candidate
-	wave []Candidate
-	next []Candidate
+	best scored
+	seed scored
+	wave []scored
+	next []scored
 
 	done bool
 	// pruned marks a depth abandoned because lowerBound proved it cannot
@@ -170,29 +204,28 @@ type depthState struct {
 
 // record accounts one evaluated candidate in deterministic merge order and
 // reports whether it is new to this depth's search.
-func (d *depthState) record(c Candidate) bool {
-	key := c.Partition.Key()
-	if d.seen[key] {
+func (d *depthState) record(c scored) bool {
+	if d.seen[c.key] {
 		return false
 	}
-	d.seen[key] = true
+	d.seen[c.key] = true
 	d.tel.Candidates++
-	if d.best.Sim == nil || candidateLess(c, d.best) {
+	if d.tel.Candidates == 1 || candidateLess(c, d.best) {
 		d.best = c
 		d.tel.Accepted++
 	}
-	d.tel.Convergence = append(d.tel.Convergence, d.best.Sim.IterTime)
+	d.tel.Convergence = append(d.tel.Convergence, d.best.sum.IterTime)
 	return true
 }
 
 // candidateLess is the deterministic reduction order: strictly better
 // iteration time wins; exact ties break toward the lexicographically smaller
 // partition bounds so parallel and sequential runs agree bit-for-bit.
-func candidateLess(a, b Candidate) bool {
-	if a.Sim.IterTime != b.Sim.IterTime {
-		return a.Sim.IterTime < b.Sim.IterTime
+func candidateLess(a, b scored) bool {
+	if a.sum.IterTime != b.sum.IterTime {
+		return a.sum.IterTime < b.sum.IterTime
 	}
-	return lexLess(a.Partition.Bounds, b.Partition.Bounds)
+	return lexLess(a.part.Bounds, b.part.Bounds)
 }
 
 func lexLess(a, b []int) bool {
@@ -213,26 +246,27 @@ const maxMasterMoves = 4
 // continuation (phase A) and the evaluated step-3 master moves (phase B).
 type expansion struct {
 	d    *depthState
-	item Candidate
+	item scored
 
 	// adj is the evaluated step-2 adjustment (adjusted is false when it left
 	// the partition unchanged); cur/master are the continuation point for
 	// step 3.
-	adj      Candidate
+	adj      scored
 	adjusted bool
-	cur      Candidate
+	cur      scored
 	master   int
 	err      error
 
-	moves    []partition.Partition
-	moveCand [maxMasterMoves]Candidate
+	moves    []partition.Partition // backed by moveBuf
+	moveBuf  [maxMasterMoves]partition.Partition
+	moveCand [maxMasterMoves]scored
 	moveErr  [maxMasterMoves]error
 }
 
 // seedSlot, spec, and moveRef are the per-task slots of the three stored
 // worker tasks (seedTask, phaseATask, phaseBTask).
 type seedSlot struct {
-	cand Candidate
+	cand scored
 	err  error
 }
 
@@ -250,11 +284,16 @@ type moveRef struct {
 
 // engine runs wave-synchronous searches over one block array.
 type engine struct {
-	opts    Options
-	par     int
-	bl      *model.Blocks
-	weights []float64
-	cache   simCache
+	opts  Options
+	par   int
+	bl    *model.Blocks
+	cache simCache
+	// table is Algorithm 1's program over the block weights for the deepest
+	// searched depth, filled once per search: every depth's seed and every
+	// master move's prefix re-balance is a backtrack in it.
+	table *partition.Table
+	// workers holds one simulation scratch per worker-pool slot.
+	workers []worker
 	// prefetch enables speculative evaluation: while phase A computes an
 	// item's cooldown adjustment, idle workers warm the cache with the
 	// master moves of the unadjusted partition — exactly phase B's task
@@ -277,11 +316,16 @@ type engine struct {
 	// The worker tasks, bound once at construction: handing runTasks a
 	// stored value instead of a per-wave closure keeps closure creation out
 	// of the wave loop.
-	taskSeed, taskAB, taskB func(int)
+	taskSeed, taskAB, taskB func(w, i int)
 }
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
-	e := &engine{opts: opts, par: opts.parallelism(), bl: bl, weights: bl.Weights()}
+	e := &engine{opts: opts, par: opts.parallelism(), bl: bl}
+	e.cache.entries = make(map[cacheKey]*cacheEntry)
+	e.workers = make([]worker, e.par)
+	for i := range e.workers {
+		e.workers[i] = newWorker(bl)
+	}
 	e.prefetch = e.par > 1 && runtime.NumCPU() > 1
 	e.taskSeed = e.seedTask
 	e.taskAB = e.phaseATask
@@ -294,64 +338,57 @@ func newEngine(bl *model.Blocks, opts Options) *engine {
 // static call graph cannot follow — hence its own hot annotation.
 //
 //hot:runs on the search worker pool
-func (e *engine) seedTask(i int) {
+func (e *engine) seedTask(w, i int) {
 	d := e.ds[i]
-	var part partition.Partition
-	var err error
-	if d.p == 1 {
-		// A single stage has no pipeline structure; simulate directly.
-		part, err = partition.New([]int{0, e.bl.Len()}, e.bl.Len()) //lint:allow hotalloc once per depth per search, not per wave
-		if err != nil {
-			e.seedSlots[i].err = err
-			return
-		}
-	} else if part, err = partition.Balance(e.weights, d.p); err != nil {
+	part, err := e.table.Partition(e.bl.Len(), d.p)
+	if err != nil {
 		e.seedSlots[i].err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
 		return
 	}
-	e.seedSlots[i].cand, e.seedSlots[i].err = e.cache.eval(e.bl, part, d.m)
+	e.seedSlots[i].cand, e.seedSlots[i].err = e.cache.eval(&e.workers[w], e.bl, part, part.Key(), d.m)
 }
 
 // phaseATask runs one phase-A slot: a cooldown adjustment for i < len(exps),
 // a speculative cache warm above that.
 //
 //hot:runs on the search worker pool
-func (e *engine) phaseATask(i int) {
+func (e *engine) phaseATask(w, i int) {
 	if i < len(e.exps) {
-		e.expandA(&e.exps[i])
+		e.expandA(&e.workers[w], &e.exps[i])
 		return
 	}
 	s := e.specs[i-len(e.exps)]
-	e.cache.eval(e.bl, s.part, s.m) //nolint:errcheck // cache-warming only
+	e.cache.eval(&e.workers[w], e.bl, s.part, s.part.Key(), s.m) //nolint:errcheck // cache-warming only
 }
 
 // phaseBTask evaluates one master-move candidate into its expansion slot.
 //
 //hot:runs on the search worker pool
-func (e *engine) phaseBTask(i int) {
+func (e *engine) phaseBTask(w, i int) {
 	r := e.refs[i]
-	r.x.moveCand[r.j], r.x.moveErr[r.j] = e.cache.eval(e.bl, r.x.moves[r.j], r.x.d.m)
+	mv := r.x.moves[r.j]
+	r.x.moveCand[r.j], r.x.moveErr[r.j] = e.cache.eval(&e.workers[w], e.bl, mv, mv.Key(), r.x.d.m)
 }
 
 // expandA runs the step-2 cooldown adjustment for one wave item (paper
 // Eq. (1)): evaluate the adjusted suffix and continue from it — if its
 // master stage moved, step 3 starts from the new master.
-func (e *engine) expandA(x *expansion) {
+func (e *engine) expandA(w *worker, x *expansion) {
 	cur := x.item
-	x.cur, x.master = cur, cur.Sim.Master
-	if adj, changed := adjustAfterMaster(e.bl, cur.Partition, x.master); changed {
-		c, err := e.cache.eval(e.bl, adj, x.d.m)
+	x.cur, x.master = cur, cur.sum.Master
+	if adj, changed := adjustAfterMaster(e.bl, cur.part, x.master); changed {
+		c, err := e.cache.eval(w, e.bl, adj, adj.Key(), x.d.m)
 		if err != nil {
 			x.err = err
 			return
 		}
 		x.adj, x.adjusted = c, true
-		x.cur, x.master = c, c.Sim.Master
+		x.cur, x.master = c, c.sum.Master
 	}
 	// Step 3 cannot move a master already at stage 0; generate the move
 	// candidates here (cheap and pure) so phase B is a flat evaluation list.
 	if x.master > 0 {
-		x.moves = masterMoves(e.bl, x.cur.Partition, x.master, e.weights, x.moves[:0])
+		x.moves = masterMoves(e.table, x.cur.part, x.master, x.moveBuf[:0])
 	}
 }
 
@@ -365,17 +402,27 @@ func (e *engine) expandA(x *expansion) {
 func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthState) bool, onComplete func(*depthState)) error {
 	finish := func(d *depthState) {
 		d.done = true
-		d.tel.Final = d.best.Sim.IterTime
+		d.tel.Final = d.best.sum.IterTime
 		if onComplete != nil {
 			onComplete(d)
 		}
 	}
 
-	// Seed wave: evaluate every depth's Algorithm 1 seed concurrently.
-	// Wall-clock telemetry goes through obs.Stopwatch — never time.Now — so
-	// the simclock invariant (deterministic packages read no clock that can
-	// influence a decision) stays machine-checkable.
+	// Seed wave: fill Algorithm 1's table once for the deepest depth, then
+	// evaluate every depth's seed concurrently. Wall-clock telemetry goes
+	// through obs.Stopwatch — never time.Now — so the simclock invariant
+	// (deterministic packages read no clock that can influence a decision)
+	// stays machine-checkable.
 	seedSW := obs.NewStopwatch()
+	maxP := 0
+	for _, d := range ds {
+		maxP = max(maxP, d.p)
+	}
+	table, err := partition.NewTable(e.bl.Weights(), maxP)
+	if err != nil {
+		return fmt.Errorf("core: seeding: %w", err)
+	}
+	e.table = table
 	e.ds = ds
 	e.seedSlots = make([]seedSlot, len(ds))
 	runTasks(ctx, e.par, len(ds), e.taskSeed)
@@ -450,8 +497,8 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 		if e.prefetch {
 			for xi := range e.exps {
 				x := &e.exps[xi]
-				if i := x.item.Sim.Master; i > 0 {
-					e.moveBuf = masterMoves(e.bl, x.item.Partition, i, e.weights, e.moveBuf[:0])
+				if i := x.item.sum.Master; i > 0 {
+					e.moveBuf = masterMoves(e.table, x.item.part, i, e.moveBuf[:0])
 					for _, mv := range e.moveBuf {
 						e.specs = append(e.specs, spec{mv, x.d.m})
 					}
@@ -507,7 +554,7 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 				// Only schemes whose master moved forward (<= the current
 				// master) are refined further; a receding master means the
 				// move made things worse.
-				if fresh := d.record(c); fresh && c.Sim.Master <= x.master {
+				if fresh := d.record(c); fresh && c.sum.Master <= x.master {
 					d.next = append(d.next, c)
 				}
 			}
@@ -638,19 +685,19 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 		// Exact memory feasibility (AutoPipe plans with the real budget; no
 		// conservative margin is needed because the partitioner's load
 		// balance keeps estimates tight).
-		if ok, _ := memory.Fits(bl, d.best.Partition, d.m, memory.OneFOneB, 1, cluster.Device); !ok {
+		if ok, _ := memory.Fits(bl, d.best.part, d.m, memory.OneFOneB, 1, cluster.Device); !ok {
 			return
 		}
 		d.feasible = true
 		// Score: simulated iteration time plus the slowest stage's gradient
 		// all-reduce across the dp replicas.
 		var ar float64
-		for _, params := range d.best.Partition.StageParams(bl) {
+		for _, params := range d.best.part.StageParams(bl) {
 			if t := cost.AllReduceTime(params*4, d.dp, cluster.Network); t > ar {
 				ar = t
 			}
 		}
-		d.score = d.best.Sim.IterTime + ar
+		d.score = d.best.sum.IterTime + ar
 		if !haveBound || d.score < bound {
 			bound, haveBound = d.score, true
 		}
@@ -684,7 +731,7 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 	}
 	spec := &plan.Spec{
 		Planner:      "AutoPipe",
-		Partition:    best.best.Partition,
+		Partition:    best.best.part,
 		StageDevices: devs,
 	}
 
@@ -733,5 +780,15 @@ func PlanDepthOpts(ctx context.Context, bl *model.Blocks, p, m int, opts Options
 		return nil, d.err
 	}
 	e.publish([]*depthState{d}, d.tel.SeedTime+d.tel.AdjustTime+d.tel.MoveTime)
-	return &PlanResult{Best: d.best, Seed: d.seed, Evaluated: d.tel.Candidates, Telemetry: d.tel}, nil
+	// The search ran on summaries; materialize the full simulation of the
+	// two candidates the result carries.
+	best, err := evaluate(bl, d.best.part, m)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := evaluate(bl, d.seed.part, m)
+	if err != nil {
+		return nil, err
+	}
+	return &PlanResult{Best: best, Seed: seed, Evaluated: d.tel.Candidates, Telemetry: d.tel}, nil
 }

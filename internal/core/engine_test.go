@@ -225,8 +225,8 @@ func TestPrefetchDoesNotChangeResults(t *testing.T) {
 	if err := e.run(context.Background(), []*depthState{d}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !d.best.Partition.Equal(plain.Best.Partition) {
-		t.Errorf("prefetch changed the best partition: %v vs %v", d.best.Partition, plain.Best.Partition)
+	if !d.best.part.Equal(plain.Best.Partition) {
+		t.Errorf("prefetch changed the best partition: %v vs %v", d.best.part, plain.Best.Partition)
 	}
 	if d.tel.Candidates != plain.Telemetry.Candidates || d.tel.Accepted != plain.Telemetry.Accepted {
 		t.Errorf("prefetch changed telemetry: (%d, %d) vs (%d, %d)",
@@ -243,10 +243,11 @@ func TestSimCacheDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan Candidate, 16)
+	done := make(chan scored, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			c, err := e.cache.eval(bl, part, 8)
+			w := newWorker(bl)
+			c, err := e.cache.eval(&w, bl, part, part.Key(), 8)
 			if err != nil {
 				t.Error(err)
 			}
@@ -254,9 +255,12 @@ func TestSimCacheDedup(t *testing.T) {
 		}()
 	}
 	first := <-done
+	if first.sum.IterTime <= 0 {
+		t.Fatalf("cached summary %+v, want a positive iteration time", first.sum)
+	}
 	for i := 1; i < 16; i++ {
 		c := <-done
-		if c.Sim != first.Sim {
+		if c.sum != first.sum {
 			t.Fatal("cache returned distinct results for the same key")
 		}
 	}

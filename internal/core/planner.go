@@ -85,8 +85,9 @@ func PlanDepth(bl *model.Blocks, p, m int) (*PlanResult, error) {
 	return PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
 }
 
-// evaluate simulates one partition without the engine's cache; kept for
-// one-off evaluations (seed ablations, tests).
+// evaluate simulates one partition into a full Candidate, without the
+// engine's cache: the materialization of the candidates a PlanResult
+// returns, and one-off evaluations in tests.
 func evaluate(bl *model.Blocks, part partition.Partition, m int) (Candidate, error) {
 	r, err := sim.SimulateProfile(part.Profile(bl, m))
 	if err != nil {
@@ -108,8 +109,10 @@ func adjustAfterMaster(bl *model.Blocks, part partition.Partition, i int) (parti
 	if i >= p-1 {
 		return part, false
 	}
-	_, bTimes := part.StageTimes(bl)
-	bi := bTimes[i]
+	var bi float64 // the master's backward time, b_i
+	for _, blk := range bl.List[part.Bounds[i]:part.Bounds[i+1]] {
+		bi += blk.Bwd
+	}
 
 	start := part.Bounds[i+1]
 	end := part.Bounds[p]
@@ -153,11 +156,11 @@ func adjustAfterMaster(bl *model.Blocks, part partition.Partition, i int) (parti
 
 // masterMoves generates the paper's step-3 candidates: shift the master
 // stage forward by moving its first block to stage i-1 or its last block to
-// stage i+1, each with and without re-running Algorithm 1 on the prefix up
-// to and including the stage whose size changed. Candidates — at most
-// maxMasterMoves — are appended to dst, so wave-loop callers can reuse a
-// buffer.
-func masterMoves(bl *model.Blocks, part partition.Partition, i int, weights []float64, out []partition.Partition) []partition.Partition {
+// stage i+1, each with and without re-running Algorithm 1 (a backtrack in
+// the search's table t) on the prefix up to and including the stage whose
+// size changed. Candidates — at most maxMasterMoves — are appended to out,
+// so wave-loop callers can reuse a buffer.
+func masterMoves(t *partition.Table, part partition.Partition, i int, out []partition.Partition) []partition.Partition {
 	p := part.Stages()
 
 	// Move the first block of stage i to stage i-1.
@@ -166,7 +169,7 @@ func masterMoves(bl *model.Blocks, part partition.Partition, i int, weights []fl
 		moved.Bounds[i]++
 		out = append(out, moved)
 		// Re-balance stages 0..i-1 over the grown prefix.
-		if reb, err := partition.BalancePrefix(moved, weights, i); err == nil && !reb.Equal(moved) {
+		if reb, err := t.BalancePrefix(moved, i); err == nil && !reb.Equal(moved) {
 			out = append(out, reb)
 		}
 	}
@@ -177,7 +180,7 @@ func masterMoves(bl *model.Blocks, part partition.Partition, i int, weights []fl
 		moved.Bounds[i+1]--
 		out = append(out, moved)
 		// Re-balance stages 0..i over the shrunk prefix.
-		if reb, err := partition.BalancePrefix(moved, weights, i+1); err == nil && !reb.Equal(moved) {
+		if reb, err := t.BalancePrefix(moved, i+1); err == nil && !reb.Equal(moved) {
 			out = append(out, reb)
 		}
 	}

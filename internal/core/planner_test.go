@@ -181,8 +181,12 @@ func TestMasterMovesRespectStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, err := partition.NewTable(bl.Weights(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < 3; i++ {
-		for _, mv := range masterMoves(bl, part, i, bl.Weights(), nil) {
+		for _, mv := range masterMoves(tab, part, i, nil) {
 			if mv.Stages() != part.Stages() {
 				t.Errorf("move changed depth: %v", mv.Bounds)
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -315,47 +317,60 @@ func TestCriticalPathSpansIteration(t *testing.T) {
 // TestExecMatchesSimWithoutOverheads cross-validates the two timing models:
 // with zero launch overhead, zero latency, and effectively infinite
 // bandwidth, the discrete-event executor and the analytic simulator agree on
-// the 1F1B iteration time exactly.
+// every op's start and end, the startup overhead, and the iteration time.
+// The executor is an independent implementation of the same dependencies,
+// so this is the simulator's second oracle. The 400 seeded profiles cover
+// depths 1–12, micro-batch counts below and above the depth, and small
+// integer stage times (zero included) where many paths tie.
 func TestExecMatchesSimWithoutOverheads(t *testing.T) {
-	prop := func(seed uint8, pRaw, mRaw uint8) bool {
-		p := 2 + int(pRaw)%5
-		m := p + int(mRaw)%10
-		rng := uint64(seed)*2654435761 + 1
-		next := func() float64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return 1 + float64(rng%100)/25
-		}
+	rng := rand.New(rand.NewSource(5))
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)) }
+	for trial := 0; trial < 400; trial++ {
+		p := 1 + rng.Intn(12)
+		m := 1 + rng.Intn(2*p+4)
 		f := make([]float64, p)
 		b := make([]float64, p)
 		for i := range f {
-			f[i] = next()
-			b[i] = 2 * f[i]
+			if trial%4 == 0 {
+				f[i] = 1 + rng.Float64()*3
+				b[i] = f[i] * (1 + rng.Float64())
+			} else {
+				f[i] = float64(rng.Intn(4))
+				b[i] = float64(rng.Intn(6))
+			}
 		}
-		sr, err := sim.Simulate(f, b, 0, m)
+		sr, err := sim.SimulateProfile(sim.StageProfile{Fwd: f, Bwd: b, Micro: m})
 		if err != nil {
-			return false
+			t.Fatalf("trial %d: simulate: %v", trial, err)
 		}
 		s, err := schedule.OneFOneB(p, m)
 		if err != nil {
-			return false
+			t.Fatalf("trial %d: schedule: %v", trial, err)
 		}
 		er, err := Run(s, Config{
 			VirtFwd: f, VirtBwd: b,
 			Network: config.Network{Bandwidth: 1e18, Latency: 0},
 		})
 		if err != nil {
-			return false
+			t.Fatalf("trial %d: exec: %v", trial, err)
 		}
-		diff := sr.IterTime - er.IterTime
-		if diff < 0 {
-			diff = -diff
+		if !near(sr.IterTime, er.IterTime) || !near(sr.Startup, er.Startup) {
+			t.Fatalf("trial %d (f=%v b=%v m=%d): sim iter %g startup %g, exec iter %g startup %g",
+				trial, f, b, m, sr.IterTime, sr.Startup, er.IterTime, er.Startup)
 		}
-		return diff <= 1e-9*(1+sr.IterTime)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+		for d := range sr.Ops {
+			if len(er.Traces[d]) != len(sr.Ops[d]) {
+				t.Fatalf("trial %d device %d: exec ran %d ops, sim %d", trial, d, len(er.Traces[d]), len(sr.Ops[d]))
+			}
+			for i, op := range sr.Ops[d] {
+				tr := er.Traces[d][i]
+				if tr.Op.Micro != op.Micro || (tr.Op.Kind == schedule.Fwd) != (op.Kind == sim.Fwd) ||
+					!near(tr.Start, op.Start) || !near(tr.End, op.End) {
+					t.Fatalf("trial %d device %d op %d: exec %v µ%d [%g,%g], sim %v%d [%g,%g]", trial, d, i,
+						tr.Op.Kind, tr.Op.Micro, tr.Start, tr.End, op.Kind, op.Micro, op.Start, op.End)
+				}
+			}
+		}
 	}
 }
 

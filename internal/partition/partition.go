@@ -6,6 +6,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"autopipe/internal/model"
@@ -63,28 +64,38 @@ func (p Partition) Equal(q Partition) bool {
 	return true
 }
 
-// Key returns a compact string key for visited-set bookkeeping.
+// Key returns a compact string key for visited-set bookkeeping: the bounds
+// in decimal, each followed by a comma. It is built in a stack buffer, so
+// the returned string is its only allocation.
 func (p Partition) Key() string {
-	var sb strings.Builder
-	for _, b := range p.Bounds {
-		fmt.Fprintf(&sb, "%d,", b)
+	var buf [64]byte
+	b := buf[:0]
+	for _, x := range p.Bounds {
+		b = strconv.AppendInt(b, int64(x), 10)
+		b = append(b, ',')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // StageTimes returns the per-stage forward and backward times (the paper's
 // f_x and b_x) of p over the block array.
 func (p Partition) StageTimes(bl *model.Blocks) (f, b []float64) {
-	s := p.Stages()
-	f = make([]float64, s)
-	b = make([]float64, s)
-	for i := 0; i < s; i++ {
+	f = make([]float64, p.Stages())
+	b = make([]float64, p.Stages())
+	p.StageTimesInto(bl, f, b)
+	return f, b
+}
+
+// StageTimesInto is StageTimes writing into caller-owned f and b, each of
+// length Stages().
+func (p Partition) StageTimesInto(bl *model.Blocks, f, b []float64) {
+	for i := range f {
+		f[i], b[i] = 0, 0
 		for _, blk := range bl.List[p.Bounds[i]:p.Bounds[i+1]] {
 			f[i] += blk.Fwd
 			b[i] += blk.Bwd
 		}
 	}
-	return f, b
 }
 
 // Profile bundles the partition's stage times with the block array's

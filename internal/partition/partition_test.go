@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -251,5 +252,23 @@ func TestCloneEqualKey(t *testing.T) {
 	}
 	if p.Bounds[1] != 3 {
 		t.Error("clone shares backing array with original")
+	}
+}
+
+// TestKeyFormat pins Key's encoding — each bound in decimal followed by a
+// comma — including keys longer than its stack buffer.
+func TestKeyFormat(t *testing.T) {
+	p, _ := New([]int{0, 3, 17, 120}, 120)
+	if got := p.Key(); got != "0,3,17,120," {
+		t.Errorf("Key = %q, want %q", got, "0,3,17,120,")
+	}
+	bounds := make([]int, 41)
+	want := ""
+	for i := range bounds {
+		bounds[i] = 1000 * i
+		want += fmt.Sprintf("%d,", bounds[i])
+	}
+	if got := (Partition{Bounds: bounds}).Key(); got != want {
+		t.Errorf("long Key = %q, want %q", got, want)
 	}
 }

@@ -7,7 +7,10 @@
 // The recurrences follow the paper exactly. For a non-first stage a forward
 // start is max(upstream forward end, previous same-stage op end) + Comm; for
 // a non-last stage a backward start is max(downstream backward end, previous
-// same-stage op end) + Comm. The paper estimates the Warmup phase with the
+// same-stage op end) + Comm. They are evaluated once, over flat per-op
+// arrays in a reusable Scratch (Scratch.Summarize, allocation-free once
+// warmed); SimulateProfile materializes the op-level Result from the same
+// arrays. The paper estimates the Warmup phase with the
 // total forward time of one micro-batch because a balanced partition keeps
 // the first micro-batch from choking; this implementation evaluates Warmup
 // with the same recurrences, which coincides with the estimate whenever that
@@ -53,15 +56,20 @@ func (p StageProfile) Validate() error {
 		return fmt.Errorf("%w: sim: micro-batch count must be positive, got %d", errdefs.ErrBadConfig, p.Micro)
 	}
 	for i := 0; i < n; i++ {
-		if p.Fwd[i] < 0 || p.Bwd[i] < 0 {
-			return fmt.Errorf("%w: sim: negative stage time at stage %d", errdefs.ErrBadConfig, i)
+		if !finiteNonNeg(p.Fwd[i]) || !finiteNonNeg(p.Bwd[i]) {
+			return fmt.Errorf("%w: sim: stage %d times must be finite and non-negative, got fwd %g bwd %g",
+				errdefs.ErrBadConfig, i, p.Fwd[i], p.Bwd[i])
 		}
 	}
-	if p.Comm < 0 {
-		return fmt.Errorf("%w: sim: negative communication constant %g", errdefs.ErrBadConfig, p.Comm)
+	if !finiteNonNeg(p.Comm) {
+		return fmt.Errorf("%w: sim: communication constant must be finite and non-negative, got %g", errdefs.ErrBadConfig, p.Comm)
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether v is a usable time: not negative, NaN, or
+// infinite.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Phase labels the pipeline phase an operation belongs to (paper Fig. 5).
 type Phase int
@@ -101,12 +109,6 @@ type Op struct {
 	// Fig. 6), or the reverse-renumbered index within Cooldown; -1 in Warmup.
 	Block      int
 	Start, End float64
-
-	// pos is the op's index within its stage's execution order.
-	pos int
-	// critPred encodes which dependency determined Start: -1 none,
-	// 0 same-stage predecessor, 1 cross-stage predecessor.
-	critPred int
 }
 
 // Result is the outcome of simulating one pipeline iteration.
@@ -140,218 +142,282 @@ func Simulate(f, b []float64, comm float64, m int) (*Result, error) {
 	return SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: m})
 }
 
-// SimulateProfile runs one synchronous 1F1B iteration for the profile.
+// SimulateProfile runs one synchronous 1F1B iteration for the profile and
+// materializes the full Result: every op, the critical path, and the summary.
+// It evaluates the same flat recurrence as Scratch.Summarize; callers that
+// only need the summary (the planner's search loop) should use a reusable
+// Scratch instead.
 func SimulateProfile(p StageProfile) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	var s Scratch
+	sum, err := s.Summarize(p)
+	if err != nil {
 		return nil, err
 	}
-	f, b, comm, m := p.Fwd, p.Bwd, p.Comm, p.Micro
-	n := len(f)
+	return s.result(p, sum), nil
+}
 
-	r := &Result{F: append([]float64(nil), f...), B: append([]float64(nil), b...), Comm: comm, Micro: m}
-	r.Ops = buildSchedule(n, m)
+// Summary is the part of a simulation the planner's search decides on.
+type Summary struct {
+	// IterTime, Startup, and Master are as in Result.
+	IterTime float64
+	Startup  float64
+	Master   int
+}
 
-	// fwdAt[x][µ] / bwdAt[x][µ] index ops for cross-stage dependencies.
-	fwdAt := make([][]*Op, n)
-	bwdAt := make([][]*Op, n)
-	for x := 0; x < n; x++ {
-		fwdAt[x] = make([]*Op, m)
-		bwdAt[x] = make([]*Op, m)
-		for _, op := range r.Ops[x] {
-			if op.Kind == Fwd {
-				fwdAt[x][op.Micro] = op
-			} else {
-				bwdAt[x][op.Micro] = op
-			}
-		}
+// Scratch holds the flat 1F1B recurrence of one simulation: per op, its
+// start and end time and which dependency determined the start. Ops are
+// indexed by slot stage*2m+pos, where pos is the op's position in its
+// stage's execution order (see opAt). A Scratch is reused across
+// simulations so a warmed one computes a Summary without allocating; it is
+// not safe for concurrent use. The zero value is ready to use.
+type Scratch struct {
+	n, m       int
+	start, end []float64
+	// crit encodes which dependency determined each op's start: -1 none, 0
+	// the same-stage predecessor, 1 the cross-stage predecessor.
+	crit []int8
+	// path holds the critical path's slots, last op first.
+	path  []int32
+	dwell []float64
+}
+
+// Summarize runs the 1F1B recurrence for the profile and returns its
+// iteration time, startup overhead, and master stage. Errors wrap
+// errdefs.ErrBadConfig.
+//
+//hot:the planner's per-candidate simulation
+func (s *Scratch) Summarize(p StageProfile) (Summary, error) {
+	if err := p.Validate(); err != nil {
+		return Summary{}, err
 	}
+	n, m := len(p.Fwd), p.Micro
+	s.reset(n, m)
 
-	// The per-stage lists are already in execution order and every
-	// cross-stage dependency points to an op that appears earlier in a
-	// valid pipeline execution, so evaluating stages round-robin by op
-	// position converges in one pass per dependency chain. We use an
-	// explicit worklist sweep: iterate until fixed point (times only grow
-	// toward their unique longest-path values; each sweep finalizes at
-	// least one stage frontier, so at most n+2 sweeps run).
-	done := make([]int, n) // per-stage count of finalized ops
-	total := 0
-	for _, ops := range r.Ops {
-		total += len(ops)
-	}
-	finalized := 0
-	for finalized < total {
-		progressed := false
+	// Every cross-stage dependency points to an op at the same or an earlier
+	// position of its own stage (a forward's upstream forward sits at or
+	// before it, a backward's downstream backward likewise), and forwards
+	// only depend on forwards, backwards on backwards. So sweeping positions
+	// in order — forwards by ascending stage, then backwards by descending
+	// stage — evaluates every op after all of its dependencies. The values
+	// are the unique longest-path times, whatever the evaluation order.
+	for pos := 0; pos < 2*m; pos++ {
 		for x := 0; x < n; x++ {
-			for done[x] < len(r.Ops[x]) {
-				op := r.Ops[x][done[x]]
-				ready, start, critPred := opStart(op, r, fwdAt, bwdAt, done)
-				if !ready {
-					break
-				}
-				op.Start = start
-				op.critPred = critPred
-				if op.Kind == Fwd {
-					op.End = start + f[x]
-				} else {
-					op.End = start + b[x]
-				}
-				done[x]++
-				finalized++
-				progressed = true
+			if k, µ := opAt(n, m, x, pos); k == Fwd {
+				s.step(p, x, pos, k, µ)
 			}
 		}
-		if !progressed {
-			return nil, fmt.Errorf("%w: sim: dependency deadlock (internal error)", errdefs.ErrDeadlock)
+		for x := n - 1; x >= 0; x-- {
+			if k, µ := opAt(n, m, x, pos); k == Bwd {
+				s.step(p, x, pos, k, µ)
+			}
 		}
 	}
 
-	last := r.Ops[0][len(r.Ops[0])-1]
-	r.IterTime = last.End
-	if first := firstOp(r.Ops[n-1]); first != nil {
-		r.Startup = first.Start
+	// The iteration ends with stage 0's last backward; the last stage starts
+	// computing with its first op.
+	last := 2*m - 1
+	sum := Summary{IterTime: s.end[last], Startup: s.start[(n-1)*2*m]}
+
+	// Walk the critical path back from the final op.
+	s.path = s.path[:0]
+	for i := last; i >= 0; {
+		s.path = append(s.path, int32(i))
+		switch s.crit[i] {
+		case 0:
+			i--
+		case 1:
+			x, pos := i/(2*m), i%(2*m)
+			k, µ := opAt(n, m, x, pos)
+			if k == Fwd {
+				i = s.slot(x-1, posFwd(n, m, x-1, µ))
+			} else {
+				i = s.slot(x+1, posBwd(n, m, x+1, µ))
+			}
+		default:
+			i = -1
+		}
 	}
-	r.Critical = criticalPath(last, r, fwdAt, bwdAt)
-	r.Master = masterStage(r)
-	return r, nil
+
+	// The master stage dominates the critical path in the 1F1B phase: the
+	// stage with the heaviest load, which drives succeeding stages through
+	// its forwards and preceding stages through its backwards. Dwell sums
+	// in chronological order (the path is stored last op first).
+	anySteady := false
+	for j := len(s.path) - 1; j >= 0; j-- {
+		i := int(s.path[j])
+		x, pos := i/(2*m), i%(2*m)
+		if phaseAt(n, m, x, pos) == OneFOneB {
+			s.dwell[x] += s.end[i] - s.start[i]
+			anySteady = true
+		}
+	}
+	if !anySteady {
+		// Degenerate pipelines (m < n) may have an empty 1F1B phase; fall
+		// back to the heaviest critical-path stage overall.
+		for j := len(s.path) - 1; j >= 0; j-- {
+			i := int(s.path[j])
+			s.dwell[i/(2*m)] += s.end[i] - s.start[i]
+		}
+	}
+	bestT := math.Inf(-1)
+	for x, t := range s.dwell {
+		// Ties resolve toward the last stage, matching the critical-path
+		// uniqueness rule.
+		if t >= bestT {
+			sum.Master, bestT = x, t
+		}
+	}
+	return sum, nil
 }
 
-// buildSchedule lays out the 1F1B execution order (paper Fig. 5/6): stage x
-// warms up with min(n-1-x, m) forwards, alternates forward/backward blocks
-// in the 1F1B phase, and cools down with the remaining backwards.
-func buildSchedule(n, m int) [][]*Op {
-	ops := make([][]*Op, n)
-	for x := 0; x < n; x++ {
-		warm := n - 1 - x
-		if warm > m {
-			warm = m
-		}
-		var list []*Op
-		for µ := 0; µ < warm; µ++ {
-			list = append(list, &Op{Stage: x, Micro: µ, Kind: Fwd, Phase: Warmup, Block: -1})
-		}
-		// 1F1B blocks: block y pairs F(µ=warm+y) with B(µ=y).
-		blocks := m - warm
-		for y := 0; y < blocks; y++ {
-			list = append(list, &Op{Stage: x, Micro: warm + y, Kind: Fwd, Phase: OneFOneB, Block: y})
-			list = append(list, &Op{Stage: x, Micro: y, Kind: Bwd, Phase: OneFOneB, Block: y})
-		}
-		// Cooldown backwards, renumbered in reverse order (paper Fig. 6):
-		// the final backward gets index 0.
-		for µ := blocks; µ < m; µ++ {
-			list = append(list, &Op{Stage: x, Micro: µ, Kind: Bwd, Phase: Cooldown, Block: m - 1 - µ})
-		}
-		for i, op := range list {
-			op.pos = i
-		}
-		ops[x] = list
+// reset sizes the arrays for an n-stage, m-micro-batch iteration, reusing
+// their backing when it is large enough.
+func (s *Scratch) reset(n, m int) {
+	s.n, s.m = n, m
+	ops := 2 * n * m
+	if cap(s.start) < ops {
+		s.start = make([]float64, ops)
+		s.end = make([]float64, ops)
+		s.crit = make([]int8, ops)
 	}
-	return ops
+	s.start, s.end, s.crit = s.start[:ops], s.end[:ops], s.crit[:ops]
+	if cap(s.dwell) < n {
+		s.dwell = make([]float64, n)
+	}
+	s.dwell = s.dwell[:n]
+	clear(s.dwell)
 }
 
-// opStart computes the start time of op if all its dependencies are
-// finalized. done[x] counts finalized ops on stage x.
-func opStart(op *Op, r *Result, fwdAt, bwdAt [][]*Op, done []int) (ready bool, start float64, critPred int) {
-	n := len(r.Ops)
-	var same, cross *Op
-	if op.pos > 0 {
-		same = r.Ops[op.Stage][op.pos-1]
-		if done[op.Stage] <= same.pos {
-			return false, 0, 0
-		}
-	}
-	hasComm := false
-	if op.Kind == Fwd && op.Stage > 0 {
-		cross = fwdAt[op.Stage-1][op.Micro]
-		hasComm = true
-	} else if op.Kind == Bwd && op.Stage < n-1 {
-		cross = bwdAt[op.Stage+1][op.Micro]
-		hasComm = true
-	}
-	if cross != nil && done[cross.Stage] <= cross.pos {
-		return false, 0, 0
-	}
+func (s *Scratch) slot(x, pos int) int { return x*2*s.m + pos }
 
-	start, critPred = 0, -1
-	if same != nil {
-		start, critPred = same.End, 0
+// step evaluates the op at position pos of stage x — kind k, micro-batch µ —
+// from its already evaluated dependencies. For a non-first stage a forward
+// starts at max(upstream forward end, previous same-stage op end) + Comm;
+// for a non-last stage a backward starts at max(downstream backward end,
+// previous same-stage op end) + Comm.
+func (s *Scratch) step(p StageProfile, x, pos int, k OpKind, µ int) {
+	n, m := s.n, s.m
+	i := s.slot(x, pos)
+	start, crit := 0.0, int8(-1)
+	if pos > 0 {
+		start, crit = s.end[i-1], 0
 	}
-	if cross != nil {
+	cross := -1
+	if k == Fwd && x > 0 {
+		cross = s.slot(x-1, posFwd(n, m, x-1, µ))
+	} else if k == Bwd && x < n-1 {
+		cross = s.slot(x+1, posBwd(n, m, x+1, µ))
+	}
+	if cross >= 0 {
 		// Tie-break toward the path "closest to the last pipeline stage"
 		// (paper Fig. 4): a backward's cross dependency comes from a higher
 		// stage, so it wins ties; a forward's comes from a lower stage, so
 		// the same-stage predecessor keeps ties.
-		if cross.End > start || (cross.End == start && op.Kind == Bwd) {
-			start, critPred = cross.End, 1
+		if e := s.end[cross]; e > start || (e == start && k == Bwd) {
+			start, crit = e, 1
 		}
-	}
-	if hasComm {
 		// The paper charges Comm on every cross-stage op regardless of
 		// which dependency dominated (the receive occupies the stream).
-		start += r.Comm
+		start += p.Comm
 	}
-	return true, start, critPred
+	s.start[i], s.crit[i] = start, crit
+	if k == Fwd {
+		s.end[i] = start + p.Fwd[x]
+	} else {
+		s.end[i] = start + p.Bwd[x]
+	}
 }
 
-func firstOp(ops []*Op) *Op {
-	if len(ops) == 0 {
-		return nil
+// The 1F1B execution order (paper Fig. 5/6): stage x warms up with
+// min(n-1-x, m) forwards, alternates forward/backward blocks in the 1F1B
+// phase — block y pairs F(warm+y) with B(y) — and cools down with the
+// remaining backwards. opAt, posFwd, posBwd, and phaseAt are the closed
+// forms of that order.
+
+func warmup(n, m, x int) int { return min(n-1-x, m) }
+
+// opAt returns the kind and micro-batch of the op at position pos of stage
+// x's execution order.
+func opAt(n, m, x, pos int) (OpKind, int) {
+	warm := warmup(n, m, x)
+	switch {
+	case pos < warm:
+		return Fwd, pos
+	case pos < 2*m-warm:
+		j := pos - warm
+		if j%2 == 1 {
+			return Bwd, j / 2
+		}
+		return Fwd, warm + j/2
+	default:
+		return Bwd, pos - m
 	}
-	return ops[0]
 }
 
-// criticalPath backtracks the recorded argmax decisions from the final op.
-func criticalPath(last *Op, r *Result, fwdAt, bwdAt [][]*Op) []*Op {
-	var rev []*Op
-	for op := last; op != nil; {
-		rev = append(rev, op)
-		switch op.critPred {
-		case 0:
-			op = r.Ops[op.Stage][op.pos-1]
-		case 1:
-			if op.Kind == Fwd {
-				op = fwdAt[op.Stage-1][op.Micro]
-			} else {
-				op = bwdAt[op.Stage+1][op.Micro]
+// posFwd returns the position of stage x's forward of micro-batch µ.
+func posFwd(n, m, x, µ int) int {
+	if warm := warmup(n, m, x); µ >= warm {
+		return 2*µ - warm
+	}
+	return µ
+}
+
+// posBwd returns the position of stage x's backward of micro-batch µ.
+func posBwd(n, m, x, µ int) int {
+	if warm := warmup(n, m, x); µ < m-warm {
+		return warm + 2*µ + 1
+	}
+	return m + µ
+}
+
+// phaseAt returns the phase of the op at position pos of stage x.
+func phaseAt(n, m, x, pos int) Phase {
+	warm := warmup(n, m, x)
+	switch {
+	case pos < warm:
+		return Warmup
+	case pos < 2*m-warm:
+		return OneFOneB
+	default:
+		return Cooldown
+	}
+}
+
+// result materializes the full Result of the iteration s last summarized.
+func (s *Scratch) result(p StageProfile, sum Summary) *Result {
+	n, m := s.n, s.m
+	r := &Result{
+		IterTime: sum.IterTime, Startup: sum.Startup, Master: sum.Master,
+		F: append([]float64(nil), p.Fwd...), B: append([]float64(nil), p.Bwd...), Comm: p.Comm, Micro: m,
+	}
+	ops := make([]Op, 2*n*m)
+	r.Ops = make([][]*Op, n)
+	for x := range r.Ops {
+		r.Ops[x] = make([]*Op, 2*m)
+		for pos := range r.Ops[x] {
+			i := s.slot(x, pos)
+			op := &ops[i]
+			op.Stage, op.Start, op.End = x, s.start[i], s.end[i]
+			op.Kind, op.Micro = opAt(n, m, x, pos)
+			op.Phase = phaseAt(n, m, x, pos)
+			switch op.Phase {
+			case Warmup:
+				op.Block = -1
+			case OneFOneB:
+				op.Block = (pos - warmup(n, m, x)) / 2
+			case Cooldown:
+				// Renumbered in reverse order (paper Fig. 6): the final
+				// backward gets index 0.
+				op.Block = m - 1 - op.Micro
 			}
-		default:
-			op = nil
+			r.Ops[x][pos] = op
 		}
 	}
-	// Reverse into chronological order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	r.Critical = make([]*Op, len(s.path))
+	for j, i := range s.path {
+		r.Critical[len(s.path)-1-j] = &ops[i]
 	}
-	return rev
-}
-
-// masterStage returns the stage whose compute dominates the critical path in
-// the 1F1B phase: the stage with the heaviest load, which drives succeeding
-// stages through its forwards and preceding stages through its backwards.
-func masterStage(r *Result) int {
-	dwell := make([]float64, len(r.Ops))
-	any := false
-	for _, op := range r.Critical {
-		if op.Phase == OneFOneB {
-			dwell[op.Stage] += op.End - op.Start
-			any = true
-		}
-	}
-	if !any {
-		// Degenerate pipelines (m < n) may have an empty 1F1B phase; fall
-		// back to the heaviest critical-path stage overall.
-		for _, op := range r.Critical {
-			dwell[op.Stage] += op.End - op.Start
-		}
-	}
-	best, bestT := 0, math.Inf(-1)
-	for s, t := range dwell {
-		// Ties resolve toward the last stage, matching the critical-path
-		// uniqueness rule.
-		if t >= bestT {
-			best, bestT = s, t
-		}
-	}
-	return best
+	return r
 }
 
 // PhaseWindows returns, per stage, the wall-clock boundaries

@@ -15,9 +15,8 @@ vet:
 
 # lint builds autopipelint and runs it twice: as a go vet -vettool over every
 # package (simclock, errsentinel, ctxspawn, locksafe, unitsafe, and the
-# interprocedural hotalloc and raceguard — the determinism, error,
-# concurrency, dimensional, hot-path allocation, and static data-race
-# invariants, DESIGN.md §11), and in
+# interprocedural hotalloc — the determinism, error, concurrency,
+# dimensional, and hot-path allocation invariants, DESIGN.md §11), and in
 # -testdata mode (scheddata) over the checked-in schedule goldens, partition
 # plans, and fault plans. Unused //lint:allow waivers fail the run.
 lint:
@@ -49,6 +48,8 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzParseChaos -fuzztime=$(FUZZTIME) ./internal/service
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race
@@ -66,10 +67,8 @@ race-core:
 # race-wide covers the remaining concurrent surface at full depth — the
 # autopiped service path (worker pool, cache, singleflight, soak ledger,
 # chaos middleware), the observability registry fast path, and the benchmark
-# harness — matching the static claim raceguard makes over the same
-# packages: what the analyzer proves unordered-access-free, the dynamic
-# detector exercises. race-all is both halves; CI's race matrix runs them as
-# separate jobs.
+# harness. The race detector is the repository's data-race check; race-all
+# is both halves, and CI's race matrix runs them as separate jobs.
 race-wide:
 	$(GO) test -race ./internal/service/... ./internal/obs/... ./internal/bench/...
 

@@ -20,7 +20,8 @@ func TestPublicPlanEvaluateFlow(t *testing.T) {
 	cluster.NumGPUs = 4
 	run := autopipe.Run{MicroBatch: 32, GlobalBatch: 512, Checkpoint: true}
 
-	spec, blocks, err := autopipe.Plan(model, run, cluster)
+	planner := autopipe.NewPlanner(autopipe.WithParallelism(1))
+	spec, blocks, err := planner.Plan(context.Background(), model, run, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +52,19 @@ func TestPublicBuildSimulateSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := autopipe.PlanDepth(blocks, 4, 8)
+	pr, err := autopipe.NewPlanner(autopipe.WithParallelism(1)).PlanDepth(context.Background(), blocks, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, b := pr.Best.Partition.StageTimes(blocks)
-	sr, err := autopipe.Simulate(f, b, blocks.Comm, 8)
+	prof := autopipe.Profile(pr.Best.Partition, blocks, 8)
+	sr, err := autopipe.SimulateProfile(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.IterTime <= 0 || sr.Master < 0 || sr.Master >= 4 {
 		t.Errorf("bad simulation: %+v", sr)
 	}
-	sp, err := autopipe.Slice(f, b, blocks.Comm, 8)
+	sp, err := autopipe.SliceProfile(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPlannerAPIFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if spec.Depth() != 2 {
-		t.Errorf("depth = %d, want 2 (must match the deprecated Plan)", spec.Depth())
+		t.Errorf("depth = %d, want 2 (the paper's high-memory plan)", spec.Depth())
 	}
 	snap := reg.Snapshot()
 	if len(snap.Counters)+len(snap.Gauges) == 0 {
@@ -199,44 +200,6 @@ func TestEvalResultFailure(t *testing.T) {
 	}
 	if !errors.Is(res.Failure(), autopipe.ErrOOM) {
 		t.Errorf("Failure() = %v, want ErrOOM", res.Failure())
-	}
-}
-
-// TestDeprecatedWrappersMatchPlanner proves the migration is loss-free: the
-// deprecated free functions return exactly what the Planner API returns.
-func TestDeprecatedWrappersMatchPlanner(t *testing.T) {
-	model := autopipe.BERTLarge()
-	cluster := autopipe.DefaultCluster()
-	run := autopipe.Run{MicroBatch: 8, GlobalBatch: 256, Checkpoint: true}
-
-	oldSpec, _, err := autopipe.Plan(model, run, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSpec, _, err := autopipe.NewPlanner().Plan(context.Background(), model, run, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldSpec.SearchTime, newSpec.SearchTime = 0, 0
-	if !reflect.DeepEqual(oldSpec, newSpec) {
-		t.Errorf("deprecated Plan differs from Planner.Plan:\n%+v\nvs\n%+v", oldSpec, newSpec)
-	}
-
-	blocks, err := autopipe.Build(model, 8, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, b := newSpec.Partition.StageTimes(blocks)
-	oldSim, err := autopipe.Simulate(f, b, blocks.Comm, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSim, err := autopipe.SimulateProfile(autopipe.StageProfile{Fwd: f, Bwd: b, Comm: blocks.Comm, Micro: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldSim, newSim) {
-		t.Error("Simulate and SimulateProfile disagree")
 	}
 }
 

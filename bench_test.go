@@ -215,9 +215,10 @@ func BenchmarkPlannerGPT2_345M(b *testing.B) {
 	cluster := config.DefaultCluster()
 	cluster.NumGPUs = 4
 	run := config.Run{MicroBatch: 4, GlobalBatch: 128, Checkpoint: true}
+	planner := autopipe.NewPlanner(autopipe.WithParallelism(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := autopipe.Plan(config.GPT2_345M(), run, cluster); err != nil {
+		if _, _, err := planner.Plan(context.Background(), config.GPT2_345M(), run, cluster); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,10 +3,9 @@
 //
 //	go vet -vettool=$(pwd)/bin/autopipelint ./...
 //
-// drives the seven Go analyzers (simclock, errsentinel, ctxspawn, the
-// flow-sensitive locksafe and unitsafe, and the interprocedural hotalloc and
-// raceguard) over every compilation unit via the go command's vettool
-// protocol:
+// drives the six Go analyzers (simclock, errsentinel, ctxspawn, the
+// flow-sensitive locksafe and unitsafe, and the interprocedural hotalloc)
+// over every compilation unit via the go command's vettool protocol:
 // autopipelint answers the -V=full version handshake and the -flags
 // enumeration, then is invoked once per package with a *.cfg unit
 // description.
@@ -45,7 +44,6 @@ import (
 	"autopipe/internal/analysis/errsentinel"
 	"autopipe/internal/analysis/hotalloc"
 	"autopipe/internal/analysis/locksafe"
-	"autopipe/internal/analysis/raceguard"
 	"autopipe/internal/analysis/scheddata"
 	"autopipe/internal/analysis/simclock"
 	"autopipe/internal/analysis/unitsafe"
@@ -70,7 +68,6 @@ func run(args []string) int {
 			hotalloc.Analyzer.Name:    fs.Bool("hotalloc", true, hotalloc.Analyzer.Doc),
 			locksafe.Analyzer.Name:    fs.Bool("locksafe", true, locksafe.Analyzer.Doc),
 			unitsafe.Analyzer.Name:    fs.Bool("unitsafe", true, unitsafe.Analyzer.Doc),
-			raceguard.Analyzer.Name:   fs.Bool("raceguard", true, raceguard.Analyzer.Doc),
 		}
 	)
 	if err := fs.Parse(args); err != nil {
@@ -94,7 +91,7 @@ func run(args []string) int {
 		return 2
 	}
 	var analyzers []*analysis.Analyzer
-	for _, a := range []*analysis.Analyzer{simclock.Analyzer, errsentinel.Analyzer, ctxspawn.Analyzer, hotalloc.Analyzer, locksafe.Analyzer, unitsafe.Analyzer, raceguard.Analyzer} {
+	for _, a := range []*analysis.Analyzer{simclock.Analyzer, errsentinel.Analyzer, ctxspawn.Analyzer, hotalloc.Analyzer, locksafe.Analyzer, unitsafe.Analyzer} {
 		if *enabled[a.Name] {
 			analyzers = append(analyzers, a)
 		}
@@ -151,7 +148,6 @@ func printFlags(w io.Writer) int {
 		{"hotalloc", true, hotalloc.Analyzer.Doc},
 		{"locksafe", true, locksafe.Analyzer.Doc},
 		{"unitsafe", true, unitsafe.Analyzer.Doc},
-		{"raceguard", true, raceguard.Analyzer.Doc},
 	}
 	data, err := json.Marshal(flags)
 	if err != nil {

@@ -155,10 +155,11 @@ func Build(files []*ast.File, info *types.Info) *Graph {
 	// Every statement that can store into a function-typed variable must be
 	// visited here: an assignment the pass does not see leaves a stale binding
 	// behind, and a stale binding resolves calls to a body the variable no
-	// longer holds — unsound for the concurrency analyses (raceguard), which
-	// would attribute the wrong spawned body's accesses. Range clauses and
-	// address-taking (a pointer through which the variable can be reassigned
-	// out of sight) therefore widen conservatively.
+	// longer holds — unsound for ctxspawn, which resolves `go f()` through
+	// these bindings and would check the wrong spawned body for a
+	// cancellation signal. Range clauses and address-taking (a pointer
+	// through which the variable can be reassigned out of sight) therefore
+	// widen conservatively.
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -151,8 +151,8 @@ func TestFuncValue(t *testing.T) {
 // bound once to a literal and then reassigned through a channel the binding
 // pass cannot track — a range clause, or a pointer taken to the variable —
 // must widen to unresolved. v3 resolved rebound() and escaped() to the first
-// literal, so a concurrency analysis (raceguard) would have attributed the
-// wrong body's shared accesses to the call.
+// literal, so ctxspawn would have checked the wrong spawned body for a
+// cancellation signal.
 func TestStoredThenReassigned(t *testing.T) {
 	g, _ := load(t, `package p
 

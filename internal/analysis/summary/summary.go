@@ -16,18 +16,6 @@
 // the same stdlib tables at the call site. Every fact carries a witness chain
 // (the site that introduced it, through the call edges it traveled), so a
 // diagnostic three calls removed from the offending line can still name it.
-//
-// Alongside the bitset facts, ComputeConcurrency (concurrency.go) builds the
-// richer per-function concurrency summaries that back the raceguard analyzer
-// (DESIGN §11.10): resolved goroutine spawns with loop boundaries, shared
-// reads and writes identified by root-variable + field-chain references, each
-// carrying the CFG must-hold lock set at the access and a witness chain, and
-// the happens-before facts (WaitGroup Done/Wait, channel send/recv/close,
-// sync.Once.Do) that let the checker discharge ordered pairs. The same
-// bottom-up fixpoint discipline applies: accesses and sync effects propagate
-// across resolved call edges (with references rebased through parameters),
-// and goroutine edges deliberately do not propagate — a spawn is a
-// concurrency boundary, not a call.
 package summary
 
 import (

@@ -142,7 +142,7 @@ func TestDepthLowerBoundSound(t *testing.T) {
 		for _, p := range []int{2, 4, 8} {
 			m := 2 * p
 			lb := depthLowerBound(bl, p, m)
-			res, err := PlanDepth(bl, p, m)
+			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", mc.Name, p, err)
 			}
@@ -181,7 +181,7 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 			}
 			dp := cluster.NumGPUs / p
 			m := run.MicroBatches(dp)
-			res, err := PlanDepth(bl, p, m)
+			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", tc.mc.Name, p, err)
 			}

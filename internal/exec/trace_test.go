@@ -395,7 +395,7 @@ func TestSimUpperBoundsExecWithComm(t *testing.T) {
 			b[i] = 3 * f[i]
 		}
 		const comm = 0.05
-		sr, err := sim.Simulate(f, b, comm, m)
+		sr, err := sim.SimulateProfile(sim.StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: m})
 		if err != nil {
 			return false
 		}

@@ -140,8 +140,7 @@ func (e Env) AblationSlicingCount() ([]SlicingPoint, *tableio.Table, error) {
 		return nil, nil, err
 	}
 	part := res.Best.Partition
-	f, b := part.StageTimes(bl)
-	sp, err := slicer.Solve(f, b, bl.Comm, m)
+	sp, err := slicer.SolveProfile(part.Profile(bl, m))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -193,9 +192,8 @@ func (e Env) AblationSchedules() ([]SchedulePoint, *tableio.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	part := res.Best.Partition
-	f, b := part.StageTimes(bl)
-	sp, err := slicer.Solve(f, b, bl.Comm, m)
+	prof := res.Best.Partition.Profile(bl, m)
+	sp, err := slicer.SolveProfile(prof)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,7 +218,7 @@ func (e Env) AblationSchedules() ([]SchedulePoint, *tableio.Table, error) {
 			return nil, nil, err
 		}
 		r, err := exec.Run(s, exec.Config{
-			VirtFwd: f, VirtBwd: b,
+			VirtFwd: prof.Fwd, VirtBwd: prof.Bwd,
 			CommBytes:      bl.List[0].OutBytes,
 			Network:        e.Cluster.Network,
 			KernelOverhead: e.Cluster.Device.KernelOverhead,

@@ -41,8 +41,7 @@ func (e Env) Fig11() ([]Fig11Point, *tableio.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		f, b := part.StageTimes(bl)
-		sr, err := sim.Simulate(f, b, bl.Comm, m)
+		sr, err := sim.SimulateProfile(part.Profile(bl, m))
 		if err != nil {
 			return nil, nil, err
 		}

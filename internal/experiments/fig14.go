@@ -75,8 +75,7 @@ func (e Env) startupPoint(depth, mbs, m int) (StartupPoint, error) {
 	}()
 
 	// Slicer alone: even partition with the sliced warmup.
-	ef, eb := even.StageTimes(bl)
-	sp, err := slicer.Solve(ef, eb, bl.Comm, m)
+	sp, err := slicer.SolveProfile(even.Profile(bl, m))
 	if err != nil {
 		return StartupPoint{}, err
 	}
@@ -93,8 +92,7 @@ func (e Env) startupPoint(depth, mbs, m int) (StartupPoint, error) {
 	if err != nil {
 		return StartupPoint{}, err
 	}
-	bf, bb := pr.Best.Partition.StageTimes(bl)
-	asp, err := slicer.Solve(bf, bb, bl.Comm, m)
+	asp, err := slicer.SolveProfile(pr.Best.Partition.Profile(bl, m))
 	if err != nil {
 		return StartupPoint{}, err
 	}

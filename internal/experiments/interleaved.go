@@ -76,8 +76,7 @@ func (e Env) AblationInterleaved() ([]InterleavedPoint, *tableio.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		bf, bb := pr.Best.Partition.StageTimes(bl)
-		sp, err := slicer.Solve(bf, bb, bl.Comm, m)
+		sp, err := slicer.SolveProfile(pr.Best.Partition.Profile(bl, m))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"autopipe/internal/config"
@@ -51,7 +52,7 @@ func TestTelemetryPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.PlanDepth(bl, 4, 16)
+	res, err := core.PlanDepthOpts(context.Background(), bl, 4, 16, core.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 // and checks the stateful budgets stay exact under contention: a count-mode
 // msg-drop consumes exactly Count attempts and an OOM fires exactly once, no
 // matter how the queries interleave. Run under -race (make race, and at full
-// depth whenever this package's suite runs under the detector) this is the
-// dynamic complement to raceguard's static sweep of internal/fault.
+// depth whenever this package's suite runs under the detector) it is also the
+// data-race check on the Injector's locking.
 func TestInjectorConcurrentQueries(t *testing.T) {
 	plan := &Plan{
 		Name: "race-stress",

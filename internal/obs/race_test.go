@@ -23,8 +23,7 @@ func (s *countingSink) Emit(Event) {
 // competing goroutines. It asserts nothing beyond termination and a sane
 // final snapshot: its job is to give the race detector (make race-wide, CI
 // race-matrix) real interleavings over the registry's atomic fast path and
-// mutex slow path, the dynamic complement to raceguard's static sweep of
-// this package.
+// mutex slow path.
 func TestRegistryConcurrentStress(t *testing.T) {
 	r := NewRegistry()
 	sink := &countingSink{}

@@ -10,8 +10,8 @@ import (
 // competing goroutines and checks conservation: with accrual frozen (a fixed
 // injected clock), the number of admitted requests can never exceed the
 // burst capacity, however the takes interleave. Run under -race (make
-// race-wide, CI race-matrix) this doubles as the dynamic check on the
-// bucket's mutex discipline, complementing raceguard's static sweep.
+// race-wide, CI race-matrix) this doubles as the data-race check on the
+// bucket's mutex discipline.
 func TestTokenBucketConcurrentTake(t *testing.T) {
 	b := newTokenBucket(100, 32)
 	frozen := time.Now()

@@ -134,14 +134,6 @@ type Result struct {
 	Micro int
 }
 
-// Simulate runs one synchronous 1F1B iteration with per-stage forward times
-// f, backward times b, communication constant comm, and m micro-batches.
-//
-// Deprecated: use SimulateProfile with a StageProfile value.
-func Simulate(f, b []float64, comm float64, m int) (*Result, error) {
-	return SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: m})
-}
-
 // SimulateProfile runs one synchronous 1F1B iteration for the profile and
 // materializes the full Result: every op, the critical path, and the summary.
 // It evaluates the same flat recurrence as Scratch.Summarize; callers that

@@ -17,9 +17,9 @@ func TestSimulateUniformPipelineMakespan(t *testing.T) {
 		for i := range f {
 			f[i], b[i] = 1, 1
 		}
-		r, err := Simulate(f, b, 0, tc.m)
+		r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Micro: tc.m})
 		if err != nil {
-			t.Fatalf("Simulate(n=%d,m=%d): %v", tc.n, tc.m, err)
+			t.Fatalf("SimulateProfile(n=%d,m=%d): %v", tc.n, tc.m, err)
 		}
 		want := float64(tc.m+tc.n-1) * 2
 		if !almostEq(r.IterTime, want) {
@@ -29,7 +29,7 @@ func TestSimulateUniformPipelineMakespan(t *testing.T) {
 }
 
 func TestSimulateSingleStage(t *testing.T) {
-	r, err := Simulate([]float64{2}, []float64{3}, 0.5, 4)
+	r, err := SimulateProfile(StageProfile{Fwd: []float64{2}, Bwd: []float64{3}, Comm: 0.5, Micro: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSimulateStartupIsFirstMicroBatchArrival(t *testing.T) {
 	f := []float64{1, 2, 3, 4}
 	b := []float64{2, 4, 6, 8}
 	comm := 0.25
-	r, err := Simulate(f, b, comm, 8)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSimulateWarmupEstimateMatchesBalanced(t *testing.T) {
 	f := []float64{2, 2, 2, 2}
 	b := []float64{4, 4, 4, 4}
 	comm := 0.1
-	r, err := Simulate(f, b, comm, 8)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: comm, Micro: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSimulateMasterIsHeaviestStage(t *testing.T) {
 	// path and therefore be the master stage.
 	f := []float64{1, 1, 2, 1}
 	b := []float64{2, 2, 4, 2}
-	r, err := Simulate(f, b, 0.01, 8)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: 0.01, Micro: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSimulateMasterTieBreaksTowardLastStage(t *testing.T) {
 	// defines the critical path as the one closest to the last stage.
 	f := []float64{1, 1, 1, 1}
 	b := []float64{2, 2, 2, 2}
-	r, err := Simulate(f, b, 0, 8)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Micro: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSimulateMasterTieBreaksTowardLastStage(t *testing.T) {
 func TestSimulateCriticalPathIsContiguousAndSpansIteration(t *testing.T) {
 	f := []float64{1, 1.5, 1, 1.2}
 	b := []float64{2, 3, 2, 2.4}
-	r, err := Simulate(f, b, 0.05, 8)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: 0.05, Micro: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSimulateBlockRenumbering(t *testing.T) {
 	n, m := 4, 8
 	f := []float64{1, 1, 1, 1}
 	b := []float64{2, 2, 2, 2}
-	r, err := Simulate(f, b, 0, m)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Micro: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSimulateOpCountsAndOrdering(t *testing.T) {
 	f := []float64{1, 2, 1}
 	b := []float64{2, 4, 2}
 	m := 6
-	r, err := Simulate(f, b, 0.1, m)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: 0.1, Micro: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSimulateFewerMicroBatchesThanStages(t *testing.T) {
 	// m < n degenerates into a GPipe-like fill/drain; it must still simulate.
 	f := []float64{1, 1, 1, 1, 1}
 	b := []float64{2, 2, 2, 2, 2}
-	r, err := Simulate(f, b, 0, 2)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Micro: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,16 +199,16 @@ func TestSimulateFewerMicroBatchesThanStages(t *testing.T) {
 }
 
 func TestSimulateErrors(t *testing.T) {
-	if _, err := Simulate(nil, nil, 0, 1); err == nil {
+	if _, err := SimulateProfile(StageProfile{Micro: 1}); err == nil {
 		t.Error("want error for empty stages")
 	}
-	if _, err := Simulate([]float64{1}, []float64{1, 2}, 0, 1); err == nil {
+	if _, err := SimulateProfile(StageProfile{Fwd: []float64{1}, Bwd: []float64{1, 2}, Micro: 1}); err == nil {
 		t.Error("want error for mismatched lengths")
 	}
-	if _, err := Simulate([]float64{1}, []float64{1}, 0, 0); err == nil {
+	if _, err := SimulateProfile(StageProfile{Fwd: []float64{1}, Bwd: []float64{1}, Micro: 0}); err == nil {
 		t.Error("want error for zero micro-batches")
 	}
-	if _, err := Simulate([]float64{-1}, []float64{1}, 0, 1); err == nil {
+	if _, err := SimulateProfile(StageProfile{Fwd: []float64{-1}, Bwd: []float64{1}, Micro: 1}); err == nil {
 		t.Error("want error for negative time")
 	}
 }
@@ -226,17 +226,17 @@ func TestSimulateMonotoneInLoad(t *testing.T) {
 			f[i] = 1 + float64((int(seed)+i*7)%5)
 			b[i] = 2 * f[i]
 		}
-		base, err := Simulate(f, b, 0.1, m)
+		base, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: 0.1, Micro: m})
 		if err != nil {
 			return false
 		}
 		j := int(bump) % n
 		f[j] += 1.5
-		heavier, err := Simulate(f, b, 0.1, m)
+		heavier, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: 0.1, Micro: m})
 		if err != nil {
 			return false
 		}
-		more, err := Simulate(f, b, 0.1, m+1)
+		more, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: 0.1, Micro: m + 1})
 		if err != nil {
 			return false
 		}
@@ -251,7 +251,7 @@ func TestSimulateBubbleNonNegative(t *testing.T) {
 	prop := func(a, b8, c uint8) bool {
 		f := []float64{1 + float64(a%7), 1 + float64(b8%7), 1 + float64(c%7)}
 		bw := []float64{2 * f[0], 2 * f[1], 2 * f[2]}
-		r, err := Simulate(f, bw, 0.05, 6)
+		r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: bw, Comm: 0.05, Micro: 6})
 		if err != nil {
 			return false
 		}
@@ -265,7 +265,7 @@ func TestSimulateBubbleNonNegative(t *testing.T) {
 func TestPhaseWindows(t *testing.T) {
 	f := []float64{1, 1.5, 1.2, 0.8}
 	b := []float64{2, 3, 2.4, 1.6}
-	r, err := Simulate(f, b, 0.05, 8)
+	r, err := SimulateProfile(StageProfile{Fwd: f, Bwd: b, Comm: 0.05, Micro: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"autopipe/internal/config"
 	"autopipe/internal/exec"
 	"autopipe/internal/schedule"
+	"autopipe/internal/sim"
 )
 
 func TestSolveUniformSlicesOne(t *testing.T) {
@@ -32,13 +33,13 @@ func TestSolveSingleStage(t *testing.T) {
 }
 
 func TestSolveErrors(t *testing.T) {
-	if _, err := Solve(nil, nil, 0, 4); err == nil {
+	if _, err := SolveProfile(sim.StageProfile{Micro: 4}); err == nil {
 		t.Error("want error for empty stages")
 	}
-	if _, err := Solve([]float64{1}, []float64{1, 2}, 0, 4); err == nil {
+	if _, err := SolveProfile(sim.StageProfile{Fwd: []float64{1}, Bwd: []float64{1, 2}, Micro: 4}); err == nil {
 		t.Error("want error for mismatched lengths")
 	}
-	if _, err := Solve([]float64{1}, []float64{2}, 0, 0); err == nil {
+	if _, err := SolveProfile(sim.StageProfile{Fwd: []float64{1}, Bwd: []float64{2}, Micro: 0}); err == nil {
 		t.Error("want error for zero micro-batches")
 	}
 }
@@ -96,7 +97,7 @@ func TestSolvedCountHalvesStartupWithoutSlowingIteration(t *testing.T) {
 		for i := range fs {
 			fs[i], bs[i] = tc.f, tc.b
 		}
-		plan, err := Solve(fs, bs, 0, tc.m)
+		plan, err := SolveProfile(sim.StageProfile{Fwd: fs, Bwd: bs, Micro: tc.m})
 		if err != nil {
 			t.Fatal(err)
 		}

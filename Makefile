@@ -13,16 +13,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint builds autopipelint and runs it twice: as a go vet -vettool over every
-# package (simclock, errsentinel, ctxspawn, locksafe, unitsafe, and the
-# interprocedural hotalloc — the determinism, error, concurrency,
-# dimensional, and hot-path allocation invariants, DESIGN.md §11), and in
-# -testdata mode (scheddata) over the checked-in schedule goldens, partition
-# plans, and fault plans. Unused //lint:allow waivers fail the run.
+# lint builds autopipelint and runs it as a go vet -vettool over every
+# package: simclock, errsentinel, ctxspawn, locksafe, and unitsafe — the
+# determinism, error, concurrency, and dimensional invariants (DESIGN.md §11).
+# Unused //lint:allow waivers fail the run. Hot-path allocations are gated by
+# internal/bench's TestSuiteAllocsPinned, and the checked-in JSON fixtures by
+# the root TestCheckedInFixtures, both in `make test`.
 lint:
 	$(GO) build -o bin/autopipelint ./cmd/autopipelint
 	$(GO) vet -vettool=$(abspath bin/autopipelint) ./...
-	./bin/autopipelint -testdata ./testdata ./internal/exec/testdata ./internal/fault/testdata ./internal/train/testdata ./internal/schedule/testdata ./BENCH_baseline.json ./BENCH_service.json
 
 # lint-waivers lists every live //lint:allow suppression (file:line, analyzer,
 # justification) outside fixture trees — the repository's complete waiver

@@ -1,20 +1,13 @@
-// Command autopipelint is the repository's static analysis suite. It runs in
-// two modes:
+// Command autopipelint is the repository's static analysis suite. Besides
+// the -waivers audit it runs in one mode:
 //
 //	go vet -vettool=$(pwd)/bin/autopipelint ./...
 //
-// drives the six Go analyzers (simclock, errsentinel, ctxspawn, the
-// flow-sensitive locksafe and unitsafe, and the interprocedural hotalloc)
-// over every compilation unit via the go command's vettool protocol:
-// autopipelint answers the -V=full version handshake and the -flags
-// enumeration, then is invoked once per package with a *.cfg unit
-// description.
-//
-//	bin/autopipelint -testdata ./testdata ./internal/exec/testdata ...
-//
-// sweeps checked-in JSON testdata with the scheddata analyzer: schedules
-// must parse and be statically deadlock-free, fault plans and partition-plan
-// documents must validate.
+// drives the five Go analyzers (simclock, errsentinel, ctxspawn, and the
+// flow-sensitive locksafe and unitsafe) over every compilation unit via the
+// go command's vettool protocol: autopipelint answers the -V=full version
+// handshake and the -flags enumeration, then is invoked once per package
+// with a *.cfg unit description.
 //
 //	bin/autopipelint -waivers ./internal ./cmd
 //
@@ -23,7 +16,8 @@
 // excluded). The listing is informational — make lint-waivers drives it —
 // so reviewers see the complete, current waiver budget in one place.
 //
-// Exit status is 1 when any finding is reported, so both modes gate CI.
+// Exit status is 1 when any finding is reported, so the vettool mode gates
+// CI.
 package main
 
 import (
@@ -42,9 +36,7 @@ import (
 	"autopipe/internal/analysis"
 	"autopipe/internal/analysis/ctxspawn"
 	"autopipe/internal/analysis/errsentinel"
-	"autopipe/internal/analysis/hotalloc"
 	"autopipe/internal/analysis/locksafe"
-	"autopipe/internal/analysis/scheddata"
 	"autopipe/internal/analysis/simclock"
 	"autopipe/internal/analysis/unitsafe"
 )
@@ -57,15 +49,13 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("autopipelint", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		versionFlag  = fs.String("V", "", "print version and exit (go vet handshake)")
-		flagsFlag    = fs.Bool("flags", false, "print analyzer flags as JSON and exit (go vet handshake)")
-		testdataFlag = fs.Bool("testdata", false, "validate JSON testdata under the given paths instead of analyzing Go packages")
-		waiversFlag  = fs.Bool("waivers", false, "list every live //lint:allow waiver under the given paths and exit")
-		enabled      = map[string]*bool{
+		versionFlag = fs.String("V", "", "print version and exit (go vet handshake)")
+		flagsFlag   = fs.Bool("flags", false, "print analyzer flags as JSON and exit (go vet handshake)")
+		waiversFlag = fs.Bool("waivers", false, "list every live //lint:allow waiver under the given paths and exit")
+		enabled     = map[string]*bool{
 			simclock.Analyzer.Name:    fs.Bool("simclock", true, simclock.Analyzer.Doc),
 			errsentinel.Analyzer.Name: fs.Bool("errsentinel", true, errsentinel.Analyzer.Doc),
 			ctxspawn.Analyzer.Name:    fs.Bool("ctxspawn", true, ctxspawn.Analyzer.Doc),
-			hotalloc.Analyzer.Name:    fs.Bool("hotalloc", true, hotalloc.Analyzer.Doc),
 			locksafe.Analyzer.Name:    fs.Bool("locksafe", true, locksafe.Analyzer.Doc),
 			unitsafe.Analyzer.Name:    fs.Bool("unitsafe", true, unitsafe.Analyzer.Doc),
 		}
@@ -79,19 +69,17 @@ func run(args []string) int {
 		return printVersion(os.Stdout, *versionFlag)
 	case *flagsFlag:
 		return printFlags(os.Stdout)
-	case *testdataFlag:
-		return runTestdata(fs.Args())
 	case *waiversFlag:
 		return runWaivers(os.Stdout, fs.Args())
 	}
 
 	// Unit mode: exactly one *.cfg argument from the go command.
 	if fs.NArg() != 1 || !strings.HasSuffix(fs.Arg(0), ".cfg") {
-		fmt.Fprintln(os.Stderr, "usage: autopipelint [-testdata paths...] | <unit>.cfg (via go vet -vettool)")
+		fmt.Fprintln(os.Stderr, "usage: autopipelint [-waivers paths...] | <unit>.cfg (via go vet -vettool)")
 		return 2
 	}
 	var analyzers []*analysis.Analyzer
-	for _, a := range []*analysis.Analyzer{simclock.Analyzer, errsentinel.Analyzer, ctxspawn.Analyzer, hotalloc.Analyzer, locksafe.Analyzer, unitsafe.Analyzer} {
+	for _, a := range []*analysis.Analyzer{simclock.Analyzer, errsentinel.Analyzer, ctxspawn.Analyzer, locksafe.Analyzer, unitsafe.Analyzer} {
 		if *enabled[a.Name] {
 			analyzers = append(analyzers, a)
 		}
@@ -145,7 +133,6 @@ func printFlags(w io.Writer) int {
 		{"simclock", true, simclock.Analyzer.Doc},
 		{"errsentinel", true, errsentinel.Analyzer.Doc},
 		{"ctxspawn", true, ctxspawn.Analyzer.Doc},
-		{"hotalloc", true, hotalloc.Analyzer.Doc},
 		{"locksafe", true, locksafe.Analyzer.Doc},
 		{"unitsafe", true, unitsafe.Analyzer.Doc},
 	}
@@ -156,19 +143,6 @@ func printFlags(w io.Writer) int {
 	}
 	fmt.Fprintln(w, string(data))
 	return 0
-}
-
-func runTestdata(paths []string) int {
-	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "autopipelint -testdata: no paths given")
-		return 2
-	}
-	diags, err := scheddata.CheckPaths(paths)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "autopipelint: %v\n", err)
-		return 1
-	}
-	return report(diags)
 }
 
 // runWaivers walks the given roots (default ".") and lists every

@@ -2,7 +2,7 @@
 // golang.org/x/tools/go/analysis: the driver framework for autopipelint, the
 // repository's static enforcement of the invariants its results rest on
 // (wall-clock-free deterministic packages, sentinel-wrapped errors,
-// cancellation-clean goroutines, well-formed schedule testdata).
+// cancellation-clean goroutines, lock discipline, dimensional consistency).
 //
 // x/tools would normally provide this framework, but the repository builds
 // offline with no module proxy, so the subset autopipelint needs — Analyzer,

@@ -2,7 +2,7 @@
 // node per function body (declared functions, methods, and function
 // literals), one edge per call site that resolves statically to a body in the
 // same package. It is the substrate for the interprocedural analyzers
-// (summary fixpoint, hotalloc, transitive simclock/ctxspawn/locksafe):
+// (summary fixpoint, transitive simclock/ctxspawn/locksafe):
 // instead of every analyzer re-deriving "which function does this call
 // reach", they ask the graph.
 //
@@ -99,9 +99,6 @@ type Graph struct {
 	// provably bound to, or to nil once a second/other assignment widens it.
 	binds map[types.Object]*ast.FuncLit
 }
-
-// NodeOf returns the node for a declared function or method object, or nil.
-func (g *Graph) NodeOf(obj *types.Func) *Node { return g.decls[obj] }
 
 // NodeOfLit returns the node for a function literal, or nil.
 func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.lits[lit] }

@@ -1,16 +1,16 @@
 // Package summary computes per-function effect summaries over a callgraph
 // and propagates them bottom-up to a fixpoint. Each function body gets a
-// monotone bitset of facts — allocates, reads the wall clock, draws from the
-// global rand source, may block on a channel, observes a cancellation signal
-// — derived first from its own syntax (with known-effect tables for the
+// monotone bitset of facts — reads the wall clock, draws from the global
+// rand source, may block on a channel, observes a cancellation signal —
+// derived first from its own syntax (with known-effect tables for the
 // relevant stdlib packages) and then inherited across every resolved
-// same-package call edge. The interprocedural analyzers (hotalloc, transitive
+// same-package call edge. The interprocedural analyzers (transitive
 // simclock, ctxspawn, locksafe) consume the result instead of re-walking
 // callee bodies themselves.
 //
 // Soundness model: facts only ever turn on, so the worklist fixpoint
 // terminates, and a fact present is a *may* property ("this function may
-// allocate"), never a must. Unresolved callees (interface methods,
+// read the clock"), never a must. Unresolved callees (interface methods,
 // cross-package calls outside the stdlib tables, widened function values)
 // contribute nothing — the analyzers that need external effects covered use
 // the same stdlib tables at the call site. Every fact carries a witness chain
@@ -32,12 +32,9 @@ import (
 type Facts uint32
 
 const (
-	// Allocates: the function may allocate on the heap (make/new/append,
-	// reference composite literals, closures, string building, fmt.*).
-	Allocates Facts = 1 << iota
 	// ReadsClock: the function may read the wall clock or arm a timer
 	// (time.Now, time.Sleep, ...).
-	ReadsClock
+	ReadsClock Facts = 1 << iota
 	// GlobalRand: the function may draw from the process-global math/rand
 	// source.
 	GlobalRand
@@ -52,14 +49,13 @@ const (
 	ObservesCancel
 )
 
-// String renders the set for diagnostics, e.g. "allocates|reads clock".
+// String renders the set for diagnostics, e.g. "reads clock|may block".
 func (f Facts) String() string {
 	var parts []string
 	for _, e := range []struct {
 		bit  Facts
 		name string
 	}{
-		{Allocates, "allocates"},
 		{ReadsClock, "reads clock"},
 		{GlobalRand, "global rand"},
 		{MayBlock, "may block"},
@@ -201,41 +197,13 @@ func direct(n *callgraph.Node, info *types.Info, opts Options) *Info {
 		switch m := m.(type) {
 		case *ast.CallExpr:
 			directCall(m, info, add)
-		case *ast.CompositeLit:
-			// Only reference-kind literals are summary-level allocations; a
-			// plain value struct literal usually lives on the stack.
-			if t := info.TypeOf(m); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice:
-					add(Allocates, m.Pos(), "slice literal")
-				case *types.Map:
-					add(Allocates, m.Pos(), "map literal")
-				}
-			}
 		case *ast.UnaryExpr:
-			switch m.Op {
-			case token.AND:
-				if _, ok := ast.Unparen(m.X).(*ast.CompositeLit); ok {
-					add(Allocates, m.Pos(), "&composite literal")
-				}
-			case token.ARROW:
-				if !selectComm[m] {
-					add(MayBlock, m.Pos(), "channel receive")
-				}
+			if m.Op == token.ARROW && !selectComm[m] {
+				add(MayBlock, m.Pos(), "channel receive")
 			}
-		case *ast.FuncLit:
-			add(Allocates, m.Pos(), "function literal (closure)")
 		case *ast.SendStmt:
 			if !selectComm[m] {
 				add(MayBlock, m.Pos(), "channel send")
-			}
-		case *ast.BinaryExpr:
-			if m.Op == token.ADD && isString(info.TypeOf(m)) {
-				add(Allocates, m.Pos(), "string concatenation")
-			}
-		case *ast.AssignStmt:
-			if m.Tok == token.ADD_ASSIGN && len(m.Lhs) == 1 && isString(info.TypeOf(m.Lhs[0])) {
-				add(Allocates, m.Pos(), "string concatenation")
 			}
 		case *ast.SelectStmt:
 			hasDefault := false
@@ -260,30 +228,6 @@ func direct(n *callgraph.Node, info *types.Info, opts Options) *Info {
 
 // directCall applies the known-effect tables to one call expression.
 func directCall(call *ast.CallExpr, info *types.Info, add func(Facts, token.Pos, string)) {
-	// Builtins: make/new always allocate; append may grow its backing array.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make", "new":
-				add(Allocates, call.Pos(), id.Name+" call")
-			case "append":
-				add(Allocates, call.Pos(), "append (may grow)")
-			}
-			return
-		}
-	}
-	// Conversions that copy into a fresh backing array: []byte(s), []rune(s),
-	// string(b).
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		to, from := tv.Type.Underlying(), info.TypeOf(call.Args[0])
-		if from != nil {
-			_, toSlice := to.(*types.Slice)
-			if (toSlice && isString(from)) || (isString(tv.Type) && !isString(from)) {
-				add(Allocates, call.Pos(), "string/slice conversion")
-			}
-		}
-		return
-	}
 	// Stdlib effect tables for package-level functions.
 	if fn := pkgFunc(info, call); fn != nil && fn.Pkg() != nil {
 		switch fn.Pkg().Path() {
@@ -295,8 +239,6 @@ func directCall(call *ast.CallExpr, info *types.Info, add func(Facts, token.Pos,
 			if !strings.HasPrefix(fn.Name(), "New") {
 				add(GlobalRand, call.Pos(), "rand."+fn.Name())
 			}
-		case "fmt":
-			add(Allocates, call.Pos(), "fmt."+fn.Name())
 		}
 		return
 	}
@@ -365,14 +307,6 @@ func signatureOf(n *callgraph.Node, info *types.Info) *types.Signature {
 	return nil
 }
 
-func isString(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
 // pkgFunc resolves a call to a package-level function (duplicated from the
 // framework to keep the dependency one-way: analysis → summary is not
 // imported, analyzers import both).
@@ -398,7 +332,6 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 func walk(body ast.Node, f func(ast.Node)) {
 	ast.Inspect(body, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok && m != body {
-			f(m) // the literal itself is a closure allocation at this site
 			return false
 		}
 		if m != nil {

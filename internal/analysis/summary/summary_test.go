@@ -55,8 +55,6 @@ func viaViaClock() time.Time { return viaClock() }
 
 func pure(a, b int) int { return a + b }
 
-func allocs(n int) []int { return make([]int, n) }
-
 func blocks(ch chan int) int { return <-ch }
 
 func selDefault(ch chan int) int {
@@ -113,8 +111,7 @@ func TestDirectAndTransitive(t *testing.T) {
 		{"clock", ReadsClock, MayBlock | GlobalRand},
 		{"viaClock", ReadsClock, 0},
 		{"viaViaClock", ReadsClock, 0},
-		{"pure", 0, ReadsClock | Allocates | MayBlock},
-		{"allocs", Allocates, ReadsClock},
+		{"pure", 0, ReadsClock | MayBlock},
 		{"blocks", MayBlock, 0},
 		{"selDefault", 0, MayBlock},
 		{"selBlocking", MayBlock | ObservesCancel, 0},
@@ -164,7 +161,7 @@ func TestIgnoreSuppressesTaint(t *testing.T) {
 }
 
 func TestFactsString(t *testing.T) {
-	if got := (ReadsClock | Allocates).String(); got != "allocates|reads clock" {
+	if got := (ReadsClock | MayBlock).String(); got != "reads clock|may block" {
 		t.Errorf("String() = %q", got)
 	}
 	if got := Facts(0).String(); got != "none" {

@@ -10,8 +10,8 @@
 // `autopipebench` refreshes it, and `autopipebench compare` diffs two
 // baselines and exits nonzero when a metric degrades past its threshold.
 // Baselines parse strictly (json.Decoder.DisallowUnknownFields), and the
-// scheddata testdata sweep validates every checked-in BENCH_*.json the same
-// way it validates schedule and fault-plan goldens.
+// root fixture test parses every checked-in BENCH_*.json the same way it
+// parses the schedule and fault-plan goldens.
 package bench
 
 import (
@@ -61,10 +61,10 @@ type Baseline struct {
 }
 
 // ParseBaseline decodes and validates a BENCH_*.json document. Unknown fields
-// fail the parse (DisallowUnknownFields — the scheddata discipline: a typo in
-// a checked-in baseline must not silently become a missing metric), as do a
-// missing label, a foreign suite tag, duplicate or empty entry names,
-// non-positive iteration counts, and non-finite or negative measurements.
+// fail the parse (DisallowUnknownFields: a typo in a checked-in baseline
+// must not silently become a missing metric), as do a missing label, a
+// foreign suite tag, duplicate or empty entry names, non-positive iteration
+// counts, and non-finite or negative measurements.
 // Errors wrap errdefs.ErrBadConfig.
 func ParseBaseline(data []byte) (*Baseline, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))

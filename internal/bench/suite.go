@@ -123,8 +123,8 @@ func DefaultSuite(ctx context.Context, parallelism int) []Benchmark {
 			// The same sanitized workload through a reused exec.Runner: the
 			// steady-state regeneration path (soak loops, experiment sweeps).
 			// After one warmup run every per-schedule cache is hot, and the
-			// loop's allocsPerOp is pinned at 0 in the baseline — the hotalloc
-			// analyzer's contract, enforced by measurement.
+			// loop's allocsPerOp is pinned at 0 in the baseline, which the
+			// package's allocation gate enforces.
 			Name: "exec/1f1b_p8_m32_reuse",
 			Bench: func(b *testing.B, reg *obs.Registry) {
 				s, err := schedule.OneFOneB(8, 32)
@@ -153,7 +153,8 @@ func DefaultSuite(ctx context.Context, parallelism int) []Benchmark {
 		},
 		{
 			// Dependency-model construction plus the Kahn check: the cost every
-			// sanitized execution and every scheddata sweep pays per schedule.
+			// sanitized execution and every golden's deadlock check pays per
+			// schedule.
 			Name: "schedule/depgraph_1f1b_p16_m64",
 			Bench: func(b *testing.B, reg *obs.Registry) {
 				s, err := schedule.OneFOneB(16, 64)
@@ -223,8 +224,8 @@ func DefaultSuite(ctx context.Context, parallelism int) []Benchmark {
 		},
 		{
 			// The no-sink emission fast path; its allocsPerOp is pinned at 0
-			// in the baseline, so any re-introduced allocation is a compare
-			// regression, not just a lint finding.
+			// in the baseline, so any re-introduced allocation fails the
+			// package's allocation gate.
 			Name: "obs/emit_nosink",
 			Bench: func(b *testing.B, reg *obs.Registry) {
 				fields := obs.Fields{"device": 3, "seconds": 0.5}

@@ -76,11 +76,11 @@ func runTasks(ctx context.Context, width, n int, task func(w, i int)) {
 		}
 		return
 	}
-	idx := make(chan int) //lint:allow hotalloc per-wave worker pool, bounded by parallelism
+	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(width)
 	for w := 0; w < width; w++ {
-		go func() { //lint:allow hotalloc per-wave worker pool, bounded by parallelism
+		go func() {
 			defer wg.Done()
 			for i := range idx {
 				if ctx.Err() == nil {
@@ -156,7 +156,7 @@ func (c *simCache) eval(w *worker, bl *model.Blocks, part partition.Partition, k
 	c.mu.Lock()
 	e, hit := c.entries[k]
 	if !hit {
-		e = new(cacheEntry) //lint:allow hotalloc once per distinct cache key
+		e = new(cacheEntry)
 		e.ready.Add(1)
 		c.entries[k] = e
 	}
@@ -334,10 +334,7 @@ func newEngine(bl *model.Blocks, opts Options) *engine {
 }
 
 // seedTask evaluates depth e.ds[i]'s Algorithm 1 seed into e.seedSlots[i].
-// runTasks reaches it through the stored e.taskSeed binding, which the
-// static call graph cannot follow — hence its own hot annotation.
-//
-//hot:runs on the search worker pool
+// runTasks reaches it through the stored e.taskSeed binding.
 func (e *engine) seedTask(w, i int) {
 	d := e.ds[i]
 	part, err := e.table.Partition(e.bl.Len(), d.p)
@@ -350,8 +347,6 @@ func (e *engine) seedTask(w, i int) {
 
 // phaseATask runs one phase-A slot: a cooldown adjustment for i < len(exps),
 // a speculative cache warm above that.
-//
-//hot:runs on the search worker pool
 func (e *engine) phaseATask(w, i int) {
 	if i < len(e.exps) {
 		e.expandA(&e.workers[w], &e.exps[i])
@@ -362,8 +357,6 @@ func (e *engine) phaseATask(w, i int) {
 }
 
 // phaseBTask evaluates one master-move candidate into its expansion slot.
-//
-//hot:runs on the search worker pool
 func (e *engine) phaseBTask(w, i int) {
 	r := e.refs[i]
 	mv := r.x.moves[r.j]
@@ -397,8 +390,6 @@ func (e *engine) expandA(w *worker, x *expansion) {
 // that provably cannot win; onComplete (may be nil) fires in deterministic
 // order when a depth finishes searching, and typically updates the shared
 // bound prune reads.
-//
-//hot:the wave loop of every plan search
 func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthState) bool, onComplete func(*depthState)) error {
 	finish := func(d *depthState) {
 		d.done = true

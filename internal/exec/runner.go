@@ -94,8 +94,6 @@ func (r *Runner) reset(s *schedule.Schedule) {
 
 // Run executes s under cfg. See the Runner doc comment for the lifetime of
 // the returned Result.
-//
-//hot:the event loop behind every experiment regeneration and soak iteration
 func (r *Runner) Run(s *schedule.Schedule, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

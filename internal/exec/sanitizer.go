@@ -13,7 +13,7 @@ import (
 
 // Sanitizer is the dynamic half of the schedule-correctness tier: a
 // happens-before checker threaded through the discrete-event loop. The static
-// half (schedule.CheckDeadlock, run by the scheddata analyzer over every
+// half (schedule.CheckDeadlock, run by the root fixture test over every
 // checked-in golden) topologically sorts the schedule dependency model; the
 // Sanitizer replays the *executed* trace against the very same
 // schedule.DepGraph edges, op by op, as Run records them:

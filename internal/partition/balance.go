@@ -116,8 +116,6 @@ func NewTable(weights []float64, maxStages int) (*Table, error) {
 // in `stages` stages — exactly Balance(weights[:end], stages).Bounds — by
 // backtracking from cell (end, stages). dst must have room for stages+1
 // entries.
-//
-//hot:every master move the planner generates re-balances a prefix
 func (t *Table) Bounds(dst []int, end, stages int) error {
 	if stages < 1 || stages > t.p || end < stages || end > t.n || len(dst) < stages+1 {
 		return fmt.Errorf("%w: partition: no %d-stage bounds for %d of %d blocks (table depth %d, room for %d)",

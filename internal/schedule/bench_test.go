@@ -7,7 +7,7 @@ import (
 
 // Dependency-model micro-benchmarks: DepGraph construction and the Kahn
 // check run once per sanitized execution and once per checked-in golden in
-// the scheddata sweep, so their cost is pinned in BENCH_*.json via
+// the root fixture test, so their cost is pinned in BENCH_*.json via
 // cmd/autopipebench.
 
 func BenchmarkDependencies(b *testing.B) {

@@ -9,7 +9,7 @@ import (
 
 // This file is the schedule dependency model: the single definition of "op A
 // must complete before op B may start" that both enforcement tiers consume.
-// The static tier (CheckDeadlock, run by the scheddata analyzer over every
+// The static tier (CheckDeadlock, run by the root fixture test over every
 // checked-in golden) topologically sorts the graph; the dynamic tier
 // (exec.Sanitizer) replays an executed trace against the very same edges.
 // Keeping one producer of edges means the Kahn check and the live
@@ -92,8 +92,6 @@ var stashHalves = [3]int{-1, 0, 1}
 // error wrapping errdefs.ErrBadConfig when an op's producer is missing or a
 // NoSend forward has no aggregating sibling to carry its payload — the same
 // structural defects the executor would hit as an unresolvable wait.
-//
-//hot:built per sanitized execution and per scheddata sweep
 func (s *Schedule) Dependencies() (*DepGraph, error) {
 	type prodKey struct {
 		virt, micro, half int

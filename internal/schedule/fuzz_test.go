@@ -7,8 +7,8 @@ import (
 	"autopipe/internal/errdefs"
 )
 
-// FuzzParseSchedule drives the schedule-JSON parser (the document the
-// scheddata analyzer validates) with arbitrary bytes, mirroring
+// FuzzParseSchedule drives the schedule-JSON parser (the document format of
+// the checked-in schedule goldens) with arbitrary bytes, mirroring
 // internal/fault's FuzzParsePlan: it must never panic, every rejection must
 // wrap errdefs.ErrBadConfig, and every accepted schedule must re-validate,
 // survive a static deadlock check without panicking, and round-trip through

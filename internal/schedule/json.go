@@ -9,8 +9,9 @@ import (
 )
 
 // This file defines the on-disk JSON form of a Schedule, so schedules can be
-// checked in as testdata goldens and validated statically (the scheddata
-// analyzer in internal/analysis) instead of only by running the executor.
+// checked in as testdata goldens and validated statically (ParseJSON plus
+// CheckDeadlock, in the root fixture test) instead of only by running the
+// executor.
 //
 // The document mirrors the Schedule struct field-for-field; ops encode their
 // kind as "F"/"B" and omit the -1 "full micro-batch" half, so a golden reads
@@ -39,7 +40,7 @@ type scheduleDoc struct {
 }
 
 // EncodeJSON renders the schedule as indented JSON, the golden format
-// consumed by ParseJSON and the scheddata analyzer.
+// consumed by ParseJSON.
 func EncodeJSON(s *Schedule) ([]byte, error) {
 	doc := scheduleDoc{
 		Name:       s.Name,

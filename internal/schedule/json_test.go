@@ -38,10 +38,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScheduleGoldens pins the checked-in schedule goldens (the files the
-// scheddata analyzer sweeps in `make lint`) to the builders: a golden that
-// drifts from what the code produces fails here, and a golden that breaks
-// structurally fails lint.
+// TestScheduleGoldens pins the checked-in schedule goldens to the builders:
+// a golden that drifts from what the code produces fails here, and a golden
+// that breaks structurally fails the root fixture test as well.
 func TestScheduleGoldens(t *testing.T) {
 	cases := []struct {
 		file  string

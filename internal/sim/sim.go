@@ -176,8 +176,6 @@ type Scratch struct {
 // Summarize runs the 1F1B recurrence for the profile and returns its
 // iteration time, startup overhead, and master stage. Errors wrap
 // errdefs.ErrBadConfig.
-//
-//hot:the planner's per-candidate simulation
 func (s *Scratch) Summarize(p StageProfile) (Summary, error) {
 	if err := p.Validate(); err != nil {
 		return Summary{}, err

@@ -38,3 +38,19 @@ func BenchmarkSolveProfile(b *testing.B) {
 		})
 	}
 }
+
+// TestSolveProfileAllocs pins Algorithm 2 at two allocations per solve —
+// its startt and endt working arrays — across depths and micro-batch
+// counts, including fewer micro-batches than stages.
+func TestSolveProfileAllocs(t *testing.T) {
+	for _, tc := range []struct{ p, m int }{{4, 16}, {16, 256}, {8, 4}, {2, 2}} {
+		prof := benchProfile(tc.p, tc.m)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := SolveProfile(prof); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Errorf("p%d m%d: SolveProfile %v allocs/op, want at most 2", tc.p, tc.m, n)
+		}
+	}
+}

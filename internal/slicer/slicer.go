@@ -40,8 +40,6 @@ type Plan struct {
 // forward, and mb grows until the first unbroken micro-batch on stage 0
 // would start no earlier than the second half of the last split one ends —
 // i.e. until slicing more micro-batches could no longer stall the pipeline.
-//
-//hot:solved once per candidate plan (Algorithm 2)
 func SolveProfile(prof sim.StageProfile) (Plan, error) {
 	if err := prof.Validate(); err != nil {
 		return Plan{}, fmt.Errorf("slicer: %w", err)

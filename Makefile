@@ -14,11 +14,13 @@ vet:
 	$(GO) vet ./...
 
 # lint builds autopipelint and runs it as a go vet -vettool over every
-# package: simclock, errsentinel, ctxspawn, locksafe, and unitsafe — the
-# determinism, error, concurrency, and dimensional invariants (DESIGN.md §11).
-# Unused //lint:allow waivers fail the run. Hot-path allocations are gated by
-# internal/bench's TestSuiteAllocsPinned, and the checked-in JSON fixtures by
-# the root TestCheckedInFixtures, both in `make test`.
+# package: simclock and errsentinel, the determinism and typed-error
+# invariants (DESIGN.md §11). Unused //lint:allow waivers fail the run. The
+# invariants the retired analyzers covered are executable checks: mutex
+# copies in `make vet` (copylocks), lock pairing and worker-pool
+# cancellation in `make test` and the race targets, hot-path allocations in
+# internal/bench's TestSuiteAllocsPinned, and the checked-in JSON fixtures
+# in the root TestCheckedInFixtures (DESIGN.md §11.6).
 lint:
 	$(GO) build -o bin/autopipelint ./cmd/autopipelint
 	$(GO) vet -vettool=$(abspath bin/autopipelint) ./...
@@ -144,13 +146,13 @@ fmt-check:
 tier1: build test
 
 # verify runs everything CI would: formatting, static analysis (go vet plus
-# the autopipelint invariant suite), the full test suite under the race
+# autopipelint's simclock and errsentinel), the full test suite under the race
 # detector, the deep race pass over the planner engine and the whole
 # service/observability/bench surface (race-all), a one-shot benchmark
 # smoke, the fault-injection smoke, the service smoke, the crash-recovery
 # soak, the chaos-loadgen smoke, the sanitized executions, the tier-1
-# gate, and the repository benchmark's own tests. (CI additionally runs fuzz-smoke, kept out of verify so the local
-# gate stays fast.)
+# gate, and the repository benchmark's own tests. (CI additionally runs
+# fuzz-smoke, kept out of verify so the local gate stays fast.)
 verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke service-smoke soak-smoke chaos-smoke sanitize
 
 clean:

@@ -9,15 +9,14 @@
 //	          [-rate N] [-burst N] [-queue-wait 2s] [-chaos plan.json] \
 //	          [-parallelism N] [-timeout 30s] [-cpuprofile p] [-memprofile p]
 //	autopiped -loadgen [-target URL] [-requests N] [-concurrency N] \
-//	          [-distinct N] [-bench BENCH_service.json] [-chaos plan.json]
+//	          [-distinct N] [-chaos plan.json]
 //	autopiped -smoke [-store DIR]
 //	autopiped -soak [-soak-cycles N] [-soak-jobs N] [-store DIR] [-chaos plan.json]
 //
 // The default mode serves until SIGINT/SIGTERM, then drains: unfinished
 // persisted jobs revert to pending so the next start re-runs them. -loadgen
 // drives plan traffic at a daemon (starting an in-process one when -target is
-// empty) and reports QPS, latency percentiles, and the cache-hit ratio;
-// -bench additionally writes the report as an autopipebench baseline.
+// empty) and reports QPS, latency percentiles, and the cache-hit ratio.
 // -smoke runs the end-to-end CI check against a throwaway daemon.
 // -soak runs the crash-recovery harness: it kills and restarts a real daemon
 // -soak-cycles times mid-traffic and asserts exactly-once completion, cache
@@ -38,7 +37,6 @@ import (
 	"time"
 
 	"autopipe/internal/cliutil"
-	"autopipe/internal/config"
 	"autopipe/internal/obs"
 	"autopipe/internal/service"
 )
@@ -56,7 +54,6 @@ func main() {
 	requests := flag.Int("requests", 200, "loadgen: total plan requests")
 	concurrency := flag.Int("concurrency", 8, "loadgen: concurrent client workers")
 	distinct := flag.Int("distinct", 4, "loadgen: distinct plan configurations in the traffic mix")
-	benchPath := flag.String("bench", "", "loadgen: write the report as an autopipebench baseline to this path")
 	sf := cliutil.RegisterService(flag.CommandLine)
 	pf := cliutil.RegisterPlanner(flag.CommandLine)
 	prof := cliutil.RegisterProfile(flag.CommandLine)
@@ -84,7 +81,7 @@ func main() {
 			fail(err)
 		}
 	case *loadgen:
-		if err := runLoadgen(pf, sf, *target, *requests, *concurrency, *distinct, *benchPath, *workers); err != nil {
+		if err := runLoadgen(pf, sf, *target, *requests, *concurrency, *distinct, *workers); err != nil {
 			fail(err)
 		}
 	default:
@@ -159,7 +156,7 @@ func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDep
 
 // runLoadgen drives plan traffic at target, booting a throwaway in-process
 // daemon first when no target is given.
-func runLoadgen(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, target string, requests, concurrency, distinct int, benchPath string, workers int) error {
+func runLoadgen(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, target string, requests, concurrency, distinct, workers int) error {
 	ctx, cancel := pf.Context()
 	defer cancel()
 
@@ -196,26 +193,13 @@ func runLoadgen(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, target strin
 		fmt.Printf("loadgen: started in-process daemon at %s\n", target)
 	}
 
-	rep, err := service.Loadgen(ctx, target, service.LoadgenOptions{
+	_, err := service.Loadgen(ctx, target, service.LoadgenOptions{
 		Requests:    requests,
 		Concurrency: concurrency,
 		Distinct:    distinct,
 		Progress:    os.Stdout,
 	})
-	if err != nil {
-		return err
-	}
-	if benchPath != "" {
-		base, err := rep.ToBaseline("service")
-		if err != nil {
-			return err
-		}
-		if err := config.Save(benchPath, base); err != nil {
-			return err
-		}
-		fmt.Printf("baseline written to %s\n", benchPath)
-	}
-	return nil
+	return err
 }
 
 // runSoak drives the crash-recovery harness: kill/restart cycles over a real

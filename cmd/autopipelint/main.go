@@ -3,11 +3,11 @@
 //
 //	go vet -vettool=$(pwd)/bin/autopipelint ./...
 //
-// drives the five Go analyzers (simclock, errsentinel, ctxspawn, and the
-// flow-sensitive locksafe and unitsafe) over every compilation unit via the
-// go command's vettool protocol: autopipelint answers the -V=full version
-// handshake and the -flags enumeration, then is invoked once per package
-// with a *.cfg unit description.
+// drives the two Go analyzers, simclock and errsentinel, over every
+// compilation unit via the go command's vettool protocol: autopipelint
+// answers the -V=full version handshake and the -flags enumeration (it has
+// no analyzer flags), then is invoked once per package with a *.cfg unit
+// description.
 //
 //	bin/autopipelint -waivers ./internal ./cmd
 //
@@ -22,7 +22,6 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/parser"
@@ -34,11 +33,8 @@ import (
 	"strings"
 
 	"autopipe/internal/analysis"
-	"autopipe/internal/analysis/ctxspawn"
 	"autopipe/internal/analysis/errsentinel"
-	"autopipe/internal/analysis/locksafe"
 	"autopipe/internal/analysis/simclock"
-	"autopipe/internal/analysis/unitsafe"
 )
 
 func main() {
@@ -52,13 +48,6 @@ func run(args []string) int {
 		versionFlag = fs.String("V", "", "print version and exit (go vet handshake)")
 		flagsFlag   = fs.Bool("flags", false, "print analyzer flags as JSON and exit (go vet handshake)")
 		waiversFlag = fs.Bool("waivers", false, "list every live //lint:allow waiver under the given paths and exit")
-		enabled     = map[string]*bool{
-			simclock.Analyzer.Name:    fs.Bool("simclock", true, simclock.Analyzer.Doc),
-			errsentinel.Analyzer.Name: fs.Bool("errsentinel", true, errsentinel.Analyzer.Doc),
-			ctxspawn.Analyzer.Name:    fs.Bool("ctxspawn", true, ctxspawn.Analyzer.Doc),
-			locksafe.Analyzer.Name:    fs.Bool("locksafe", true, locksafe.Analyzer.Doc),
-			unitsafe.Analyzer.Name:    fs.Bool("unitsafe", true, unitsafe.Analyzer.Doc),
-		}
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -68,7 +57,10 @@ func run(args []string) int {
 	case *versionFlag != "":
 		return printVersion(os.Stdout, *versionFlag)
 	case *flagsFlag:
-		return printFlags(os.Stdout)
+		// The go command asks which analyzer flags to forward from its own
+		// command line; there are none.
+		fmt.Fprintln(os.Stdout, "[]")
+		return 0
 	case *waiversFlag:
 		return runWaivers(os.Stdout, fs.Args())
 	}
@@ -78,13 +70,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "usage: autopipelint [-waivers paths...] | <unit>.cfg (via go vet -vettool)")
 		return 2
 	}
-	var analyzers []*analysis.Analyzer
-	for _, a := range []*analysis.Analyzer{simclock.Analyzer, errsentinel.Analyzer, ctxspawn.Analyzer, locksafe.Analyzer, unitsafe.Analyzer} {
-		if *enabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
-	}
-	diags, err := analysis.RunUnit(fs.Arg(0), analyzers)
+	diags, err := analysis.RunUnit(fs.Arg(0), []*analysis.Analyzer{simclock.Analyzer, errsentinel.Analyzer})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "autopipelint: %v\n", err)
 		return 1
@@ -118,30 +104,6 @@ func printVersion(w io.Writer, mode string) int {
 		return 1
 	}
 	fmt.Fprintf(w, "%s version devel comments-go-here buildID=%02x\n", progname, h.Sum(nil))
-	return 0
-}
-
-// printFlags answers `autopipelint -flags`: the go command asks which flags
-// the tool supports so it can forward the ones the user set on `go vet`.
-func printFlags(w io.Writer) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := []jsonFlag{
-		{"simclock", true, simclock.Analyzer.Doc},
-		{"errsentinel", true, errsentinel.Analyzer.Doc},
-		{"ctxspawn", true, ctxspawn.Analyzer.Doc},
-		{"locksafe", true, locksafe.Analyzer.Doc},
-		{"unitsafe", true, unitsafe.Analyzer.Doc},
-	}
-	data, err := json.Marshal(flags)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintln(w, string(data))
 	return 0
 }
 

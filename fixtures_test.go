@@ -30,7 +30,6 @@ var fixtures = []struct {
 	want  error
 }{
 	{"BENCH_baseline.json", parseBaseline, nil},
-	{"BENCH_service.json", parseBaseline, nil},
 	{"internal/exec/testdata/trace_golden.json", parseTrace, nil},
 	{"testdata/chaos_basic.json", parseChaos, nil},
 	{"testdata/faults_basic.json", parseFaultPlan, nil},

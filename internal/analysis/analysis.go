@@ -1,8 +1,7 @@
 // Package analysis is a self-contained, stdlib-only analogue of
 // golang.org/x/tools/go/analysis: the driver framework for autopipelint, the
-// repository's static enforcement of the invariants its results rest on
-// (wall-clock-free deterministic packages, sentinel-wrapped errors,
-// cancellation-clean goroutines, lock discipline, dimensional consistency).
+// repository's static enforcement of two invariants its results rest on:
+// wall-clock-free deterministic packages and sentinel-wrapped errors.
 //
 // x/tools would normally provide this framework, but the repository builds
 // offline with no module proxy, so the subset autopipelint needs — Analyzer,
@@ -71,20 +70,15 @@ func (d Diagnostic) String() string {
 // the preceding line waives it. A waiver that fires is marked used; waivers
 // that never fire are themselves reported by RunAnalyzers.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.Waived(pos) {
+	if p.waived(pos) {
 		return
 	}
 	p.report(Diagnostic{Pos: p.Fset.Position(pos), Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// Waived reports whether a finding at pos would be suppressed by a
-// `//lint:allow` comment for this analyzer, and marks that waiver used. The
-// interprocedural analyzers call it while building function summaries: a
-// waived site must not taint its callers, because the waiver sanctions the
-// effect, not merely the one diagnostic. Since the waiver is consumed, a
-// comment that only shields a summary (and never a direct report) still
-// counts as live.
-func (p *Pass) Waived(pos token.Pos) bool {
+// waived reports whether a finding at pos is suppressed by a `//lint:allow`
+// comment for this analyzer, and marks that waiver used.
+func (p *Pass) waived(pos token.Pos) bool {
 	position := p.Fset.Position(pos)
 	lines := p.allows[position.Filename]
 	for _, line := range []int{position.Line, position.Line - 1} {

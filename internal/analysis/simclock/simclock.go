@@ -21,9 +21,9 @@
 //   - slices appended inside a map range and then returned without an
 //     intervening sort: Go's map iteration order is deliberately randomized,
 //     so such a slice leaks nondeterminism through a return value.
-//   - calls to same-package helpers that are transitively clock- or
-//     rand-tainted (v3, via the package call graph and function summaries —
-//     DESIGN §11.9): wrapping time.Now in a helper no longer hides it.
+//
+// The check is intraprocedural: a helper that wraps time.Now is flagged at
+// the time.Now inside it, not at its callers.
 //
 // Escape hatch: `//lint:allow simclock <reason>` on the offending line or
 // the line above, for the rare legitimate site (e.g. CLI progress output
@@ -36,8 +36,6 @@ import (
 	"strings"
 
 	"autopipe/internal/analysis"
-	"autopipe/internal/analysis/callgraph"
-	"autopipe/internal/analysis/summary"
 )
 
 // DefaultScope lists the deterministic packages.
@@ -72,12 +70,10 @@ func New(scope ...string) *analysis.Analyzer {
 		if !inScope(pass.Pkg.Path(), scope) {
 			return nil
 		}
-		var files []*ast.File
 		for _, file := range pass.Files {
 			if pass.InTestFile(file) {
 				continue
 			}
-			files = append(files, file)
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
@@ -92,42 +88,9 @@ func New(scope ...string) *analysis.Analyzer {
 				return true
 			})
 		}
-		checkTransitive(pass, files)
 		return nil
 	}
 	return a
-}
-
-// checkTransitive is the interprocedural tier (v3): a call to a same-package
-// helper that is itself clock- or rand-tainted — directly or through its own
-// callees — is as nondeterministic as the direct call, so it is flagged at
-// every call site. Summaries are computed with waived sites ignored: a
-// `//lint:allow simclock` on the source line sanctions the effect, so callers
-// of a waived helper stay clean. Each finding carries the witness chain back
-// to the originating time/rand call.
-func checkTransitive(pass *analysis.Pass, files []*ast.File) {
-	if len(files) == 0 {
-		return
-	}
-	g := callgraph.Build(files, pass.Info)
-	sums := summary.Compute(g, pass.Info, summary.Options{Ignore: pass.Waived})
-	for _, n := range g.Nodes {
-		for _, e := range n.Out {
-			ci := sums[e.Callee]
-			if ci.Has(summary.ReadsClock) {
-				w := ci.Witness[summary.ReadsClock]
-				pass.Reportf(e.Site.Pos(),
-					"call to %s is transitively clock-tainted (%s) in deterministic package %s; thread times explicitly, or annotate //lint:allow simclock at the source",
-					e.Callee.Name(), w.Desc, pass.Pkg.Path())
-			}
-			if ci.Has(summary.GlobalRand) {
-				w := ci.Witness[summary.GlobalRand]
-				pass.Reportf(e.Site.Pos(),
-					"call to %s transitively draws from the global math/rand source (%s) in deterministic package %s; thread a seeded *rand.Rand instead",
-					e.Callee.Name(), w.Desc, pass.Pkg.Path())
-			}
-		}
-	}
 }
 
 func inScope(path string, scope []string) bool {

@@ -1,44 +1,13 @@
-// Transitive (v3) cases: the intraprocedural v2 analyzer flagged only the
-// direct time/rand calls in this package; wrapping one in a helper made every
-// caller invisible. The call-graph tier flags each call site of a tainted
-// helper, chaining the witness back to the source.
+// Helper cases: simclock is intraprocedural, so a wrapped clock read is
+// reported once, at the time.Now inside the helper, and callers stay clean.
 package simclock
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// stamp is directly tainted (flagged in its body, as in v2) …
 func stamp() int64 {
 	return time.Now().UnixNano() // want "wall-clock call time.Now"
 }
 
-// … and v3 additionally taints every caller, which v2 provably missed.
 func viaStamp() int64 {
-	return stamp() + 1 // want "transitively clock-tainted"
-}
-
-// Two hops: the witness chain still names time.Now.
-func viaViaStamp() int64 {
-	return viaStamp() * 2 // want "transitively clock-tainted.*time.Now"
-}
-
-func noisy() float64 {
-	return rand.Float64() // want "global math/rand source"
-}
-
-func viaNoisy() float64 {
-	return noisy() / 2 // want "transitively draws from the global math/rand source"
-}
-
-// progress (a.go) carries a //lint:allow on its time.Now: the waiver
-// sanctions the effect, so callers stay clean — no diagnostic here.
-func showProgress() int64 {
-	return progress().UnixNano()
-}
-
-// Seeded randomness threaded explicitly is deterministic all the way up.
-func viaSeeded() float64 {
-	return seeded(42)
+	return stamp() + 1
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"autopipe/internal/config"
@@ -86,6 +87,33 @@ func TestEngineCancellation(t *testing.T) {
 	run := config.Run{MicroBatch: 4, GlobalBatch: 128, Checkpoint: true}
 	if _, _, err := PlanClusterOpts(ctx, config.GPT2_345M(), run, config.DefaultCluster(), Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("PlanClusterOpts on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunTasksStopsOnCancel pins the worker pool's cancellation path: once
+// the context is cancelled, workers drain the remaining indices without
+// running them. Task 10 cancels, and every later task waits for that cancel
+// before it counts, so a later task runs only if its worker had already
+// passed the ctx check: at most one per other worker.
+func TestRunTasksStopsOnCancel(t *testing.T) {
+	for _, width := range []int{1, 2, 4, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := make(chan struct{})
+		var ran atomic.Int64
+		runTasks(ctx, width, 1000, func(_, i int) {
+			switch {
+			case i == 10:
+				cancel()
+				close(cancelled)
+			case i > 10:
+				<-cancelled
+			}
+			ran.Add(1)
+		})
+		cancel()
+		if got, limit := ran.Load(), int64(11+width); got > limit {
+			t.Errorf("width %d: %d tasks ran, want at most %d once task 10 cancels", width, got, limit)
+		}
 	}
 }
 

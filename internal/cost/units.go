@@ -1,11 +1,10 @@
 package cost
 
 // FLOPs counts floating-point operations. It is a defined type rather than a
-// bare float64 so the unitsafe analyzer can reject arithmetic that mixes FLOP
-// counts with seconds or bytes, and flag raw literals fed into FLOP-typed
-// parameters. Scaling by a dimensionless factor (2 * f) stays legal; dividing
-// by a rate requires an explicit float64 conversion at the boundary, which is
-// exactly where a unit error would otherwise hide.
+// bare float64 so Go's type checker rejects arithmetic that mixes FLOP counts
+// with seconds or bytes. Scaling by a dimensionless factor (2 * f) stays
+// legal; dividing by a rate requires an explicit float64 conversion at the
+// boundary, which is exactly where a unit error would otherwise hide.
 type FLOPs float64
 
 // Float returns the count as a bare float64 for rate arithmetic

@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"autopipe"
 	"autopipe/client"
-	"autopipe/internal/bench"
-	"autopipe/internal/errdefs"
 )
 
 // LoadgenOptions configures a load-generation run against a daemon.
@@ -208,39 +205,6 @@ func loadgenConfigs(n int) []loadgenConfig {
 		}
 	}
 	return out
-}
-
-// ToBaseline renders the report as a BENCH_<label>.json baseline so the
-// service numbers ride the same compare/lint pipeline as the engine
-// benchmarks: mean latency as nsPerOp, with throughput and cache-hit ratio
-// as gated custom metrics and the tail latencies as informational anchors.
-func (r *LoadgenReport) ToBaseline(label string) (*bench.Baseline, error) {
-	ok := r.Requests - r.Errors
-	if ok <= 0 {
-		return nil, fmt.Errorf("%w: service: loadgen report has no successful requests", errdefs.ErrBadConfig)
-	}
-	mean := float64(r.Elapsed.Nanoseconds()) * float64(r.Concurrency) / float64(ok)
-	b := &bench.Baseline{
-		Label:     label,
-		Suite:     bench.SuiteID,
-		GoVersion: runtime.Version(),
-		Benchmarks: []bench.Entry{{
-			Name:    "service/plan_roundtrip",
-			Iters:   ok,
-			NsPerOp: mean,
-			Custom: map[string]float64{
-				"requests_per_sec": r.QPS,
-				"cache_hit_ratio":  r.CacheHitRatio(),
-				"latency_p50_ns":   float64(r.P50.Nanoseconds()),
-				"latency_p99_ns":   float64(r.P99.Nanoseconds()),
-				"engine_searches":  float64(r.Searches),
-			},
-		}},
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // promCounter extracts a single sample value from a Prometheus text

@@ -1,10 +1,12 @@
 package sim
 
 // Time is a duration or instant on the simulated clock, in seconds. It is a
-// defined type rather than a bare float64 so the unitsafe analyzer can reject
+// defined type rather than a bare float64 so Go's type checker rejects
 // arithmetic that mixes simulated seconds with FLOP counts or byte sizes:
-// Time+Time and Time compared to Time typecheck, Time*Time (seconds squared)
-// and Time+Bytes do not without an explicit conversion.
+// Time+Time and Time compared to Time typecheck, Time+Bytes does not without
+// an explicit conversion, which marks the spot a reader should check. A
+// conversion that launders a unit (Time(bytes)) still compiles; the exec
+// tests catch one by the wrong numbers it yields (DESIGN.md §11.6).
 type Time float64
 
 // Seconds returns the value as a bare float64 for boundary arithmetic

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke bench-baseline perfbench-test fault-smoke service-smoke soak-smoke chaos-smoke fmt-check tier1 verify clean
+.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke bench-baseline perfbench-test fault-smoke fmt-check tier1 verify clean
 
 all: build
 
@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzParseChaos -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzParseBaseline -fuzztime=$(FUZZTIME) ./internal/bench
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race
@@ -66,9 +67,9 @@ race-core:
 	$(GO) test -race ./internal/core/... ./internal/plan/... ./internal/exec/... ./internal/train/...
 
 # race-wide covers the remaining concurrent surface at full depth — the
-# autopiped service path (worker pool, cache, singleflight, soak ledger,
-# chaos middleware), the observability registry fast path, and the benchmark
-# harness. The race detector is the repository's data-race check; race-all
+# autopiped service path (worker pool, cache, singleflight, the
+# crash-recovery soak tests, chaos middleware), the observability registry
+# fast path, and the benchmark harness. The race detector is the repository's data-race check; race-all
 # is both halves, and CI's race matrix runs them as separate jobs.
 race-wide:
 	$(GO) test -race ./internal/service/... ./internal/obs/... ./internal/bench/...
@@ -76,14 +77,12 @@ race-wide:
 race-all: race-core race-wide
 
 # bench-smoke compiles and runs every micro-benchmark exactly once — planner,
-# exec event loop, schedule dependency graphs, slicer, obs registry — then
-# drives the autopipebench suite in one-iteration mode and self-compares the
-# result (correctness smoke, not a measurement); the -run filter skips tests.
+# exec event loop, schedule dependency graphs, slicer, obs registry — as a
+# correctness smoke, not a measurement; the -run filter skips tests. The
+# autopipebench suite's one-iteration run and compare are tier-1 tests
+# (TestRunModeSmoke, TestCompareExitCodes in cmd/autopipebench).
 bench-smoke:
-	@mkdir -p bin
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/autopipebench -label smoke -o bin/BENCH_smoke.json -benchtime 1x
-	$(GO) run ./cmd/autopipebench compare bin/BENCH_smoke.json bin/BENCH_smoke.json
 
 # bench-baseline refreshes the checked-in perf trajectory at full benchtime.
 # Run on a quiet machine, eyeball the compare report against the old numbers,
@@ -102,38 +101,6 @@ perfbench-test:
 fault-smoke:
 	$(GO) run ./cmd/pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 -faults testdata/faults_basic.json
 
-# service-smoke boots the autopiped daemon end to end — plan over HTTP,
-# cache-hit equality, singleflight counter audit, typed wire rejection,
-# /metrics and pprof probes — first memory-only, then with a job store to
-# prove restart-resume (the restarted daemon must answer from the replayed
-# cache with zero engine searches). DESIGN.md §14.
-service-smoke:
-	@mkdir -p bin
-	$(GO) build -o bin/autopiped ./cmd/autopiped
-	./bin/autopiped -smoke
-	rm -rf bin/service-smoke-store
-	./bin/autopiped -smoke -store bin/service-smoke-store
-
-# soak-smoke runs the crash-recovery harness: a real daemon on a real job
-# store is killed and restarted mid-traffic three times, and every job must
-# complete exactly once, the cache must re-seed from the replayed store, and
-# planted torn files (plus any crash wreckage) must be quarantined — never a
-# corrupted boot. DESIGN.md §15.
-soak-smoke:
-	@mkdir -p bin
-	$(GO) build -o bin/autopiped ./cmd/autopiped
-	./bin/autopiped -soak -soak-cycles 3
-
-# chaos-smoke drives the load generator through the seeded chaos middleware
-# (injected latency, 5xx, 429, and torn responses from the checked-in plan):
-# the resilient client must still complete every request. Report-only — the
-# QPS numbers are not compared against the baseline, since chaos skews them
-# by design.
-chaos-smoke:
-	@mkdir -p bin
-	$(GO) build -o bin/autopiped ./cmd/autopiped
-	./bin/autopiped -loadgen -requests 120 -concurrency 6 -chaos testdata/chaos_basic.json
-
 # fmt-check fails (with the offending files listed) if anything is not
 # gofmt-clean.
 fmt-check:
@@ -149,11 +116,12 @@ tier1: build test
 # autopipelint's simclock and errsentinel), the full test suite under the race
 # detector, the deep race pass over the planner engine and the whole
 # service/observability/bench surface (race-all), a one-shot benchmark
-# smoke, the fault-injection smoke, the service smoke, the crash-recovery
-# soak, the chaos-loadgen smoke, the sanitized executions, the tier-1
-# gate, and the repository benchmark's own tests. (CI additionally runs
-# fuzz-smoke, kept out of verify so the local gate stays fast.)
-verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke service-smoke soak-smoke chaos-smoke sanitize
+# smoke, the fault-injection smoke, the sanitized executions, the tier-1
+# gate, and the repository benchmark's own tests. The daemon's end-to-end,
+# restart-resume, crash-recovery soak and chaos checks are tier-1 tests in
+# internal/service. (CI additionally runs fuzz-smoke, kept out of verify so
+# the local gate stays fast.)
+verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke sanitize
 
 clean:
 	$(GO) clean ./...

@@ -459,6 +459,10 @@ func TestClientValidatesBeforeSending(t *testing.T) {
 	if _, err := c.Submit(context.Background(), SubmitRequest{Kind: "transmogrify"}); !errors.Is(err, autopipe.ErrBadConfig) {
 		t.Fatalf("err = %v, want ErrBadConfig", err)
 	}
+	badRun := autopipe.Run{MicroBatch: 0, GlobalBatch: 512}
+	if _, _, err := c.Plan(context.Background(), autopipe.GPT2_345M(), badRun, autopipe.DefaultCluster()); !errors.Is(err, autopipe.ErrBadConfig) {
+		t.Fatalf("Plan with an invalid run: err = %v, want ErrBadConfig", err)
+	}
 	if attempts.Load() != 0 {
 		t.Errorf("invalid request reached the daemon")
 	}

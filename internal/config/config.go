@@ -179,19 +179,6 @@ func DefaultCluster() Cluster {
 	return Cluster{Device: RTX3090(), Network: InfiniBand100(), NumGPUs: 16}
 }
 
-// Load reads a JSON-encoded value of type T from path.
-func Load[T any](path string) (T, error) {
-	var v T
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return v, fmt.Errorf("config: %w", err)
-	}
-	if err := json.Unmarshal(data, &v); err != nil {
-		return v, fmt.Errorf("config: parse %s: %w", path, err)
-	}
-	return v, nil
-}
-
 // Save writes v as indented JSON to path.
 func Save(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")

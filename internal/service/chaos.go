@@ -193,7 +193,7 @@ func LoadChaos(path string) (*ChaosPlan, error) {
 
 // Chaos wraps next with the plan's injections. A nil or empty plan returns
 // next untouched. Injections are counted on service.chaos.injected and
-// service.chaos.<kind> so a chaotic loadgen run can report what it endured.
+// service.chaos.<kind>, so /metrics shows what a chaotic run endured.
 func Chaos(next http.Handler, plan *ChaosPlan, reg *obs.Registry) http.Handler {
 	if plan == nil || len(plan.Chaos) == 0 {
 		return next

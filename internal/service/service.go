@@ -33,8 +33,8 @@ import (
 	"autopipe/internal/obs"
 )
 
-// Config parameterizes a Server. The zero value serves with one queue
-// worker per CPU, a 256-deep queue, a 1024-entry cache, and no persistence.
+// Config parameterizes a Server. The zero value serves with four queue
+// workers, a 256-deep queue, a 1024-entry cache, and no persistence.
 type Config struct {
 	// Parallelism is the planner worker-pool size used inside each plan
 	// search (the engine knob); <= 0 means one per CPU. It is not part of
@@ -234,7 +234,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Registry exposes the server's obs registry (for loadgen and tests).
+// Registry exposes the server's obs registry (for the chaos middleware and tests).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Handler returns the daemon's HTTP handler.

@@ -240,13 +240,14 @@ func TestJobNotFound(t *testing.T) {
 }
 
 // TestCacheHitOnResubmit is the acceptance check: two back-to-back identical
-// plan requests cost exactly one engine search, and the daemon's counters
-// say so.
+// plan requests cost exactly one engine search, the cached answer is the
+// computed one byte for byte, and the daemon's counters say so.
 func TestCacheHitOnResubmit(t *testing.T) {
 	var searches atomic.Int64
 	srv, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-		searches.Add(1)
-		return stubResult(), nil
+		// Each search answers differently, so a cache hit can only echo the
+		// first search's bytes.
+		return json.RawMessage(fmt.Sprintf(`{"search":%d}`, searches.Add(1))), nil
 	})
 
 	resp, data := submit(t, hs.URL, testPlanBody(0), true)
@@ -274,6 +275,9 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	}
 	if second.Key != first.Key {
 		t.Errorf("identical requests got different keys: %q vs %q", first.Key, second.Key)
+	}
+	if !bytes.Equal(second.Result, first.Result) {
+		t.Errorf("cached result differs from computed result:\ncached   %s\ncomputed %s", second.Result, first.Result)
 	}
 	if n := searches.Load(); n != 1 {
 		t.Errorf("engine ran %d times, want 1", n)
@@ -938,13 +942,16 @@ func TestListJobs(t *testing.T) {
 
 // TestMetricsAndPprofMounted proves the observability endpoints are wired:
 // /metrics serves the Prometheus exposition including service counters, and
-// /debug/pprof answers.
+// /debug/pprof answers. The resubmit is a cache hit, so the cache counter is
+// in the exposition too.
 func TestMetricsAndPprofMounted(t *testing.T) {
 	_, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
 		return stubResult(), nil
 	})
-	if resp, data := submit(t, hs.URL, testPlanBody(0), true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+	for i := 0; i < 2; i++ {
+		if resp, data := submit(t, hs.URL, testPlanBody(0), true); resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, data)
+		}
 	}
 
 	resp, err := http.Get(hs.URL + "/metrics")
@@ -956,7 +963,7 @@ func TestMetricsAndPprofMounted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
 	}
-	for _, want := range []string{"service_jobs_submitted_total", "service_engine_searches_total", "service_http_requests_total"} {
+	for _, want := range []string{"service_jobs_submitted_total", "service_engine_searches_total", "service_cache_hits_total", "service_http_requests_total"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics is missing %s", want)
 		}

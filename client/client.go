@@ -225,7 +225,8 @@ func (c *Client) SubmitAsync(ctx context.Context, req SubmitRequest) (*Job, erro
 	return c.postJob(ctx, req, false)
 }
 
-// Job fetches the current state of a job by ID.
+// Job fetches the current state of a job by ID. An ID the daemon never
+// issued, or a finished job it has since evicted, returns ErrNotFound.
 func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
 	return c.getJob(ctx, id, false)
 }
@@ -240,7 +241,9 @@ func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 	return job, job.Err()
 }
 
-// Jobs lists every job the daemon knows about, oldest first.
+// Jobs lists the jobs the daemon retains, oldest first: every pending and
+// running job, and the newest finished ones (older finished jobs are
+// evicted, and Job and Wait on their IDs return ErrNotFound).
 func (c *Client) Jobs(ctx context.Context) ([]*Job, error) {
 	var jobs []*Job
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &jobs); err != nil {

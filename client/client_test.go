@@ -141,6 +141,42 @@ func TestNoRetryOnTypedRejection(t *testing.T) {
 	}
 }
 
+// TestEvictedJobNotFound proves Job and Wait on a job the daemon has
+// evicted fail with ErrNotFound, without retrying. The handler answers as
+// the daemon does for an evicted ID: the submit succeeds, later GETs of its
+// ID get the 404 not_found envelope.
+func TestEvictedJobNotFound(t *testing.T) {
+	const id = "job-00000001"
+	var gets atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.Method == http.MethodPost {
+			_ = json.NewEncoder(w).Encode(&Job{ID: id, Kind: KindSimulate, State: StateDone,
+				Result: json.RawMessage(`{"iterTime": 1.5, "startup": 0.25, "master": 0}`)})
+			return
+		}
+		gets.Add(1)
+		wireErr, status := Encode(fmt.Errorf("service: job %q: %w", id, ErrNotFound))
+		w.WriteHeader(status)
+		_ = json.NewEncoder(w).Encode(map[string]any{"error": wireErr})
+	})
+	c, sleeps, _ := testClient(t, h, WithRetries(3))
+	ctx := context.Background()
+	job, err := c.Submit(ctx, simReq())
+	if err != nil || job.ID != id {
+		t.Fatalf("Submit = %+v, %v", job, err)
+	}
+	if _, err := c.Job(ctx, id); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Job on an evicted ID: err = %v, want ErrNotFound", err)
+	}
+	if _, err := c.Wait(ctx, id); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Wait on an evicted ID: err = %v, want ErrNotFound", err)
+	}
+	if n := gets.Load(); n != 2 || len(*sleeps) != 0 {
+		t.Errorf("made %d GETs with sleeps %v, want 2 and none (not_found is final)", n, *sleeps)
+	}
+}
+
 // TestRetryOnUntypedProxy5xx proves a bare 5xx (an HTML-spewing proxy, a
 // truncated body) is treated as unavailable and retried.
 func TestRetryOnUntypedProxy5xx(t *testing.T) {

@@ -12,9 +12,12 @@ import (
 func writeBaseline(t *testing.T, dir, name string, mutate func(*bench.Baseline)) string {
 	t.Helper()
 	b := &bench.Baseline{
-		Label:     strings.TrimSuffix(name, ".json"),
-		Suite:     bench.SuiteID,
-		GoVersion: "go1.22",
+		Label:       strings.TrimSuffix(name, ".json"),
+		Suite:       bench.SuiteID,
+		GoVersion:   "go1.22",
+		NProc:       2,
+		GOMAXPROCS:  2,
+		Parallelism: 1,
 		Benchmarks: []bench.Entry{
 			{Name: "planner/plan_gpt2_345m_g8", Iters: 10, NsPerOp: 2e6, AllocsPerOp: 900, BytesPerOp: 65536,
 				Custom: map[string]float64{"cache_hit_ratio": 0.8}},

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,9 +14,12 @@ import (
 
 func validBaseline() *Baseline {
 	return &Baseline{
-		Label:     "test",
-		Suite:     SuiteID,
-		GoVersion: "go1.22",
+		Label:       "test",
+		Suite:       SuiteID,
+		GoVersion:   "go1.22",
+		NProc:       2,
+		GOMAXPROCS:  2,
+		Parallelism: 1,
 		Benchmarks: []Entry{
 			{
 				Name: "obs/registry_update", Iters: 100, NsPerOp: 50, AllocsPerOp: 0, BytesPerOp: 0,
@@ -54,15 +58,18 @@ func TestParseBaselineRejects(t *testing.T) {
 		name string
 		json string
 	}{
-		{"unknown field", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}],"extra":1}`},
-		{"unknown entry field", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0,"wat":2}]}`},
-		{"trailing data", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]} {}`},
-		{"no label", `{"label":"","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
-		{"foreign suite", `{"label":"x","suite":"otherbench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
-		{"no benchmarks", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[]}`},
-		{"duplicate name", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0},{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
-		{"zero iters", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":0,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
-		{"negative nsPerOp", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","benchmarks":[{"name":"a","iters":1,"nsPerOp":-1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"unknown field", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}],"extra":1}`},
+		{"unknown entry field", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0,"wat":2}]}`},
+		{"trailing data", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]} {}`},
+		{"no label", `{"label":"","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"foreign suite", `{"label":"x","suite":"otherbench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"no benchmarks", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[]}`},
+		{"duplicate name", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0},{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"zero iters", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":0,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"negative nsPerOp", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":-1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"no nproc", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"zero gomaxprocs", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":0,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
+		{"negative parallelism", `{"label":"x","suite":"autopipebench/1","goVersion":"go1.22","nproc":2,"gomaxprocs":2,"parallelism":-1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":1,"allocsPerOp":0,"bytesPerOp":0}]}`},
 		{"not json", `bench: 12 ns/op`},
 	}
 	for _, tc := range cases {
@@ -269,6 +276,11 @@ func TestRunSuiteSmoke(t *testing.T) {
 	}
 	if len(base.Benchmarks) != 2 {
 		t.Fatalf("suite ran %d entries, want 2 obs entries", len(base.Benchmarks))
+	}
+	// Parallelism 0 is the planner's default, one worker per GOMAXPROCS.
+	if p := runtime.GOMAXPROCS(0); base.NProc != runtime.NumCPU() || base.GOMAXPROCS != p || base.Parallelism != p {
+		t.Errorf("recorded nproc %d, gomaxprocs %d, parallelism %d; want %d, %d, %d",
+			base.NProc, base.GOMAXPROCS, base.Parallelism, runtime.NumCPU(), p, p)
 	}
 	rep, err := Compare(base, base, DefaultThresholds())
 	if err != nil {

@@ -56,6 +56,13 @@ type Baseline struct {
 	Suite string `json:"suite"`
 	// GoVersion records the toolchain that produced the numbers.
 	GoVersion string `json:"goVersion"`
+	// NProc is the machine's CPU count (runtime.NumCPU), GOMAXPROCS the
+	// scheduler's processor limit, and Parallelism the plan-search worker
+	// pool the planner entry ran with. Timings depend on all three;
+	// allocation counts are pinned at parallelism 1.
+	NProc       int `json:"nproc"`
+	GOMAXPROCS  int `json:"gomaxprocs"`
+	Parallelism int `json:"parallelism"`
 	// Benchmarks holds one entry per suite benchmark, in suite order.
 	Benchmarks []Entry `json:"benchmarks"`
 }
@@ -63,7 +70,8 @@ type Baseline struct {
 // ParseBaseline decodes and validates a BENCH_*.json document. Unknown fields
 // fail the parse (DisallowUnknownFields: a typo in a checked-in baseline
 // must not silently become a missing metric), as do a missing label, a
-// foreign suite tag, duplicate or empty entry names, non-positive iteration
+// foreign suite tag, a missing or non-positive nproc, gomaxprocs or
+// parallelism, duplicate or empty entry names, non-positive iteration
 // counts, and non-finite or negative measurements.
 // Errors wrap errdefs.ErrBadConfig.
 func ParseBaseline(data []byte) (*Baseline, error) {
@@ -102,6 +110,11 @@ func (b *Baseline) Validate() error {
 	}
 	if !strings.HasPrefix(b.Suite, "autopipebench/") {
 		return fmt.Errorf("%w: bench: unknown suite tag %q (want %q)", errdefs.ErrBadConfig, b.Suite, SuiteID)
+	}
+	for field, v := range map[string]int{"nproc": b.NProc, "gomaxprocs": b.GOMAXPROCS, "parallelism": b.Parallelism} {
+		if v <= 0 {
+			return fmt.Errorf("%w: bench: baseline %q has non-positive %s %d", errdefs.ErrBadConfig, b.Label, field, v)
+		}
 	}
 	if len(b.Benchmarks) == 0 {
 		return fmt.Errorf("%w: bench: baseline %q has no benchmarks", errdefs.ErrBadConfig, b.Label)

@@ -15,11 +15,11 @@ import (
 // reject fixture. Run with
 // `go test -run='^$' -fuzz=FuzzParseBaseline ./internal/bench`.
 func FuzzParseBaseline(f *testing.F) {
-	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","benchmarks":[{"name":"a","iters":1,"custom":{"r":-1}}]}`))
-	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","benchmarks":[{"name":"a","iters":1},{"name":"a","iters":1}]}`))
-	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","benchmarks":[{"name":"a","iters":1,"nsPerOp":-1}]}`))
-	f.Add([]byte(`{"label":"x","suite":"other/1","benchmarks":[{"name":"a","iters":1}]}`))
-	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","benchmarks":[]} {}`))
+	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"custom":{"r":-1}}]}`))
+	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1},{"name":"a","iters":1}]}`))
+	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1,"nsPerOp":-1}]}`))
+	f.Add([]byte(`{"label":"x","suite":"other/1","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[{"name":"a","iters":1}]}`))
+	f.Add([]byte(`{"label":"x","suite":"autopipebench/1","nproc":2,"gomaxprocs":2,"parallelism":1,"benchmarks":[]} {}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := ParseBaseline(data)

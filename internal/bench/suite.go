@@ -284,7 +284,13 @@ func sumCounters(snap obs.Snapshot, prefix, suffix string) float64 {
 // Each entry gets a fresh registry, reset again before every testing.B
 // invocation so the final snapshot covers exactly the measured run.
 func RunSuite(label string, opts Options) (*Baseline, error) {
-	base := &Baseline{Label: label, Suite: SuiteID, GoVersion: runtime.Version()}
+	base := &Baseline{
+		Label: label, Suite: SuiteID, GoVersion: runtime.Version(),
+		NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Parallelism: opts.Parallelism,
+	}
+	if base.Parallelism <= 0 {
+		base.Parallelism = base.GOMAXPROCS // the planner's own default
+	}
 	for _, bm := range DefaultSuite(opts.Ctx, opts.Parallelism) {
 		if opts.Match != nil && !opts.Match(bm.Name) {
 			continue

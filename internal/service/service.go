@@ -9,19 +9,28 @@
 // Endpoints:
 //
 //	POST /v1/jobs            submit a plan/simulate/slice job (?wait=1 blocks)
-//	GET  /v1/jobs            list jobs, oldest first
+//	GET  /v1/jobs            list retained jobs, oldest first
 //	GET  /v1/jobs/{id}       job status/result (?wait=1 blocks until terminal)
 //	GET  /metrics            Prometheus text exposition of the obs registry
 //	GET  /healthz            liveness probe
 //	GET  /debug/pprof/...    net/http/pprof handlers
+//
+// Responses are compact JSON. The daemon keeps every pending and running
+// job in memory but only the newest 4096 finished ones: older finished
+// jobs are evicted in the order they finished, after which
+// GET /v1/jobs/{id} answers 404 not_found. Eviction forgets the job
+// document only; the plan cache still serves its result, and a store
+// keeps its file on disk.
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,6 +81,9 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// finishedJobCap is how many finished jobs a Server keeps in memory.
+const finishedJobCap = 4096
+
 // job is the server-side state of one submitted job: the wire document, the
 // original request, and a done channel closed when the job turns terminal.
 type job struct {
@@ -114,16 +126,23 @@ type Server struct {
 	wg     sync.WaitGroup
 	queue  chan *job
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string
-	nextID int
-	closed bool
+	mu   sync.Mutex
+	jobs map[string]*job
+	// finished lists the IDs of the finished jobs in jobs, in the order they
+	// finished; retire evicts from its front beyond maxFinished.
+	finished    []string
+	maxFinished int
+	nextID      int
+	closed      bool
 }
 
 // New builds a Server: it opens (and replays) the job store but does not
 // start workers — call Start.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, finishedJobCap) }
+
+// newServer is New with the finished-job cap as a parameter, so tests can
+// drive eviction, replay included, with a handful of jobs.
+func newServer(cfg Config, maxFinished int) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -151,6 +170,8 @@ func New(cfg Config) (*Server, error) {
 		queue:   make(chan *job, cfg.QueueDepth),
 		jobs:    make(map[string]*job),
 		nextID:  1,
+
+		maxFinished: maxFinished,
 	}
 	s.engine = s.runEngine
 	if err := s.replay(); err != nil {
@@ -162,7 +183,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // replay loads the persisted jobs: terminal ones become servable history
-// (their results re-seed the cache), unfinished ones are re-enqueued.
+// (their results re-seed the cache, and the table keeps the newest
+// maxFinished of them), unfinished ones are re-enqueued.
 // Damaged store files were quarantined by Load, not fatal: the count is
 // surfaced on service.store.quarantined so a monitoring rule can notice a
 // crash that tore the store.
@@ -180,12 +202,12 @@ func (s *Server) replay() error {
 			s.nextID = n + 1
 		}
 		s.jobs[j.wire.ID] = j
-		s.order = append(s.order, j.wire.ID)
 		if j.wire.Terminal() {
 			close(j.done)
 			if j.wire.State == client.StateDone && j.wire.Key != "" && len(j.wire.Result) > 0 {
 				s.cache.Put(j.wire.Key, j.wire.Result)
 			}
+			s.retire(j.wire.ID)
 			continue
 		}
 		// Interrupted mid-run or mid-queue: back to pending, run again.
@@ -316,7 +338,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		deadline: deadline,
 	}
 	s.jobs[id] = j
-	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.reg.Counter("service.jobs.submitted").Inc()
 
@@ -335,14 +356,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.enqueue(r.Context(), j) {
-		// Shed: the job must vanish completely — from the map, the listing
-		// order, and the disk store — or a restart would resurrect work the
-		// caller was told to retry elsewhere.
+		// Shed: the job must vanish completely — from the table and the disk
+		// store — or a restart would resurrect work the caller was told to
+		// retry elsewhere.
 		s.mu.Lock()
 		delete(s.jobs, id)
-		if n := len(s.order); n > 0 && s.order[n-1] == id {
-			s.order = s.order[:n-1]
-		}
 		s.mu.Unlock()
 		_ = s.store.Delete(id)
 		s.reg.Counter("service.admission.shed").Inc()
@@ -426,21 +444,19 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
+// handleList lists the jobs in the table, oldest first.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := s.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
 	out := make([]client.Job, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.snapshot()
 	}
+	slices.SortFunc(out, func(a, b client.Job) int { return compareIDs(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -539,6 +555,7 @@ func (s *Server) finish(j *job, val json.RawMessage, cacheHit, shared bool) {
 	j.mu.Unlock()
 	_ = s.store.Put(&wire, j.req)
 	s.reg.Counter("service.jobs.completed").Inc()
+	s.retire(wire.ID)
 	close(j.done)
 }
 
@@ -552,7 +569,27 @@ func (s *Server) failJob(j *job, err error) {
 	j.mu.Unlock()
 	_ = s.store.Put(&wire, j.req)
 	s.reg.Counter("service.jobs.failed").Inc()
+	s.retire(wire.ID)
 	close(j.done)
+}
+
+// retire records the job id as finished and evicts the oldest finished jobs
+// beyond maxFinished from the table. Pending and running jobs are never in
+// finished, so they are never evicted. finish and failJob call it before
+// closing done, so a released waiter sees the table already trimmed.
+func (s *Server) retire(id string) {
+	s.mu.Lock()
+	s.finished = append(s.finished, id)
+	evicted := 0
+	for len(s.finished) > s.maxFinished {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+		evicted++
+	}
+	s.mu.Unlock()
+	if evicted > 0 {
+		s.reg.Counter("service.jobs.evicted").Add(float64(evicted))
+	}
 }
 
 // runEngine executes one request on the real planning engine.
@@ -628,10 +665,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	// Write errors mean the client went away; there is nobody to tell.
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // parseID extracts the sequence number from a "job-%08d" ID.
@@ -645,4 +680,15 @@ func parseID(id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
+}
+
+// compareIDs orders job IDs by sequence number, so submission order holds
+// past the eight zero-padded digits; IDs that do not parse sort first.
+func compareIDs(a, b string) int {
+	na, _ := parseID(a)
+	nb, _ := parseID(b)
+	if c := cmp.Compare(na, nb); c != 0 {
+		return c
+	}
+	return strings.Compare(a, b)
 }

@@ -11,7 +11,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -937,6 +939,184 @@ func TestListJobs(t *testing.T) {
 		if jobs[i-1].ID >= jobs[i].ID {
 			t.Errorf("jobs out of order: %q before %q", jobs[i-1].ID, jobs[i].ID)
 		}
+	}
+}
+
+// TestFinishedJobsBounded proves the job table keeps only the newest
+// maxFinished finished jobs. Cache hits past the cap evict the oldest
+// finished job first, and evicted IDs answer 404 not_found, through the
+// client too. A job parked in the engine survives the pressure and its
+// waited GET still completes, and a shed job leaves no trace.
+func TestFinishedJobsBounded(t *testing.T) {
+	const limit, extra = 4, 6
+	dir := t.TempDir()
+	gated := testPlanBody(1)
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	srv, err := newServer(Config{Workers: 1, QueueDepth: 1, StoreDir: dir}, limit)
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	srv.engine = func(_ context.Context, req client.SubmitRequest) (json.RawMessage, error) {
+		if req.Plan.Run.GlobalBatch == gated.Plan.Run.GlobalBatch {
+			entered <- struct{}{}
+			<-release
+		}
+		return stubResult(), nil
+	}
+	srv.Start()
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		unpark()
+		hs.Close()
+		srv.Close()
+	})
+	tableSize := func() (jobs, finished int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.jobs), len(srv.finished)
+	}
+
+	// job 1 warms the key; job 2 parks in the engine; job 3 fills the
+	// 1-deep queue; job 4 is shed.
+	if resp, data := submit(t, hs.URL, testPlanBody(0), true); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up submit: status %d: %s", resp.StatusCode, data)
+	}
+	if resp, data := submit(t, hs.URL, gated, false); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("parked submit: status %d: %s", resp.StatusCode, data)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked job never reached the engine")
+	}
+	if resp, data := submit(t, hs.URL, testPlanBody(2), false); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued submit: status %d: %s", resp.StatusCode, data)
+	}
+	if resp, data := submit(t, hs.URL, testPlanBody(3), false); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("shed submit: status %d, want 503: %s", resp.StatusCode, data)
+	}
+	const warm, parked, queued, shed = "job-00000001", "job-00000002", "job-00000003", "job-00000004"
+
+	var hits []string
+	for i := 0; i < limit+extra; i++ {
+		resp, data := submit(t, hs.URL, testPlanBody(0), true)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("hit %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		var j client.Job
+		if err := json.Unmarshal(data, &j); err != nil || !j.CacheHit {
+			t.Fatalf("hit %d: not a cache hit (%v): %s", i, err, data)
+		}
+		hits = append(hits, j.ID)
+		if n, f := tableSize(); f > limit || n > limit+2 {
+			t.Fatalf("after hit %d the table holds %d jobs, %d finished; want at most %d finished plus the 2 in flight", i, n, f, limit)
+		}
+	}
+
+	listIDs := func() []string {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/v1/jobs")
+		if err != nil {
+			t.Fatalf("GET /v1/jobs: %v", err)
+		}
+		defer resp.Body.Close()
+		var jobs []client.Job
+		if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+			t.Fatalf("decode list: %v", err)
+		}
+		ids := make([]string, len(jobs))
+		for i, j := range jobs {
+			ids[i] = j.ID
+		}
+		return ids
+	}
+	want := append([]string{parked, queued}, hits[extra:]...)
+	if got := listIDs(); !slices.Equal(got, want) {
+		t.Errorf("listed %v, want the in-flight jobs and the newest %d hits %v", got, limit, want)
+	}
+
+	// The evicted jobs answer not_found on the wire and through the client,
+	// while their store files stay on disk.
+	c, err := client.New(hs.URL, client.WithRetries(0))
+	if err != nil {
+		t.Fatalf("client.New: %v", err)
+	}
+	ctx := context.Background()
+	for _, id := range append([]string{warm}, hits[:extra]...) {
+		resp, err := http.Get(hs.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatalf("GET %s: %v", id, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || decodeWireError(t, data).Code != client.CodeNotFound {
+			t.Errorf("evicted %s: status %d: %s; want 404 not_found", id, resp.StatusCode, data)
+		}
+		if _, err := c.Job(ctx, id); !errors.Is(err, client.ErrNotFound) {
+			t.Errorf("client.Job(%s) = %v, want ErrNotFound", id, err)
+		}
+		if _, err := c.Wait(ctx, id); !errors.Is(err, client.ErrNotFound) {
+			t.Errorf("client.Wait(%s) = %v, want ErrNotFound", id, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, id+".json")); err != nil {
+			t.Errorf("evicted %s left the store: %v", id, err)
+		}
+	}
+	if v := srv.Registry().Counter("service.jobs.evicted").Value(); v != extra+1 {
+		t.Errorf("service.jobs.evicted = %v, want %d", v, extra+1)
+	}
+
+	// The shed job is nowhere: not fetchable, not on disk, never finished.
+	if _, err := c.Job(ctx, shed); !errors.Is(err, client.ErrNotFound) {
+		t.Errorf("shed job fetchable: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, shed+".json")); !os.IsNotExist(err) {
+		t.Errorf("shed job on disk: %v", err)
+	}
+	srv.mu.Lock()
+	if slices.Contains(srv.finished, shed) {
+		t.Errorf("shed job recorded as finished: %v", srv.finished)
+	}
+	srv.mu.Unlock()
+
+	// The parked job's waited GET blocks until the engine lets go, then
+	// completes. The parked and queued jobs finish last, so they outlive
+	// older finished hits with higher IDs.
+	type outcome struct {
+		job *client.Job
+		err error
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		j, err := c.Wait(ctx, parked)
+		waited <- outcome{j, err}
+	}()
+	select {
+	case out := <-waited:
+		t.Fatalf("waited GET returned while the job was parked: %+v, %v", out.job, out.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	unpark()
+	select {
+	case out := <-waited:
+		if out.err != nil || out.job.State != client.StateDone {
+			t.Fatalf("parked job's waited GET = %+v, %v; want done", out.job, out.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked job's waited GET never completed")
+	}
+	if j, err := c.Wait(ctx, queued); err != nil || j.State != client.StateDone {
+		t.Fatalf("queued job = %+v, %v; want done", j, err)
+	}
+	want = append([]string{parked, queued}, hits[limit+extra-2:]...)
+	if got := listIDs(); !slices.Equal(got, want) {
+		t.Errorf("after the parked jobs finished, listed %v, want %v", got, want)
+	}
+	if n, f := tableSize(); n != limit || f != limit {
+		t.Errorf("drained table holds %d jobs, %d finished; want %d and %d", n, f, limit, limit)
 	}
 }
 

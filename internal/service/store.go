@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"autopipe/client"
@@ -71,8 +71,8 @@ func (s *diskStore) Delete(id string) error {
 	return nil
 }
 
-// Load reads every persisted job, sorted by ID (IDs are zero-padded
-// sequence numbers, so lexical order is submission order).
+// Load reads every persisted job in submission order (by ID sequence
+// number).
 //
 // Damaged files — a tail truncated by a crash mid-write on a filesystem
 // without atomic rename durability, a torn document, a stray .tmp from an
@@ -135,6 +135,6 @@ func (s *diskStore) Load() ([]storedJob, []string, error) {
 		}
 		jobs = append(jobs, sj)
 	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].Job.ID < jobs[k].Job.ID })
+	slices.SortFunc(jobs, func(a, b storedJob) int { return compareIDs(a.Job.ID, b.Job.ID) })
 	return jobs, quarantined, nil
 }

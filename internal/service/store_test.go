@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"autopipe/client"
@@ -57,6 +60,27 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if jobs[1].Request.Plan == nil || jobs[1].Request.Plan.Run.GlobalBatch != reqs[1].Plan.Run.GlobalBatch {
 		t.Errorf("request did not round-trip: %+v", jobs[1].Request)
+	}
+}
+
+// TestStoreLoadOrdersPastEightDigits proves Load keeps submission order once
+// IDs outgrow their eight zero-padded digits, where lexical order breaks.
+func TestStoreLoadOrdersPastEightDigits(t *testing.T) {
+	st, err := openStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("openStore: %v", err)
+	}
+	for _, n := range []int{100000000, 99999999} {
+		if err := st.Put(&client.Job{ID: jobID(n), Kind: client.KindPlan, State: client.StatePending}, testPlanBody(0)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	jobs, _, err := st.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(jobs) != 2 || jobs[0].Job.ID != jobID(99999999) || jobs[1].Job.ID != jobID(100000000) {
+		t.Errorf("loaded %v, want %s before %s", jobs, jobID(99999999), jobID(100000000))
 	}
 }
 
@@ -186,3 +210,92 @@ func TestStoreDelete(t *testing.T) {
 }
 
 func jobID(n int) string { return fmt.Sprintf("job-%08d", n) }
+
+// TestReplayKeepsNewestFinished proves a store that holds more finished jobs
+// than the cap loads only the newest of them into the table. Every
+// unfinished job is still re-enqueued, every stored result still seeds the
+// cache up to the cache's own limit, and new IDs continue past the highest
+// one on disk.
+func TestReplayKeepsNewestFinished(t *testing.T) {
+	const limit = 3
+	dir := t.TempDir()
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("openStore: %v", err)
+	}
+	// Jobs 1–8: 2 is pending and 7 running; 4 failed; the rest are done,
+	// each with its own key and result.
+	states := []string{client.StateDone, client.StatePending, client.StateDone, client.StateFailed,
+		client.StateDone, client.StateDone, client.StateRunning, client.StateDone}
+	keys := make([]string, len(states))
+	for i, state := range states {
+		req := testPlanBody(i)
+		if keys[i], err = Key(req); err != nil {
+			t.Fatalf("Key: %v", err)
+		}
+		j := &client.Job{ID: jobID(i + 1), Kind: client.KindPlan, State: state, Key: keys[i]}
+		switch state {
+		case client.StateDone:
+			j.Result = json.RawMessage(fmt.Sprintf(`{"job":%d}`, i+1))
+		case client.StateFailed:
+			j.Error = &client.Error{Code: client.CodeInternal, Message: "boom"}
+		}
+		if err := st.Put(j, req); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+
+	srv, err := newServer(Config{StoreDir: dir}, limit)
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	defer srv.Close()
+	srv.mu.Lock()
+	var ids []string
+	for id := range srv.jobs {
+		ids = append(ids, id)
+	}
+	srv.mu.Unlock()
+	slices.Sort(ids)
+	if want := []string{jobID(2), jobID(5), jobID(6), jobID(7), jobID(8)}; !slices.Equal(ids, want) {
+		t.Errorf("table holds %v, want the unfinished jobs and the newest %d finished %v", ids, limit, want)
+	}
+	if v := srv.Registry().Counter("service.jobs.resumed").Value(); v != 2 || len(srv.queue) != 2 {
+		t.Errorf("resumed %v jobs, %d queued; want both unfinished jobs re-enqueued", v, len(srv.queue))
+	}
+	for i, state := range states {
+		if _, ok := srv.cache.Get(keys[i]); ok != (state == client.StateDone) {
+			t.Errorf("job %d (%s): cached = %v", i+1, state, ok)
+		}
+	}
+
+	// A cache hit on an evicted job's request gets the next ID after the
+	// highest on disk and the evicted job's stored result.
+	body, err := json.Marshal(testPlanBody(0))
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	var hit client.Job
+	if err := json.Unmarshal(rec.Body.Bytes(), &hit); err != nil {
+		t.Fatalf("decode hit: %v: %s", err, rec.Body.Bytes())
+	}
+	if hit.ID != jobID(len(states)+1) || !hit.CacheHit || string(hit.Result) != `{"job":1}` {
+		t.Errorf("post-replay hit = %+v, want %s serving job 1's result", hit, jobID(len(states)+1))
+	}
+
+	// A cache smaller than the stored results keeps the newest of them: job
+	// 8's, and the hit above, stored as job 9 under job 1's key.
+	small, err := newServer(Config{StoreDir: dir, CacheEntries: 2}, limit)
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	defer small.Close()
+	for i := range states {
+		_, ok := small.cache.Get(keys[i])
+		if want := i == 0 || i == 7; ok != want {
+			t.Errorf("2-entry cache: job %d cached = %v, want %v", i+1, ok, want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke bench-baseline perfbench-test fault-smoke fmt-check tier1 verify clean
+.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke perfbench-test fault-smoke fmt-check tier1 verify clean
 
 all: build
 
@@ -19,7 +19,7 @@ vet:
 # invariants the retired analyzers covered are executable checks: mutex
 # copies in `make vet` (copylocks), lock pairing and worker-pool
 # cancellation in `make test` and the race targets, hot-path allocations in
-# internal/bench's TestSuiteAllocsPinned, and the checked-in JSON fixtures
+# the per-package testing.AllocsPerRun pins, and the checked-in JSON fixtures
 # in the root TestCheckedInFixtures (DESIGN.md §11.6).
 lint:
 	$(GO) build -o bin/autopipelint ./cmd/autopipelint
@@ -51,7 +51,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzParseChaos -fuzztime=$(FUZZTIME) ./internal/service
-	$(GO) test -run='^$$' -fuzz=FuzzParseBaseline -fuzztime=$(FUZZTIME) ./internal/bench
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race
@@ -68,27 +67,21 @@ race-core:
 
 # race-wide covers the remaining concurrent surface at full depth — the
 # autopiped service path (worker pool, cache, singleflight, the
-# crash-recovery soak tests, chaos middleware), the observability registry
-# fast path, and the benchmark harness. The race detector is the repository's data-race check; race-all
-# is both halves, and CI's race matrix runs them as separate jobs.
+# crash-recovery soak tests, chaos middleware) and the observability
+# registry fast path. The race detector is the repository's data-race check;
+# race-all is both halves, and CI's race matrix runs them as separate jobs.
 race-wide:
-	$(GO) test -race ./internal/service/... ./internal/obs/... ./internal/bench/...
+	$(GO) test -race ./internal/service/... ./internal/obs/...
 
 race-all: race-core race-wide
 
 # bench-smoke compiles and runs every micro-benchmark exactly once — planner,
 # exec event loop, schedule dependency graphs, slicer, obs registry — as a
 # correctness smoke, not a measurement; the -run filter skips tests. The
-# autopipebench suite's one-iteration run and compare are tier-1 tests
-# (TestRunModeSmoke, TestCompareExitCodes in cmd/autopipebench).
+# gated end-to-end numbers come from perfbench (BENCHMARK.json), and the
+# hot-path allocation counts are pinned by package tests (DESIGN.md §13).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-
-# bench-baseline refreshes the checked-in perf trajectory at full benchtime.
-# Run on a quiet machine, eyeball the compare report against the old numbers,
-# and commit the file (DESIGN.md §13).
-bench-baseline:
-	$(GO) run ./cmd/autopipebench -label baseline -o BENCH_baseline.json
 
 # perfbench-test runs the repository benchmark's own tests. perfbench is a
 # Go module of its own (it imports this one through a replace directive), so
@@ -115,7 +108,7 @@ tier1: build test
 # verify runs everything CI would: formatting, static analysis (go vet plus
 # autopipelint's simclock and errsentinel), the full test suite under the race
 # detector, the deep race pass over the planner engine and the whole
-# service/observability/bench surface (race-all), a one-shot benchmark
+# service/observability surface (race-all), a one-shot benchmark
 # smoke, the fault-injection smoke, the sanitized executions, the tier-1
 # gate, and the repository benchmark's own tests. The daemon's end-to-end,
 # restart-resume, crash-recovery soak and chaos checks are tier-1 tests in

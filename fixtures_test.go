@@ -12,24 +12,22 @@ import (
 	"testing"
 
 	"autopipe"
-	"autopipe/internal/bench"
 	"autopipe/internal/fault"
 	"autopipe/internal/schedule"
 	"autopipe/internal/service"
 )
 
 // The fixture manifest: every checked-in JSON artifact — the schedule goldens,
-// fault and chaos plans, BENCH baselines, trace goldens, and the negative
-// fixtures under testdata/reject — mapped to the parser that owns its format
-// and the outcome that parser must produce. A nil want means the file must be
-// accepted; otherwise the parser must reject it with an error matching want
-// under errors.Is.
+// fault and chaos plans, trace goldens, and the negative fixtures under
+// testdata/reject — mapped to the parser that owns its format and the outcome
+// that parser must produce. A nil want means the file must be accepted;
+// otherwise the parser must reject it with an error matching want under
+// errors.Is.
 var fixtures = []struct {
 	path  string
 	parse func([]byte) error
 	want  error
 }{
-	{"BENCH_baseline.json", parseBaseline, nil},
 	{"internal/exec/testdata/trace_golden.json", parseTrace, nil},
 	{"testdata/chaos_basic.json", parseChaos, nil},
 	{"testdata/faults_basic.json", parseFaultPlan, nil},
@@ -38,7 +36,6 @@ var fixtures = []struct {
 	{"testdata/schedules/interleaved_p4_m8_v2.json", parseSchedule, nil},
 	{"testdata/schedules/sliced_p4_m8_s2.json", parseSchedule, nil},
 
-	{"testdata/reject/bench_unknown_field.json", parseBaseline, autopipe.ErrBadConfig},
 	{"testdata/reject/chaos_bad_prob.json", parseChaos, autopipe.ErrBadConfig},
 	{"testdata/reject/faults_bad_kind.json", parseFaultPlan, autopipe.ErrBadConfig},
 	{"testdata/reject/faults_crash_duplicate.json", parseFaultPlan, errCrashDuplicate},
@@ -68,8 +65,9 @@ func TestCheckedInFixtures(t *testing.T) {
 }
 
 // TestFixtureManifestComplete fails on any JSON file under a testdata tree,
-// or any BENCH_*.json baseline at the root, that the manifest does not
-// declare: a new fixture must say whether it is accepted or rejected.
+// or any BENCH_*.json file at the root, that the manifest does not declare:
+// a new fixture must say whether it is accepted or rejected, and no parser
+// owns the retired BENCH_*.json format any more.
 func TestFixtureManifestComplete(t *testing.T) {
 	declared := make(map[string]bool, len(fixtures))
 	for _, fx := range fixtures {
@@ -96,11 +94,6 @@ func TestFixtureManifestComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func parseBaseline(data []byte) error {
-	_, err := bench.ParseBaseline(data)
-	return err
 }
 
 func parseChaos(data []byte) error {

@@ -1,6 +1,6 @@
 // Package cliutil provides the flag handling shared by the repository's
-// commands: autopipe, pipesim, experiments, autopipebench, and autopiped all
-// register their common flags here, so -parallelism, -timeout, the profiling
+// commands: autopipe, pipesim, experiments, and autopiped all register
+// their common flags here, so -parallelism, -timeout, the profiling
 // flags, and the daemon's -addr/-store mean the same thing everywhere.
 // Parsed values resolve into a planning context, engine options, or daemon
 // configuration.

@@ -9,9 +9,9 @@ import (
 )
 
 // ProfileFlags holds the parsed values of the shared pprof flags. Every
-// command (pipesim, autopipe, experiments, autopipebench) accepts the same
-// -cpuprofile/-memprofile pair, so a hotspot found in the benchmark suite can
-// be profiled in the exact CLI workload that exhibits it.
+// command (pipesim, autopipe, experiments, autopiped) accepts the same
+// -cpuprofile/-memprofile pair, so a hotspot found by a benchmark can be
+// profiled in the exact CLI workload that exhibits it.
 type ProfileFlags struct {
 	// CPUPath receives a runtime/pprof CPU profile covering everything between
 	// Start and the returned stop function; empty disables capture.

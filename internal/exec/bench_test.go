@@ -12,8 +12,8 @@ import (
 // Event-loop micro-benchmarks: the executor is the inner loop of every
 // experiment regeneration and of the self-healing driver, so its ops/sec (the
 // sanitizer stays on — TestMain forces it for the whole package, exactly as
-// production -sanitize runs pay for it) is a pinned baseline metric in
-// BENCH_*.json via cmd/autopipebench.
+// production -sanitize runs pay for it) is measured here. Its allocations are
+// pinned by TestSanitizedRunAllocsPinned and TestRunnerReuseAllocationFree.
 
 // benchCfg is a realistic non-degenerate configuration: distinct stage
 // times, a cross-stage payload, finite bandwidth, and a kernel overhead.
@@ -82,8 +82,8 @@ func BenchmarkRunInterleaved(b *testing.B) {
 // across iterations, sanitizer on (TestMain forces it), registry attached but
 // sinkless. One warmup run before the timer so even a single measured
 // iteration (-benchtime 1x, the CI compare configuration) sees the
-// steady state — which must be allocation-free; the suite pins it at 0
-// allocs/op in BENCH_baseline.json.
+// steady state — which must be allocation-free, as
+// TestRunnerReuseAllocationFree pins.
 func BenchmarkRunReuse(b *testing.B) {
 	p, m := 8, 32
 	s, err := schedule.OneFOneB(p, m)
@@ -107,8 +107,8 @@ func BenchmarkRunReuse(b *testing.B) {
 
 // BenchmarkRunObserved measures the executor with a metrics registry
 // attached (counters, gauges, and the run span) but no event sink — the
-// configuration autopipebench and the daemon run with, where emission must
-// cost nothing.
+// configuration the CLIs and the daemon run with, where emission must cost
+// nothing.
 func BenchmarkRunObserved(b *testing.B) {
 	p, m := 8, 32
 	s, err := schedule.OneFOneB(p, m)

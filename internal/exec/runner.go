@@ -12,11 +12,10 @@ import (
 
 // Runner executes schedules with its working state — dependency graph,
 // sanitizer, arrival maps, trace backing — retained across calls, so a
-// driver that re-executes the same schedule many times (autopipebench, the
-// self-healing training loop, the fault-injection soak) pays the setup
-// allocations once and runs the steady-state event loop allocation-free,
-// sanitizer included. The package-level Run is NewRunner().Run and keeps
-// the one-shot contract.
+// driver that re-executes the same schedule many times (the self-healing
+// training loop, the fault-injection soak) pays the setup allocations once
+// and runs the steady-state event loop allocation-free, sanitizer included.
+// The package-level Run is NewRunner().Run and keeps the one-shot contract.
 //
 // The contract the reuse rests on:
 //

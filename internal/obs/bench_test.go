@@ -6,9 +6,9 @@ import (
 )
 
 // The registry sits on every hot path (exec event loop, planner engine
-// waves), so its per-update overhead is part of the performance baseline:
-// cmd/autopipebench runs these via the obs suite entries and BENCH_*.json
-// pins them.
+// waves), so its per-update cost is measured here; the allocation-free
+// update and sinkless-emit paths are pinned by TestRegistryUpdateAllocsPinned
+// and TestEmitNoSinkAllocsNothing.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	r := NewRegistry()

@@ -256,8 +256,8 @@ func (r *Registry) HasSink() bool { return r.hasSink.Load() }
 
 // Emit sends a structured event to the sink, if one is installed. Fields are
 // shallow-copied so callers may reuse their map. With no sink installed the
-// call allocates nothing and returns immediately; the bench suite's
-// allocation gate pins that path at 0 allocs/op.
+// call allocates nothing and returns immediately; TestEmitNoSinkAllocsNothing
+// pins that path at 0 allocs/op.
 func (r *Registry) Emit(name string, fields Fields) {
 	if !r.hasSink.Load() {
 		return
@@ -273,19 +273,6 @@ func (r *Registry) Emit(name string, fields Fields) {
 		cp[k] = v
 	}
 	sink.Emit(Event{Time: now, Name: name, Fields: cp})
-}
-
-// Reset drops every counter, gauge, and histogram, returning the registry to
-// its post-NewRegistry state; the sink and clock stay installed. Metric
-// handles obtained before the reset keep working but are detached — they no
-// longer appear in snapshots. Benchmark harnesses reset between suite entries
-// so one entry's counts cannot leak into the next.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
-	r.mu.Unlock()
 }
 
 // Span is an in-flight wall-clock measurement started by StartSpan.

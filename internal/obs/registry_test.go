@@ -4,40 +4,6 @@ import (
 	"testing"
 )
 
-func TestRegistryReset(t *testing.T) {
-	r := NewRegistry()
-	sink := &MemorySink{}
-	r.SetSink(sink)
-	r.Counter("a").Add(7)
-	r.Gauge("g").Set(3)
-	r.Histogram("h").Observe(1)
-	stale := r.Counter("a")
-
-	r.Reset()
-	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
-		t.Fatalf("reset registry still holds metrics: %+v", snap)
-	}
-	// A pre-reset handle keeps working but is detached from snapshots.
-	stale.Inc()
-	if got := r.Snapshot().Counters["a"]; got != 0 {
-		t.Errorf("detached counter leaked back into the registry: %g", got)
-	}
-	// The sink survives a reset.
-	if !r.HasSink() {
-		t.Error("Reset dropped the sink")
-	}
-	r.Emit("after-reset", nil)
-	if got := len(sink.Events()); got != 1 {
-		t.Errorf("emitted %d events after reset, want 1", got)
-	}
-	// Fresh metrics under the old names start from zero.
-	r.Counter("a").Add(2)
-	if got := r.Snapshot().Counters["a"]; got != 2 {
-		t.Errorf("post-reset counter = %g, want 2", got)
-	}
-}
-
 func TestHasSinkTracksSetSink(t *testing.T) {
 	r := NewRegistry()
 	if r.HasSink() {

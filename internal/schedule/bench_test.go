@@ -7,8 +7,7 @@ import (
 
 // Dependency-model micro-benchmarks: DepGraph construction and the Kahn
 // check run once per sanitized execution and once per checked-in golden in
-// the root fixture test, so their cost is pinned in BENCH_*.json via
-// cmd/autopipebench.
+// the root fixture test. TestDepGraphAllocsPinned pins their allocations.
 
 func BenchmarkDependencies(b *testing.B) {
 	for _, tc := range []struct{ p, m int }{{8, 32}, {16, 64}} {

@@ -8,8 +8,8 @@ import (
 )
 
 // Algorithm 2 runs once per planned configuration (and once per driver
-// re-plan after a fault), so its cost at realistic depths is pinned in
-// BENCH_*.json via cmd/autopipebench.
+// re-plan after a fault), so its cost at realistic depths is measured here
+// and its allocations are pinned by TestSolveProfileAllocs.
 
 // benchProfile builds a mildly unbalanced profile: slicing is only
 // interesting when stages differ, and the imbalance keeps the while loop from

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"autopipe/internal/nn"
@@ -80,34 +82,65 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 // TestSlicedPipelineMatchesSerial verifies the Slicer's semantic claim:
 // splitting warmup micro-batches in half changes scheduling, not training.
+// The oracle is the serial step: over the original hand-picked shape (six
+// micro-batches of four, stages {0,2,4,6}, every sliced count it tried) and
+// seeded random shapes — micro-batch count, even batch size, stage bounds
+// and sliced count — the sliced pipeline's loss and every parameter gradient
+// must match it.
 func TestSlicedPipelineMatchesSerial(t *testing.T) {
+	type shape struct {
+		m, batch, sliced int
+		bounds           []int
+		seed             uint64
+	}
 	cfg := nn.TinyGPT()
-	m, batch := 6, 4
-	scale := 1.0 / float64(m*batch*(cfg.MaxSeq-2))
-	micros := tinyMicros(t, cfg, m, batch, 4242)
-
-	serialMods := nn.BuildGPT(cfg)
-	serialLoss := SerialStep(serialMods, micros, scale)
-	want := cloneGrads(nn.CollectParams(serialMods))
-
-	for _, sliced := range []int{1, 2, 3, m} {
-		pipeMods := nn.BuildGPT(cfg)
-		pipe, err := NewPipeline(pipeMods, []int{0, 2, 4, 6})
-		if err != nil {
-			t.Fatal(err)
+	nMods := len(nn.BuildGPT(cfg))
+	var shapes []shape
+	for _, sliced := range []int{1, 2, 3, 6} {
+		shapes = append(shapes, shape{m: 6, batch: 4, sliced: sliced, bounds: []int{0, 2, 4, 6}, seed: 4242})
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 24; i++ {
+		m := 1 + rng.Intn(8)
+		// A random subset of the interior cut points, in order, gives
+		// between 1 and nMods stages.
+		bounds := []int{0}
+		for cut := 1; cut < nMods; cut++ {
+			if rng.Intn(2) == 0 {
+				bounds = append(bounds, cut)
+			}
 		}
-		loss, err := pipe.Step(micros, sliced, scale)
+		bounds = append(bounds, nMods)
+		shapes = append(shapes, shape{
+			m: m, batch: 2 * (1 + rng.Intn(3)), sliced: 1 + rng.Intn(m),
+			bounds: bounds, seed: uint64(rng.Int63()),
+		})
+	}
+
+	for _, sh := range shapes {
+		name := fmt.Sprintf("m%d_b%d_s%d_bounds%v", sh.m, sh.batch, sh.sliced, sh.bounds)
+		scale := 1.0 / float64(sh.m*sh.batch*(cfg.MaxSeq-2))
+		micros := tinyMicros(t, cfg, sh.m, sh.batch, sh.seed)
+
+		serialMods := nn.BuildGPT(cfg)
+		serialLoss := SerialStep(serialMods, micros, scale)
+		want := cloneGrads(nn.CollectParams(serialMods))
+
+		pipe, err := NewPipeline(nn.BuildGPT(cfg), sh.bounds)
 		if err != nil {
-			t.Fatalf("sliced=%d: %v", sliced, err)
+			t.Fatalf("%s: %v", name, err)
+		}
+		loss, err := pipe.Step(micros, sh.sliced, scale)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if math.Abs(loss-serialLoss) > 1e-9 {
-			t.Errorf("sliced=%d: loss %.15g != serial %.15g", sliced, loss, serialLoss)
+			t.Errorf("%s: loss %.15g != serial %.15g", name, loss, serialLoss)
 		}
 		// Halved batches sum gradients in a different order; tolerance
 		// covers float reassociation only.
-		name, diff := maxGradDiff(want, cloneGrads(pipe.AllParams()))
-		if diff > 1e-9 {
-			t.Errorf("sliced=%d: gradient mismatch %g at %s", sliced, diff, name)
+		if param, diff := maxGradDiff(want, cloneGrads(pipe.AllParams())); diff > 1e-9 {
+			t.Errorf("%s: gradient mismatch %g at %s", name, diff, param)
 		}
 	}
 }

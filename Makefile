@@ -44,13 +44,16 @@ sanitize:
 	$(GO) run ./cmd/pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 -faults testdata/faults_basic.json -sanitize
 
 # fuzz-smoke runs each fuzz target briefly: long enough to replay the corpus
-# and explore a little, short enough for every CI run.
+# and explore a little, short enough for every CI run. The root
+# TestFuzzTargetsListed fails unless this list and CI's fuzz matrix name
+# every Fuzz function in the module.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzParseChaos -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzParseDeadline -fuzztime=$(FUZZTIME) ./internal/service
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race

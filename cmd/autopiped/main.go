@@ -35,7 +35,7 @@ import (
 func main() {
 	workers := flag.Int("workers", 4, "queue workers executing jobs concurrently")
 	queueDepth := flag.Int("queue", 256, "pending-job queue depth (full queue rejects with 503)")
-	cacheEntries := flag.Int("cache", 1024, "content-addressed plan cache capacity")
+	cacheEntries := flag.Int("cache", 1024, "content-addressed plan cache capacity; the submit memo holds as many bodies")
 	sf := cliutil.RegisterService(flag.CommandLine)
 	pf := cliutil.RegisterPlanner(flag.CommandLine)
 	prof := cliutil.RegisterProfile(flag.CommandLine)

@@ -16,14 +16,15 @@ import (
 // cacheHitAllocs is the allocation count of one cache-hit submit through
 // the handler, eviction included, measured with go1.24 on linux/amd64.
 // The recorder and request the test builds count too.
-const cacheHitAllocs = 51
+const cacheHitAllocs = 33
 
 // TestCacheHitAllocsPinned pins the allocations of the daemon's hot path: a
-// waited submit whose key is cached, served by Handler into a recorder,
-// with the job table full so every request also evicts. Indented response
-// encoding, or any other new allocation on the path, fails it. (The race
-// detector's instrumentation changes allocation counts, so -race skips
-// this file.)
+// waited submit of a body the submit memo holds, whose key is cached, served
+// by Handler into a recorder, with the job table full so every request also
+// evicts. A reflective JSON pass on the path (decoding the body, marshaling
+// the key document, encoding the response) or any other new allocation
+// fails it. (The race detector's instrumentation changes allocation counts,
+// so -race skips this file.)
 func TestCacheHitAllocsPinned(t *testing.T) {
 	srv, err := newServer(Config{}, 8)
 	if err != nil {

@@ -5,38 +5,39 @@ import (
 	"sync"
 )
 
-// planCache is the content-addressed result cache: key → marshaled result
-// document. Values are immutable JSON blobs, so a cached result can be
-// handed to any number of jobs without copying or aliasing concerns.
+// fifo is a bounded, mutex-guarded map that evicts in insertion order. It
+// backs both the plan cache and the submit memo.
 //
-// Eviction is FIFO over insertion order. The workloads the daemon exists for
-// (fleets re-planning near-identical configurations) are dominated by a
-// small hot set, so recency tracking buys little over a generous capacity;
-// FIFO keeps the data structure two maps and a slice.
-type planCache struct {
+// The workloads the daemon exists for (fleets re-planning near-identical
+// configurations) are dominated by a small hot set, so recency tracking
+// buys little over a generous capacity; FIFO keeps the data structure a map
+// and a slice.
+type fifo[K comparable, V any] struct {
 	mu    sync.Mutex
 	max   int
-	items map[string]json.RawMessage
-	order []string
+	items map[K]V
+	order []K
 }
 
-func newPlanCache(maxEntries int) *planCache {
+// newFIFO returns an empty fifo holding at most maxEntries entries; <= 0
+// means 1024.
+func newFIFO[K comparable, V any](maxEntries int) *fifo[K, V] {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
-	return &planCache{max: maxEntries, items: make(map[string]json.RawMessage)}
+	return &fifo[K, V]{max: maxEntries, items: make(map[K]V)}
 }
 
-// Get returns the cached result for key, if any.
-func (c *planCache) Get(key string) (json.RawMessage, bool) {
+// Get returns the value stored under key, if any.
+func (c *fifo[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.items[key]
 	return v, ok
 }
 
-// Put stores a result, evicting the oldest entries past capacity.
-func (c *planCache) Put(key string, val json.RawMessage) {
+// Put stores a value, evicting the oldest entries past capacity.
+func (c *fifo[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.items[key]; ok {
@@ -52,11 +53,38 @@ func (c *planCache) Put(key string, val json.RawMessage) {
 	}
 }
 
-// Len returns the number of cached results.
-func (c *planCache) Len() int {
+// Len returns the number of stored entries.
+func (c *fifo[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
+}
+
+// planCache is the content-addressed result cache: key → result document.
+// Values are immutable JSON blobs, so a cached result can be handed to any
+// number of jobs without copying or aliasing concerns.
+//
+// Put stores a value in the form encoding/json writes for a RawMessage
+// field: compact and HTML-escaped. A done job's response is written from
+// those bytes verbatim (writeDone), and results replayed from the indented
+// store files get the same form as freshly computed ones.
+type planCache struct {
+	*fifo[string, json.RawMessage]
+}
+
+func newPlanCache(maxEntries int) *planCache {
+	return &planCache{newFIFO[string, json.RawMessage](maxEntries)}
+}
+
+// Put normalizes val, stores it under key, and returns the stored bytes.
+// Marshaling a RawMessage yields the form the encoder writes for it.
+func (c *planCache) Put(key string, val json.RawMessage) (json.RawMessage, error) {
+	norm, err := marshalResult(val)
+	if err != nil {
+		return nil, err
+	}
+	c.fifo.Put(key, norm)
+	return norm, nil
 }
 
 // singleflight coalesces concurrent calls with the same key into one

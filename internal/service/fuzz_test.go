@@ -8,18 +8,21 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"autopipe"
 	"autopipe/client"
 	"autopipe/internal/errdefs"
 )
 
-// FuzzSubmit posts arbitrary bytes as the body of POST /v1/jobs (no ?wait)
-// to a fresh in-process daemon with no workers running. The submit handler
-// is the daemon's untrusted-input boundary: whatever the body, it must not
-// panic or answer 5xx, an accepted body must come back 202 with a pending
-// job document, and every rejection must decode on the client side to a
-// typed error wrapping ErrBadConfig. Run with
+// FuzzSubmit posts arbitrary bytes twice as the body of POST /v1/jobs (no
+// ?wait) to a fresh in-process daemon with no workers running. The submit
+// handler is the daemon's untrusted-input boundary: whatever the body, it
+// must not panic or answer 5xx, an accepted body must come back 202 with a
+// pending job document, and every rejection must decode on the client side
+// to a typed error wrapping ErrBadConfig. The second post of an accepted
+// body is answered from the submit memo, so it must get the first post's
+// status and key, and a rejected body the same rejection. Run with
 // `go test -run='^$' -fuzz=FuzzSubmit ./internal/service`.
 func FuzzSubmit(f *testing.F) {
 	for _, req := range []client.SubmitRequest{
@@ -46,32 +49,66 @@ func FuzzSubmit(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		// answer posts body and returns the status with the job's key or
+		// the rejection's message.
+		answer := func() (int, string) {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+			switch status := rec.Code; {
+			case status >= 500:
+				t.Fatalf("status %d for body %q: %s", status, body, rec.Body.Bytes())
+			case status == http.StatusAccepted:
+				var job client.Job
+				if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
+					t.Fatalf("accepted body %q: undecodable job document: %v", body, err)
+				}
+				if job.State != client.StatePending || job.Key == "" {
+					t.Fatalf("accepted body %q: job %+v, want a keyed pending job", body, job)
+				}
+				return status, job.Key
+			case status >= 400:
+				var doc struct {
+					Error *client.Error `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc.Error == nil {
+					t.Fatalf("rejection %d for body %q is not a wire error envelope: %s", status, body, rec.Body.Bytes())
+				}
+				if !errors.Is(doc.Error, errdefs.ErrBadConfig) {
+					t.Fatalf("rejection %d for body %q decodes to %v, want ErrBadConfig", status, body, doc.Error)
+				}
+				return status, doc.Error.Message
+			default:
+				t.Fatalf("status %d for body %q, want 202 or a 4xx rejection", status, body)
+			}
+			return 0, ""
+		}
+		status, detail := answer()
+		if status2, detail2 := answer(); status2 != status || detail2 != detail {
+			t.Fatalf("body %q: first post answered %d %q, second %d %q", body, status, detail, status2, detail2)
+		}
+	})
+}
 
-		switch status := rec.Code; {
-		case status >= 500:
-			t.Fatalf("status %d for body %q: %s", status, body, rec.Body.Bytes())
-		case status == http.StatusAccepted:
-			var job client.Job
-			if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
-				t.Fatalf("accepted body %q: undecodable job document: %v", body, err)
+// FuzzParseDeadline drives the deadline-header parser with arbitrary
+// strings: an accepted header gives no deadline or one after the call
+// began, and a rejected one wraps ErrBadConfig. Run with
+// `go test -run='^$' -fuzz=FuzzParseDeadline ./internal/service`.
+func FuzzParseDeadline(f *testing.F) {
+	for _, h := range []string{"", "1", "250", "-5", "0", "1.5", "banana", "9223372036854",
+		"9300000000000", "9223372036854775807"} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		before := time.Now()
+		deadline, err := parseDeadline(header)
+		if err != nil {
+			if !errors.Is(err, errdefs.ErrBadConfig) {
+				t.Fatalf("header %q: error %v does not wrap ErrBadConfig", header, err)
 			}
-			if job.State != client.StatePending || job.Key == "" {
-				t.Fatalf("accepted body %q: job %+v, want a keyed pending job", body, job)
-			}
-		case status >= 400:
-			var doc struct {
-				Error *client.Error `json:"error"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc.Error == nil {
-				t.Fatalf("rejection %d for body %q is not a wire error envelope: %s", status, body, rec.Body.Bytes())
-			}
-			if !errors.Is(doc.Error, errdefs.ErrBadConfig) {
-				t.Fatalf("rejection %d for body %q decodes to %v, want ErrBadConfig", status, body, doc.Error)
-			}
-		default:
-			t.Fatalf("status %d for body %q, want 202 or a 4xx rejection", status, body)
+			return
+		}
+		if !deadline.IsZero() && !deadline.After(before) {
+			t.Fatalf("header %q: deadline %v is not after %v", header, deadline, before)
 		}
 	})
 }

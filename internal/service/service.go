@@ -21,13 +21,24 @@
 // GET /v1/jobs/{id} answers 404 not_found. Eviction forgets the job
 // document only; the plan cache still serves its result, and a store
 // keeps its file on disk.
+//
+// A repeated cache hit makes no reflective JSON pass. Submit bodies are
+// memoized by their sha256, so a byte-identical body skips the decode,
+// validation and keying; the memo holds as many bodies as the plan cache
+// holds results. A done job's document is written from bytes: a short
+// prefix, then the cached result, which the cache stores in the form
+// encoding/json would write it.
 package service
 
 import (
+	"bytes"
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"slices"
@@ -35,6 +46,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"autopipe"
 	"autopipe/client"
@@ -56,8 +68,9 @@ type Config struct {
 	// QueueDepth bounds the pending-job queue; <= 0 means 256. A full
 	// queue rejects submissions with 503 unavailable (the client retries).
 	QueueDepth int
-	// CacheEntries bounds the content-addressed result cache; <= 0 means
-	// 1024. Eviction is FIFO.
+	// CacheEntries bounds the content-addressed result cache, and the memo
+	// of validated submit bodies at the same count; <= 0 means 1024.
+	// Eviction is FIFO in both.
 	CacheEntries int
 	// StoreDir, when non-empty, persists every job (request + state) as
 	// JSON under this directory. On restart, finished jobs are served from
@@ -84,11 +97,26 @@ type Config struct {
 // finishedJobCap is how many finished jobs a Server keeps in memory.
 const finishedJobCap = 4096
 
+// maxBodyBytes bounds a submit body.
+const maxBodyBytes = 8 << 20
+
+// submission is a validated submit body: its decoded request and cache key.
+// The memo hands one *submission to every job built from the same body
+// bytes, and those jobs share the request's payloads, so nothing may modify
+// a submission or what its request points to: jobs, the engine and the
+// store only read them.
+type submission struct {
+	req client.SubmitRequest
+	key string
+}
+
 // job is the server-side state of one submitted job: the wire document, the
 // original request, and a done channel closed when the job turns terminal.
 type job struct {
 	mu   sync.Mutex
 	wire client.Job
+	// req is read-only: its payloads may be shared with other jobs through
+	// the submit memo.
 	req  client.SubmitRequest
 	done chan struct{}
 	// deadline is the submitting caller's give-up time, derived from the
@@ -113,6 +141,7 @@ type Server struct {
 	reg     *obs.Registry
 	store   *diskStore
 	cache   *planCache
+	memo    *fifo[[sha256.Size]byte, *submission]
 	sf      *singleflight
 	limiter *tokenBucket
 	mux     *http.ServeMux
@@ -163,6 +192,7 @@ func newServer(cfg Config, maxFinished int) (*Server, error) {
 		reg:     reg,
 		store:   store,
 		cache:   newPlanCache(cfg.CacheEntries),
+		memo:    newFIFO[[sha256.Size]byte, *submission](cfg.CacheEntries),
 		sf:      newSingleflight(),
 		limiter: newTokenBucket(cfg.RateLimit, cfg.RateBurst),
 		ctx:     ctx,
@@ -204,8 +234,17 @@ func (s *Server) replay() error {
 		s.jobs[j.wire.ID] = j
 		if j.wire.Terminal() {
 			close(j.done)
-			if j.wire.State == client.StateDone && j.wire.Key != "" && len(j.wire.Result) > 0 {
-				s.cache.Put(j.wire.Key, j.wire.Result)
+			// Stored results are indented; a done job is served in the
+			// cache's form (writeDone), keyed or not.
+			if j.wire.State == client.StateDone && len(j.wire.Result) > 0 {
+				if j.wire.Key != "" {
+					j.wire.Result, err = s.cache.Put(j.wire.Key, j.wire.Result)
+				} else {
+					j.wire.Result, err = marshalResult(j.wire.Result)
+				}
+				if err != nil {
+					return fmt.Errorf("service: replay job %s: %w", j.wire.ID, err)
+				}
 			}
 			s.retire(j.wire.ID)
 			continue
@@ -301,14 +340,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: submission rate limit exceeded: %w", client.ErrRateLimited))
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	var req client.SubmitRequest
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, fmt.Errorf("%w: service: malformed submit request: %v", errdefs.ErrBadConfig, err))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		s.writeError(w, malformedSubmit(err))
 		return
 	}
-	if err := req.Validate(); err != nil {
+	sub, err := s.parseSubmission(body)
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -317,11 +355,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	key, err := Key(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+	req, key := sub.req, sub.key
 
 	s.mu.Lock()
 	if s.closed {
@@ -373,6 +407,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.respondJob(w, r, j)
 }
 
+// parseSubmission returns the validated request in a submit body. A body
+// accepted before is answered from the memo, looked up by its sha256:
+// decoding, validation and keying are deterministic in the body bytes, so
+// the memo skips all three without changing an answer. Only accepted bodies
+// are memoized; a rejected one is decoded again each time it is sent.
+func (s *Server) parseSubmission(body []byte) (*submission, error) {
+	digest := sha256.Sum256(body)
+	if sub, ok := s.memo.Get(digest); ok {
+		return sub, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var req client.SubmitRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, malformedSubmit(err)
+	}
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	key, err := Key(req)
+	if err != nil {
+		return nil, err
+	}
+	sub := &submission{req: req, key: key}
+	s.memo.Put(digest, sub)
+	return sub, nil
+}
+
+func malformedSubmit(err error) error {
+	return fmt.Errorf("%w: service: malformed submit request: %v", errdefs.ErrBadConfig, err)
+}
+
 // enqueue offers j to the worker queue, waiting up to QueueWait for a slot
 // (or the submitter's own disconnect, whichever first). Reports whether the
 // job was admitted.
@@ -407,7 +473,7 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *job) {
 		if snap.Terminal() {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, snap)
+		writeJob(w, status, snap)
 		return
 	}
 	select {
@@ -425,7 +491,7 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *job) {
 		}{snap.Error, snap})
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	writeJob(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -441,7 +507,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.respondJob(w, r, j)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	writeJob(w, http.StatusOK, j.snapshot())
 }
 
 // handleList lists the jobs in the table, oldest first.
@@ -518,11 +584,14 @@ func (s *Server) runJob(j *job) {
 		span := s.reg.StartSpan("service.engine")
 		defer span.End()
 		val, err := s.engine(ctx, j.req)
-		if err == nil {
-			s.cache.Put(key, val)
-			s.reg.Gauge("service.cache.entries").Set(float64(s.cache.Len()))
+		if err != nil {
+			return nil, err
 		}
-		return val, err
+		if val, err = s.cache.Put(key, val); err != nil {
+			return nil, err
+		}
+		s.reg.Gauge("service.cache.entries").Set(float64(s.cache.Len()))
+		return val, nil
 	})
 	if shared {
 		s.reg.Counter("service.singleflight.shared").Inc()
@@ -631,17 +700,22 @@ func marshalResult(v any) (json.RawMessage, error) {
 	return data, nil
 }
 
+// maxDeadlineMs is the largest deadline header whose duration fits a
+// time.Duration.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // parseDeadline converts the client's relative-milliseconds deadline header
 // into an absolute give-up time. Empty means no caller deadline; anything
-// that is not a positive integer is a caller bug worth rejecting loudly.
+// that is not a positive integer is a caller bug worth rejecting loudly, and
+// so is a value whose duration would overflow into a deadline in the past.
 func parseDeadline(header string) (time.Time, error) {
 	if header == "" {
 		return time.Time{}, nil
 	}
 	ms, err := strconv.ParseInt(header, 10, 64)
-	if err != nil || ms <= 0 {
-		return time.Time{}, fmt.Errorf("%w: service: malformed %s header %q (want positive relative milliseconds)",
-			errdefs.ErrBadConfig, client.DeadlineHeader, header)
+	if err != nil || ms <= 0 || ms > maxDeadlineMs {
+		return time.Time{}, fmt.Errorf("%w: service: malformed %s header %q (want positive relative milliseconds, at most %d)",
+			errdefs.ErrBadConfig, client.DeadlineHeader, header, maxDeadlineMs)
 	}
 	return time.Now().Add(time.Duration(ms) * time.Millisecond), nil
 }
@@ -660,6 +734,71 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, struct {
 		Error *client.Error `json:"error"`
 	}{wireErr})
+}
+
+// writeJob writes a job document: a done job from bytes (writeDone), any
+// other through writeJSON.
+func writeJob(w http.ResponseWriter, status int, j client.Job) {
+	if j.State != client.StateDone || j.Error != nil {
+		writeJSON(w, status, j)
+		return
+	}
+	writeDone(w, status, j)
+}
+
+// docEnd closes a done job's document and ends the line as Encode does.
+var docEnd = []byte("}\n")
+
+// writeDone writes the bytes json.NewEncoder(w).Encode(j) would write for a
+// done job without the reflective pass: a prefix of the fields before the
+// result, the result bytes verbatim, then docEnd. That is exact because
+// every done job's result is in the plan cache's form (planCache.Put), the
+// form the encoder gives a RawMessage.
+func writeDone(w http.ResponseWriter, status int, j client.Job) {
+	buf := make([]byte, 0, 96+len(j.ID)+len(j.Kind)+len(j.State)+len(j.Key))
+	buf = append(buf, `{"id":`...)
+	buf = appendJSONString(buf, j.ID)
+	buf = append(buf, `,"kind":`...)
+	buf = appendJSONString(buf, j.Kind)
+	buf = append(buf, `,"state":`...)
+	buf = appendJSONString(buf, j.State)
+	if j.Key != "" {
+		buf = append(buf, `,"key":`...)
+		buf = appendJSONString(buf, j.Key)
+	}
+	if j.CacheHit {
+		buf = append(buf, `,"cacheHit":true`...)
+	}
+	if j.Shared {
+		buf = append(buf, `,"shared":true`...)
+	}
+	if len(j.Result) > 0 {
+		buf = append(buf, `,"result":`...)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)+len(j.Result)+len(docEnd)))
+	w.WriteHeader(status)
+	// Write errors mean the client went away; there is nobody to tell.
+	_, _ = w.Write(buf)
+	_, _ = w.Write(j.Result)
+	_, _ = w.Write(docEnd)
+}
+
+// appendJSONString appends s as encoding/json encodes a string. Printable
+// ASCII that HTML escaping leaves alone, which covers every ID, kind, state
+// and key the daemon makes, goes between quotes as is; anything else takes
+// the encoder.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s) // a string always encodes
+			return append(dst, enc...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

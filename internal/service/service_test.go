@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -660,6 +661,34 @@ func TestDeadlinePropagation(t *testing.T) {
 			if we := decodeWireError(t, data); !errors.Is(we, autopipe.ErrBadConfig) {
 				t.Errorf("deadline %q: error %v is not ErrBadConfig", bad, we)
 			}
+		}
+	})
+
+	// A header whose duration overflows time.Duration used to wrap to a
+	// deadline in the past, failing a cache miss 504 deadline_exceeded.
+	t.Run("overflow", func(t *testing.T) {
+		var engineRuns atomic.Int64
+		_, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
+			engineRuns.Add(1)
+			return stubResult(), nil
+		})
+		for _, bad := range []string{"9300000000000", "9223372036854775807"} {
+			resp, data := submitWithDeadline(t, hs.URL, testPlanBody(0), bad, true)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("deadline %q: status %d, want 400: %s", bad, resp.StatusCode, data)
+				continue
+			}
+			if we := decodeWireError(t, data); we.Code != client.CodeBadConfig {
+				t.Errorf("deadline %q: code %q, want %q", bad, we.Code, client.CodeBadConfig)
+			}
+		}
+		if n := engineRuns.Load(); n != 0 {
+			t.Errorf("engine ran %d times for rejected deadlines, want 0", n)
+		}
+		// The largest representable deadline is still accepted.
+		resp, data := submitWithDeadline(t, hs.URL, testPlanBody(0), strconv.FormatInt(maxDeadlineMs, 10), true)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("deadline %d: status %d, want 200: %s", maxDeadlineMs, resp.StatusCode, data)
 		}
 	})
 

@@ -70,8 +70,8 @@ race-core:
 
 # race-wide covers the remaining concurrent surface at full depth — the
 # autopiped service path (worker pool, cache, singleflight, the
-# crash-recovery soak tests, chaos middleware) and the observability
-# registry fast path. The race detector is the repository's data-race check;
+# crash-recovery soak tests, the soak behind the test-only chaos middleware)
+# and the observability registry. The race detector is the repository's data-race check;
 # race-all is both halves, and CI's race matrix runs them as separate jobs.
 race-wide:
 	$(GO) test -race ./internal/service/... ./internal/obs/...
@@ -114,9 +114,10 @@ tier1: build test
 # service/observability surface (race-all), a one-shot benchmark
 # smoke, the fault-injection smoke, the sanitized executions, the tier-1
 # gate, and the repository benchmark's own tests. The daemon's end-to-end,
-# restart-resume, crash-recovery soak and chaos checks are tier-1 tests in
-# internal/service. (CI additionally runs fuzz-smoke, kept out of verify so
-# the local gate stays fast.)
+# restart-resume and crash-recovery soak checks, and the soak behind the
+# test-only chaos middleware, are tier-1 tests in internal/service. (CI
+# additionally runs fuzz-smoke, kept out of verify so the local gate stays
+# fast.)
 verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke sanitize
 
 clean:

@@ -6,13 +6,13 @@
 // Usage:
 //
 //	autopiped [-addr 127.0.0.1:7180] [-store DIR] [-workers N] \
-//	          [-rate N] [-burst N] [-queue-wait 2s] [-chaos plan.json] \
+//	          [-rate N] [-burst N] [-queue-wait 2s] \
 //	          [-parallelism N] [-timeout 30s] [-cpuprofile p] [-memprofile p]
 //
 // It serves until SIGINT/SIGTERM, then drains: unfinished persisted jobs
-// revert to pending so the next start re-runs them. -chaos wraps the HTTP API
-// in seeded fault injection. The service's checks (cache, singleflight,
-// restart-resume, crash-recovery soak) are tests in internal/service.
+// revert to pending so the next start re-runs them. The service's checks
+// (cache, singleflight, restart-resume, the crash-recovery soak with and
+// without seeded HTTP chaos) are tests in internal/service.
 package main
 
 import (
@@ -58,14 +58,6 @@ func main() {
 
 // serve runs the daemon until SIGINT/SIGTERM, then drains.
 func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDepth, cacheEntries int) error {
-	var plan *service.ChaosPlan
-	if sf.Chaos != "" {
-		p, err := service.LoadChaos(sf.Chaos)
-		if err != nil {
-			return err
-		}
-		plan = p
-	}
 	srv, err := service.New(service.Config{
 		Parallelism:  pf.Parallelism,
 		Workers:      workers,
@@ -87,10 +79,7 @@ func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDep
 	if err != nil {
 		return fmt.Errorf("autopiped: listen: %w", err)
 	}
-	hs := &http.Server{Handler: service.Chaos(srv.Handler(), plan, srv.Registry())}
-	if plan != nil {
-		fmt.Printf("autopiped: chaos plan %q armed (seed=%d, %d rules)\n", plan.Name, plan.Seed, len(plan.Chaos))
-	}
+	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Printf("autopiped: serving on http://%s (store=%s, workers=%d)\n",

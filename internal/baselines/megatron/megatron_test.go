@@ -74,12 +74,15 @@ func TestInterleavedTimesStructure(t *testing.T) {
 		t.Fatalf("interleaved virt stages = %d, want 8", len(f))
 	}
 	// Total compute is preserved.
-	var totalF float64
+	var totalF, modelF float64
 	for _, v := range f {
 		totalF += v
 	}
-	if math.Abs(totalF-bl.TotalFwd()) > 1e-9*totalF {
-		t.Errorf("virtual forwards sum to %v, model total %v", totalF, bl.TotalFwd())
+	for _, blk := range bl.List {
+		modelF += blk.Fwd
+	}
+	if math.Abs(totalF-modelF) > 1e-9*totalF {
+		t.Errorf("virtual forwards sum to %v, model total %v", totalF, modelF)
 	}
 	// Each virtual stage holds 3 layers.
 	for s, c := range part.LayerCounts(bl) {

@@ -1,9 +1,10 @@
 // Package cliutil provides the flag handling shared by the repository's
 // commands: autopipe, pipesim, experiments, and autopiped all register
-// their common flags here, so -parallelism, -timeout, the profiling
-// flags, and the daemon's -addr/-store mean the same thing everywhere.
-// Parsed values resolve into a planning context, engine options, or daemon
-// configuration.
+// their common flags here, so -parallelism, -timeout and the profiling
+// flags mean the same thing everywhere. The daemon's flags (-addr, -store
+// and the -rate/-burst/-queue-wait admission controls) live here too; it
+// has no fault- or chaos-injection flag. Parsed values resolve into a
+// planning context, engine options, or daemon configuration.
 package cliutil
 
 import (
@@ -71,8 +72,7 @@ func RegisterExec(fs *flag.FlagSet) *ExecFlags {
 	return ef
 }
 
-// ServiceFlags holds the parsed values of the shared daemon flags, used by
-// commands that run or address an autopiped instance.
+// ServiceFlags holds the parsed values of the autopiped daemon's flags.
 type ServiceFlags struct {
 	// Addr is the listen (or target) address for the HTTP API.
 	Addr string
@@ -86,9 +86,6 @@ type ServiceFlags struct {
 	// QueueWait bounds how long an admitted submit may wait for a queue slot
 	// before being shed with 503; 0 sheds immediately on a full queue.
 	QueueWait time.Duration
-	// Chaos is a chaos-plan JSON file wrapped around the HTTP handler; empty
-	// means no injection.
-	Chaos string
 }
 
 // RegisterService installs the shared daemon flags on fs (before fs.Parse).
@@ -99,7 +96,6 @@ func RegisterService(fs *flag.FlagSet) *ServiceFlags {
 	fs.Float64Var(&sf.Rate, "rate", 0, "admission rate limit in submits/sec, rejected with 429 + Retry-After (0 = unlimited)")
 	fs.IntVar(&sf.Burst, "burst", 0, "admission burst size above -rate (0 = max(1, rate))")
 	fs.DurationVar(&sf.QueueWait, "queue-wait", 0, "how long a submit may wait for a queue slot before 503 + Retry-After (0 = shed immediately)")
-	fs.StringVar(&sf.Chaos, "chaos", "", "chaos-plan JSON file injected around the HTTP API (empty = no chaos)")
 	return sf
 }
 

@@ -46,8 +46,11 @@ type Options struct {
 	// overshot by one wave — and the truncated search still returns the best
 	// plan found, deterministically.
 	Budget int
-	// Obs, when non-nil, receives search telemetry: per-depth counters under
-	// "planner.p<depth>.*" and engine-level metrics under "planner.engine.*".
+	// Obs, when non-nil, receives search telemetry: per-depth metrics under
+	// "planner.p<depth>.*" (Telemetry.Publish: candidate and accepted-move
+	// counters, gauges for the final iteration time and the seed, adjust and
+	// move phase times, and a convergence histogram) and engine-level metrics
+	// under "planner.engine.*".
 	Obs *obs.Registry
 }
 

@@ -10,14 +10,14 @@ import (
 )
 
 // sanitizedRunAllocs is the allocation count of one sanitized exec.Run of
-// 1F1B p8 m32 with a sinkless registry attached, setup included, measured
+// 1F1B p8 m32 with a metrics registry attached, setup included, measured
 // with go1.24 on linux/amd64.
-const sanitizedRunAllocs = 830
+const sanitizedRunAllocs = 829
 
 // TestSanitizedRunAllocsPinned pins the one-shot executor in the production
 // -sanitize configuration: validation, the dependency graph, the sanitizer's
-// tables and the event loop, with the registry attached but sinkless so
-// emission costs nothing. A new allocation on any of those paths fails it.
+// tables and the event loop, with the registry attached. A new allocation on
+// any of those paths fails it.
 // (The race detector's instrumentation changes allocation counts, so -race
 // skips this file.)
 func TestSanitizedRunAllocsPinned(t *testing.T) {

@@ -79,8 +79,8 @@ func BenchmarkRunInterleaved(b *testing.B) {
 }
 
 // BenchmarkRunReuse measures the steady-state Runner: working state retained
-// across iterations, sanitizer on (TestMain forces it), registry attached but
-// sinkless. One warmup run before the timer so even a single measured
+// across iterations, sanitizer on (TestMain forces it), registry attached.
+// One warmup run before the timer so even a single measured
 // iteration (-benchtime 1x, the CI compare configuration) sees the
 // steady state — which must be allocation-free, as
 // TestRunnerReuseAllocationFree pins.
@@ -106,9 +106,8 @@ func BenchmarkRunReuse(b *testing.B) {
 }
 
 // BenchmarkRunObserved measures the executor with a metrics registry
-// attached (counters, gauges, and the run span) but no event sink — the
-// configuration the CLIs and the daemon run with, where emission must cost
-// nothing.
+// attached (counters, gauges, and the run histogram) — the configuration the
+// CLIs and the daemon run with.
 func BenchmarkRunObserved(b *testing.B) {
 	p, m := 8, 32
 	s, err := schedule.OneFOneB(p, m)

@@ -342,15 +342,11 @@ func (r *Runner) deliver(op schedule.Op, end float64) error {
 }
 
 // observeRun records the run duration into the "exec.run.seconds" histogram
-// and emits an "exec.run" event when a sink is installed — the same telemetry
-// a span would produce, without the per-run span allocation.
+// — the same telemetry a span would produce, without the per-run span
+// allocation.
 func observeRun(reg *obs.Registry, sw obs.Stopwatch) {
 	if reg == nil {
 		return
 	}
-	secs := sw.Elapsed().Seconds()
-	reg.Histogram("exec.run.seconds").Observe(secs)
-	if reg.HasSink() {
-		reg.Emit("exec.run", obs.Fields{"seconds": secs})
-	}
+	reg.Histogram("exec.run.seconds").Observe(sw.Elapsed().Seconds())
 }

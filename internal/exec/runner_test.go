@@ -11,7 +11,7 @@ import (
 // allocations per run on inputs that take the event loop's other branches:
 // fewer micro-batches than stages, sliced forwards with their NoSend/AggSend
 // pairs, and interleaved virtual stages. The sanitizer is on (TestMain forces
-// it) and a sinkless registry is attached. The sanitized case also sets
+// it) and a metrics registry is attached. The sanitized case also sets
 // Config.Sanitize, the production -sanitize configuration.
 func TestRunnerReuseAllocationFree(t *testing.T) {
 	must := func(s *schedule.Schedule, err error) *schedule.Schedule {

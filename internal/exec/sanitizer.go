@@ -278,63 +278,3 @@ func (z *Sanitizer) finish() error {
 	}
 	return nil
 }
-
-// SanitizeResult replays a finished execution through the same happens-before
-// checks Run applies live, so a Result can be audited (or deliberately
-// tampered with, in tests) after the fact. Ops are replayed in dependency
-// order — the order the event loop must have executed them in — then every
-// transfer in recorded order, then the end-of-iteration invariants. A clean
-// trace returns nil; any violation wraps errdefs.ErrInternal.
-func SanitizeResult(s *schedule.Schedule, cfg Config, r *Result) error {
-	z, err := newSanitizer(s, cfg)
-	if err != nil {
-		return err
-	}
-	if len(r.Traces) != s.Devices {
-		return z.violation("result has %d device traces, schedule has %d devices", len(r.Traces), s.Devices)
-	}
-	remaining := 0
-	for _, traces := range r.Traces {
-		remaining += len(traces)
-	}
-	for remaining > 0 {
-		progressed := false
-		for d := range r.Traces {
-			for z.nextIdx[d] < len(r.Traces[d]) && z.ready(d, z.nextIdx[d]) {
-				if err := z.checkOp(r.Traces[d][z.nextIdx[d]]); err != nil {
-					return err
-				}
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed {
-			for d := range r.Traces {
-				if i := z.nextIdx[d]; i < len(r.Traces[d]) {
-					return z.violation("replay stuck: %v (device %d) waits on a dependency the trace never completes",
-						r.Traces[d][i].Op, d)
-				}
-			}
-			break
-		}
-	}
-	for _, m := range r.Msgs {
-		if err := z.checkMsg(m); err != nil {
-			return err
-		}
-	}
-	return z.finish()
-}
-
-// ready reports whether every dependency of device d's op i has been replayed.
-func (z *Sanitizer) ready(d, i int) bool {
-	if i >= len(z.s.Ops[d]) {
-		return true // out-of-range traces fall through to checkOp's report
-	}
-	for _, p := range z.deps.Preds(z.deps.ID(schedule.OpRef{Device: d, Index: i})) {
-		if !z.seen[p] {
-			return false
-		}
-	}
-	return true
-}

@@ -57,7 +57,7 @@ func TestSanitizerAcceptsCleanRuns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sanitized run: %v", err)
 			}
-			if err := SanitizeResult(s, cfg, r); err != nil {
+			if err := sanitizeResult(s, cfg, r); err != nil {
 				t.Fatalf("clean trace replay: %v", err)
 			}
 		})
@@ -85,7 +85,7 @@ func TestSanitizeResultForgedDependency(t *testing.T) {
 	forged.End = forged.Start + (r.Traces[1][0].End - r.Traces[1][0].Start)
 	r.Traces[1][0] = forged
 
-	err = SanitizeResult(s, cfg, r)
+	err = sanitizeResult(s, cfg, r)
 	if !errors.Is(err, errdefs.ErrInternal) {
 		t.Fatalf("forged dependency: err = %v, want errdefs.ErrInternal", err)
 	}
@@ -126,7 +126,7 @@ func TestSanitizeResultForgedLinkOverlap(t *testing.T) {
 	if n != 2 {
 		t.Fatal("expected at least two 0->1 transfers")
 	}
-	err = SanitizeResult(s, cfg, r)
+	err = sanitizeResult(s, cfg, r)
 	if !errors.Is(err, errdefs.ErrInternal) {
 		t.Fatalf("overlapping link transfers: err = %v, want errdefs.ErrInternal", err)
 	}
@@ -154,7 +154,7 @@ func TestSanitizeResultForgedLatency(t *testing.T) {
 			break
 		}
 	}
-	if err := SanitizeResult(s, cfg, r); !errors.Is(err, errdefs.ErrInternal) {
+	if err := sanitizeResult(s, cfg, r); !errors.Is(err, errdefs.ErrInternal) {
 		t.Fatalf("sub-latency arrival: err = %v, want errdefs.ErrInternal", err)
 	}
 }
@@ -172,7 +172,7 @@ func TestSanitizeResultForgedIssueOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Traces[0][0], r.Traces[0][1] = r.Traces[0][1], r.Traces[0][0]
-	if err := SanitizeResult(s, cfg, r); !errors.Is(err, errdefs.ErrInternal) {
+	if err := sanitizeResult(s, cfg, r); !errors.Is(err, errdefs.ErrInternal) {
 		t.Fatalf("swapped issue order: err = %v, want errdefs.ErrInternal", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestSanitizeResultTruncatedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Traces[1] = r.Traces[1][:len(r.Traces[1])-1]
-	err = SanitizeResult(s, cfg, r)
+	err = sanitizeResult(s, cfg, r)
 	if !errors.Is(err, errdefs.ErrInternal) {
 		t.Fatalf("truncated trace: err = %v, want errdefs.ErrInternal", err)
 	}
@@ -216,4 +216,64 @@ func TestSanitizerActiveUnderFaults(t *testing.T) {
 	if _, err := Run(s, cfg); err != nil {
 		t.Fatalf("sanitized faulty run: %v", err)
 	}
+}
+
+// sanitizeResult replays a finished execution through the same happens-before
+// checks Run applies live, so a deliberately tampered Result can be audited
+// after the fact. Ops are replayed in dependency order — the order the event
+// loop must have executed them in — then every transfer in recorded order,
+// then the end-of-iteration invariants. A clean trace returns nil; any
+// violation wraps errdefs.ErrInternal.
+func sanitizeResult(s *schedule.Schedule, cfg Config, r *Result) error {
+	z, err := newSanitizer(s, cfg)
+	if err != nil {
+		return err
+	}
+	if len(r.Traces) != s.Devices {
+		return z.violation("result has %d device traces, schedule has %d devices", len(r.Traces), s.Devices)
+	}
+	remaining := 0
+	for _, traces := range r.Traces {
+		remaining += len(traces)
+	}
+	for remaining > 0 {
+		progressed := false
+		for d := range r.Traces {
+			for z.nextIdx[d] < len(r.Traces[d]) && z.ready(d, z.nextIdx[d]) {
+				if err := z.checkOp(r.Traces[d][z.nextIdx[d]]); err != nil {
+					return err
+				}
+				remaining--
+				progressed = true
+			}
+		}
+		if !progressed {
+			for d := range r.Traces {
+				if i := z.nextIdx[d]; i < len(r.Traces[d]) {
+					return z.violation("replay stuck: %v (device %d) waits on a dependency the trace never completes",
+						r.Traces[d][i].Op, d)
+				}
+			}
+			break
+		}
+	}
+	for _, m := range r.Msgs {
+		if err := z.checkMsg(m); err != nil {
+			return err
+		}
+	}
+	return z.finish()
+}
+
+// ready reports whether every dependency of device d's op i has been replayed.
+func (z *Sanitizer) ready(d, i int) bool {
+	if i >= len(z.s.Ops[d]) {
+		return true // out-of-range traces fall through to checkOp's report
+	}
+	for _, p := range z.deps.Preds(z.deps.ID(schedule.OpRef{Device: d, Index: i})) {
+		if !z.seen[p] {
+			return false
+		}
+	}
+	return true
 }

@@ -33,17 +33,13 @@ type TraceOptions struct {
 	Schedule *schedule.Schedule
 }
 
-// WriteChromeTrace emits the executed timeline in the Chrome trace-event
+// WriteChromeTraceWith emits the executed timeline in the Chrome trace-event
 // JSON format: one named thread per device, phase-categorized complete
 // events for every op, flow arrows connecting each cross-stage send to its
-// consumer(s), and counter tracks for per-link in-flight messages. Events
-// are sorted by (pid, tid, ts) with metadata first, and the document carries
-// displayTimeUnit "ms". Open the file in chrome://tracing or ui.perfetto.dev.
-func (r *Result) WriteChromeTrace(w io.Writer) error {
-	return r.WriteChromeTraceWith(w, TraceOptions{})
-}
-
-// WriteChromeTraceWith is WriteChromeTrace plus the optional extras in opts.
+// consumer(s), counter tracks for per-link in-flight messages, and the
+// optional extras in opts. Events are sorted by (pid, tid, ts) with metadata
+// first, and the document carries displayTimeUnit "ms". Open the file in
+// chrome://tracing or ui.perfetto.dev.
 func (r *Result) WriteChromeTraceWith(w io.Writer, opts TraceOptions) error {
 	events := []chromeEvent{
 		{Name: "process_name", Ph: "M", Args: map[string]any{"name": "pipeline cluster"}},

@@ -44,7 +44,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := r.WriteChromeTrace(&sb); err != nil {
+	if err := r.WriteChromeTraceWith(&sb, TraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var doc traceDoc

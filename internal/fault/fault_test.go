@@ -186,7 +186,7 @@ func TestInjectorEmitsObsEvents(t *testing.T) {
 	plan := &Plan{Faults: []Fault{{Kind: Straggler, At: 0, Device: 0, Factor: 3}}}
 	in := New(plan, reg)
 	in.ComputeScale(0, 1)
-	in.ComputeScale(0, 2) // second activation must not re-emit
+	in.ComputeScale(0, 2) // second activation must not count again
 	snap := reg.Snapshot()
 	if got := snap.Counters["fault.injected"]; got != 1 {
 		t.Errorf("fault.injected = %g, want 1", got)

@@ -14,23 +14,22 @@ import (
 // concurrent use and every decision is a pure function of (plan, seed,
 // query history), never of wall-clock time or goroutine interleaving.
 //
-// Each fault emits one "fault.<kind>" obs event (and bumps the
-// "fault.injected" counter) the first time it affects execution, so an
-// injected fault is always visible in traces and metrics instead of
-// silently distorting timings.
+// Each fault bumps the "fault.injected" counter the first time it affects
+// execution, so an injected fault is always visible in the metrics instead
+// of silently distorting timings.
 type Injector struct {
 	plan *Plan
 	reg  *obs.Registry
 
 	mu       sync.Mutex
-	fired    []bool         // one obs event per fault
+	fired    []bool         // whether each fault has affected execution yet
 	dropLeft []int          // remaining count-mode drops, per fault
 	attempts map[uint64]int // per-(fault,message) attempt counters for Prob drops
 }
 
-// New builds an injector for the plan, reporting per-fault events into reg
-// (both may be nil: a nil plan injects nothing, a nil registry disables
-// events).
+// New builds an injector for the plan, counting first activations into reg
+// (both may be nil: a nil plan injects nothing, a nil registry counts
+// nothing).
 func New(p *Plan, reg *obs.Registry) *Injector {
 	inj := &Injector{plan: p, reg: reg}
 	if p != nil {
@@ -58,22 +57,16 @@ func (in *Injector) Plan() *Plan {
 	return in.plan
 }
 
-// emit reports fault i's first activation.
-func (in *Injector) emit(i int, fields obs.Fields) {
+// fire records that fault i affected execution, counting its first
+// activation.
+func (in *Injector) fire(i int) {
 	if in.fired[i] {
 		return
 	}
 	in.fired[i] = true
-	if in.reg == nil {
-		return
+	if in.reg != nil {
+		in.reg.Counter("fault.injected").Inc()
 	}
-	f := &in.plan.Faults[i]
-	if fields == nil {
-		fields = obs.Fields{}
-	}
-	fields["at"] = f.At
-	in.reg.Counter("fault.injected").Inc()
-	in.reg.Emit("fault."+string(f.Kind), fields)
 }
 
 // ComputeScale returns the compute-time multiplier for an operation launched
@@ -91,7 +84,7 @@ func (in *Injector) ComputeScale(dev int, at float64) float64 {
 		f := &in.plan.Faults[i]
 		if f.Kind == Straggler && f.Device == dev && f.active(at) {
 			scale *= f.Factor
-			in.emit(i, obs.Fields{"device": dev, "factor": f.Factor})
+			in.fire(i)
 		}
 	}
 	return scale
@@ -110,7 +103,7 @@ func (in *Injector) LinkFactor(from, to int, at float64) float64 {
 		f := &in.plan.Faults[i]
 		if f.Kind == LinkDegrade && f.onLink(from, to) && f.active(at) {
 			scale *= f.Factor
-			in.emit(i, obs.Fields{"from": f.From, "to": f.To, "factor": f.Factor})
+			in.fire(i)
 		}
 	}
 	return scale
@@ -131,7 +124,7 @@ func (in *Injector) LinkBlocked(from, to int, at float64) (until float64, blocke
 		if f.Kind != LinkFlap || !f.onLink(from, to) || !f.active(at) {
 			continue
 		}
-		in.emit(i, obs.Fields{"from": f.From, "to": f.To, "duration": f.Duration})
+		in.fire(i)
 		if f.Duration <= 0 {
 			return 0, true, true
 		}
@@ -163,14 +156,14 @@ func (in *Injector) DropAttempt(from, to int, at float64, key uint64) bool {
 			n := in.attempts[ak]
 			in.attempts[ak] = n + 1
 			if unit(in.plan.Seed, uint64(i), key, uint64(n)) < f.Prob {
-				in.emit(i, obs.Fields{"from": f.From, "to": f.To, "prob": f.Prob})
+				in.fire(i)
 				return true
 			}
 			continue
 		}
 		if in.dropLeft[i] > 0 {
 			in.dropLeft[i]--
-			in.emit(i, obs.Fields{"from": f.From, "to": f.To, "count": f.Count})
+			in.fire(i)
 			return true
 		}
 	}
@@ -192,7 +185,7 @@ func (in *Injector) Crashed(dev int, at float64) (since float64, dead bool) {
 			if !dead || f.At < since {
 				since, dead = f.At, true
 			}
-			in.emit(i, obs.Fields{"device": dev})
+			in.fire(i)
 		}
 	}
 	return since, dead
@@ -210,7 +203,7 @@ func (in *Injector) OOMAt(dev int, at float64) bool {
 	for i := range in.plan.Faults {
 		f := &in.plan.Faults[i]
 		if f.Kind == DeviceOOM && f.Device == dev && f.active(at) && !in.fired[i] {
-			in.emit(i, obs.Fields{"device": dev})
+			in.fire(i)
 			return true
 		}
 	}

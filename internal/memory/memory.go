@@ -134,15 +134,6 @@ func StageEstimate(bl *model.Blocks, part partition.Partition, stage, m int, sch
 	}
 }
 
-// PipelineEstimate returns the footprint of every stage.
-func PipelineEstimate(bl *model.Blocks, part partition.Partition, m int, sched Schedule, chunks int) []Estimate {
-	out := make([]Estimate, part.Stages())
-	for s := range out {
-		out[s] = StageEstimate(bl, part, s, m, sched, chunks)
-	}
-	return out
-}
-
 // Fits reports whether every stage of the pipeline fits in the device
 // memory, and if not, the first offending stage.
 func Fits(bl *model.Blocks, part partition.Partition, m int, sched Schedule, chunks int, dev config.Device) (bool, Estimate) {
@@ -153,16 +144,4 @@ func Fits(bl *model.Blocks, part partition.Partition, m int, sched Schedule, chu
 		}
 	}
 	return true, Estimate{}
-}
-
-// MaxEstimate returns the largest per-stage footprint of the pipeline.
-func MaxEstimate(bl *model.Blocks, part partition.Partition, m int, sched Schedule, chunks int) Estimate {
-	var worst Estimate
-	for s := 0; s < part.Stages(); s++ {
-		e := StageEstimate(bl, part, s, m, sched, chunks)
-		if e.Total() > worst.Total() {
-			worst = e
-		}
-	}
-	return worst
 }

@@ -9,6 +9,26 @@ import (
 	"autopipe/internal/partition"
 )
 
+// pipelineEstimate returns the footprint of every stage.
+func pipelineEstimate(bl *model.Blocks, part partition.Partition, m int, sched Schedule, chunks int) []Estimate {
+	out := make([]Estimate, part.Stages())
+	for s := range out {
+		out[s] = StageEstimate(bl, part, s, m, sched, chunks)
+	}
+	return out
+}
+
+// maxEstimate returns the largest per-stage footprint of the pipeline.
+func maxEstimate(bl *model.Blocks, part partition.Partition, m int, sched Schedule, chunks int) Estimate {
+	var worst Estimate
+	for _, e := range pipelineEstimate(bl, part, m, sched, chunks) {
+		if e.Total() > worst.Total() {
+			worst = e
+		}
+	}
+	return worst
+}
+
 func build(t *testing.T, m config.Model, mbs int) *model.Blocks {
 	t.Helper()
 	cl := config.DefaultCluster()
@@ -99,7 +119,7 @@ func TestPaperMemoryBoundaries(t *testing.T) {
 			}
 			ok, worst := Fits(bl, part, tc.m, tc.sched, tc.chunk, dev)
 			if ok != tc.fit {
-				all := PipelineEstimate(bl, part, tc.m, tc.sched, tc.chunk)
+				all := pipelineEstimate(bl, part, tc.m, tc.sched, tc.chunk)
 				t.Errorf("Fits = %v, want %v (worst %v)\nall: %v", ok, tc.fit, worst, all)
 			}
 		})
@@ -149,8 +169,8 @@ func TestStageEstimateMonotoneInMicroBatch(t *testing.T) {
 
 func TestDeeperPipelineNeedsLessMemoryPerStage(t *testing.T) {
 	bl := build(t, config.GPT2_1_3B(), 16)
-	worst2 := MaxEstimate(bl, balanced(t, bl, 2), 8, OneFOneB, 1)
-	worst4 := MaxEstimate(bl, balanced(t, bl, 4), 8, OneFOneB, 1)
+	worst2 := maxEstimate(bl, balanced(t, bl, 2), 8, OneFOneB, 1)
+	worst4 := maxEstimate(bl, balanced(t, bl, 4), 8, OneFOneB, 1)
 	if worst4.Total() >= worst2.Total() {
 		t.Errorf("4-stage worst %v not smaller than 2-stage worst %v", worst4.Total(), worst2.Total())
 	}

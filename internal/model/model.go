@@ -174,16 +174,6 @@ func (bl *Blocks) TotalParams() int64 {
 	return p
 }
 
-// TotalFwd returns the forward time of one micro-batch through the whole
-// model — the paper's estimate of the Warmup phase overhead.
-func (bl *Blocks) TotalFwd() float64 {
-	var t float64
-	for _, b := range bl.List {
-		t += b.Fwd
-	}
-	return t
-}
-
 // String renders a compact description of the block array.
 func (bl *Blocks) String() string {
 	var sb strings.Builder

@@ -32,13 +32,6 @@ func NewCausalSelfAttention(name string, hidden, heads int, rng *tensor.RNG) *Ca
 	}
 }
 
-// NewBidirectionalSelfAttention builds BERT-style unmasked attention.
-func NewBidirectionalSelfAttention(name string, hidden, heads int, rng *tensor.RNG) *CausalSelfAttention {
-	a := NewCausalSelfAttention(name, hidden, heads, rng)
-	a.Bidirectional = true
-	return a
-}
-
 // limit returns the last attendable position (inclusive) for query i.
 func (a *CausalSelfAttention) limit(i, S int) int {
 	if a.Bidirectional {

@@ -15,15 +15,6 @@ type Checkpointed struct {
 // Checkpoint wraps m.
 func Checkpoint(m Module) *Checkpointed { return &Checkpointed{Inner: m} }
 
-// CheckpointAll wraps every module of a model.
-func CheckpointAll(mods []Module) []Module {
-	out := make([]Module, len(mods))
-	for i, m := range mods {
-		out[i] = Checkpoint(m)
-	}
-	return out
-}
-
 type ckptCtx struct{ x *tensor.Tensor }
 
 // Forward implements Module: it runs the inner forward but keeps only the

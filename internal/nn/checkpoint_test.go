@@ -7,6 +7,15 @@ import (
 	"autopipe/internal/tensor"
 )
 
+// checkpointAll wraps every module of a model.
+func checkpointAll(mods []Module) []Module {
+	out := make([]Module, len(mods))
+	for i, m := range mods {
+		out[i] = Checkpoint(m)
+	}
+	return out
+}
+
 // TestCheckpointedGradientsIdentical: recompute-then-backprop must produce
 // bitwise-identical gradients to the plain backward (the computation is
 // deterministic, so re-running the forward reproduces the activations
@@ -15,7 +24,7 @@ import (
 func TestCheckpointedGradientsIdentical(t *testing.T) {
 	cfg := TinyGPT()
 	plain := BuildGPT(cfg)
-	wrapped := CheckpointAll(BuildGPT(cfg)) // same seed -> same weights
+	wrapped := checkpointAll(BuildGPT(cfg)) // same seed -> same weights
 
 	rng := tensor.NewRNG(21)
 	B, S := 2, 5

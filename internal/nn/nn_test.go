@@ -261,7 +261,8 @@ func TestBuildGPTStructure(t *testing.T) {
 
 func TestBidirectionalAttention(t *testing.T) {
 	rng := tensor.NewRNG(31)
-	a := NewBidirectionalSelfAttention("attn", 8, 2, rng)
+	a := NewCausalSelfAttention("attn", 8, 2, rng)
+	a.Bidirectional = true
 	for _, p := range a.Params() {
 		p.W.ScaleInPlace(10)
 	}

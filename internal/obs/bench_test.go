@@ -7,8 +7,7 @@ import (
 
 // The registry sits on every hot path (exec event loop, planner engine
 // waves), so its per-update cost is measured here; the allocation-free
-// update and sinkless-emit paths are pinned by TestRegistryUpdateAllocsPinned
-// and TestEmitNoSinkAllocsNothing.
+// update path is pinned by TestRegistryUpdateAllocsPinned.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	r := NewRegistry()
@@ -27,18 +26,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i&1023) * 1e-6)
-	}
-}
-
-// BenchmarkEmitNoSink is the no-sink emission fast path; allocs/op must stay
-// at zero (TestEmitNoSinkAllocsNothing gates it, this measures it).
-func BenchmarkEmitNoSink(b *testing.B) {
-	r := NewRegistry()
-	fields := Fields{"device": 3, "seconds": 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Emit("bench.event", fields)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package obs is a dependency-free observability kit for the reproduction:
 // named counters, gauges, and histograms collected in a Registry, wall-clock
-// spans, and a structured event stream with pluggable JSON/text encoders.
+// spans, and the Prometheus text exposition of a registry snapshot.
 //
 // The paper's claims are timing-shape claims — startup halved by micro-batch
 // slicing, Cooldown bubbles flattened by the planner — so the rest of the
@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -181,21 +180,17 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	return h.max
 }
 
-// Registry is a namespace of metrics plus an optional event sink. The zero
-// value is not usable; call NewRegistry.
+// Registry is a namespace of metrics. The zero value is not usable; call
+// NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	sink     Sink
-	// hasSink mirrors sink != nil so the emission hot path can bail out
-	// without taking the lock (or allocating anything at all).
-	hasSink atomic.Bool
-	now     func() time.Time
+	now      func() time.Time
 }
 
-// NewRegistry returns an empty registry with no event sink.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
@@ -241,40 +236,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetSink installs the event sink; nil disables event emission.
-func (r *Registry) SetSink(s Sink) {
-	r.mu.Lock()
-	r.sink = s
-	r.hasSink.Store(s != nil)
-	r.mu.Unlock()
-}
-
-// HasSink reports whether an event sink is installed. Emission call sites on
-// hot paths check it before building a Fields map, so a registry with no sink
-// costs nothing per event.
-func (r *Registry) HasSink() bool { return r.hasSink.Load() }
-
-// Emit sends a structured event to the sink, if one is installed. Fields are
-// shallow-copied so callers may reuse their map. With no sink installed the
-// call allocates nothing and returns immediately; TestEmitNoSinkAllocsNothing
-// pins that path at 0 allocs/op.
-func (r *Registry) Emit(name string, fields Fields) {
-	if !r.hasSink.Load() {
-		return
-	}
-	r.mu.Lock()
-	sink, now := r.sink, r.now()
-	r.mu.Unlock()
-	if sink == nil {
-		return
-	}
-	cp := make(Fields, len(fields))
-	for k, v := range fields {
-		cp[k] = v
-	}
-	sink.Emit(Event{Time: now, Name: name, Fields: cp})
-}
-
 // Span is an in-flight wall-clock measurement started by StartSpan.
 type Span struct {
 	reg   *Registry
@@ -283,7 +244,7 @@ type Span struct {
 }
 
 // StartSpan begins timing name. End records the duration into the histogram
-// "<name>.seconds" and emits a "<name>" event with the duration.
+// "<name>.seconds".
 func (r *Registry) StartSpan(name string) *Span {
 	return &Span{reg: r, name: name, start: r.now()}
 }
@@ -292,9 +253,6 @@ func (r *Registry) StartSpan(name string) *Span {
 func (s *Span) End() time.Duration {
 	d := s.reg.now().Sub(s.start)
 	s.reg.Histogram(s.name + ".seconds").Observe(d.Seconds())
-	if s.reg.HasSink() {
-		s.reg.Emit(s.name, Fields{"seconds": d.Seconds()})
-	}
 	return d
 }
 
@@ -337,8 +295,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// String renders the snapshot as sorted "name value" lines (the text
-// encoding; WriteJSON/WriteText live in encode.go).
+// String renders the snapshot as sorted "kind name value" lines, the text
+// encoding; WritePrometheus in prom.go is the exposition format, and the
+// struct tags give the JSON encoding.
 func (s Snapshot) String() string {
 	out := ""
 	for _, k := range sortedKeys(s.Counters) {

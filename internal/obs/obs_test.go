@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -84,23 +83,19 @@ func TestSnapshotEncoders(t *testing.T) {
 	r.Histogram("c.lat").Observe(0.5)
 	snap := r.Snapshot()
 
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var round Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
+	if err := json.Unmarshal(data, &round); err != nil {
 		t.Fatal(err)
 	}
 	if round.Counters["a.ops"] != 7 || round.Gauges["b.depth"] != 4 || round.Histograms["c.lat"].Count != 1 {
 		t.Errorf("round-trip mismatch: %+v", round)
 	}
 
-	buf.Reset()
-	if err := snap.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
+	text := snap.String()
 	for _, want := range []string{"counter a.ops 7", "gauge b.depth 4", "histogram c.lat count=1"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text encoding missing %q:\n%s", want, text)
@@ -108,10 +103,10 @@ func TestSnapshotEncoders(t *testing.T) {
 	}
 }
 
+// TestSpanAndEvents checks that a span measures with the registry's clock and
+// records its duration into "<name>.seconds".
 func TestSpanAndEvents(t *testing.T) {
 	r := NewRegistry()
-	sink := &MemorySink{}
-	r.SetSink(sink)
 	// Deterministic clock: each call advances 1ms.
 	var ticks int
 	r.now = func() time.Time {
@@ -123,35 +118,7 @@ func TestSpanAndEvents(t *testing.T) {
 	if d != time.Millisecond {
 		t.Errorf("span duration = %v, want 1ms", d)
 	}
-	if st := r.Histogram("plan.seconds").Stat(); st.Count != 1 {
-		t.Errorf("span histogram count = %d, want 1", st.Count)
-	}
-	r.Emit("custom", Fields{"k": 1})
-	evs := sink.Events()
-	if len(evs) != 2 || evs[0].Name != "plan" || evs[1].Name != "custom" {
-		t.Fatalf("events = %+v", evs)
-	}
-	if evs[1].Fields["k"] != 1 {
-		t.Errorf("fields not carried: %+v", evs[1])
-	}
-}
-
-func TestSinkEncodings(t *testing.T) {
-	var jb, tb bytes.Buffer
-	js := NewJSONSink(&jb)
-	ts := NewTextSink(&tb)
-	e := Event{Time: time.Unix(1, 0).UTC(), Name: "x", Fields: Fields{"b": 2, "a": 1}}
-	js.Emit(e)
-	ts.Emit(e)
-	var round Event
-	if err := json.Unmarshal(jb.Bytes(), &round); err != nil {
-		t.Fatal(err)
-	}
-	if round.Name != "x" {
-		t.Errorf("json round-trip: %+v", round)
-	}
-	line := tb.String()
-	if !strings.Contains(line, "x a=1 b=2") {
-		t.Errorf("text sink fields not sorted: %q", line)
+	if st := r.Histogram("plan.seconds").Stat(); st.Count != 1 || st.Sum != 0.001 {
+		t.Errorf("span histogram = %+v, want one 1ms sample", st)
 	}
 }

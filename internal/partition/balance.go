@@ -24,24 +24,6 @@ func Balance(weights []float64, p int) (Partition, error) {
 	return t.Partition(len(weights), p)
 }
 
-// BalancePrefix re-balances only the first `stages` stages of part over the
-// block prefix ending at part.Bounds[stages], leaving later bounds intact,
-// and returns part itself when that prefix is already balanced. The
-// heuristic planner does this when it shifts the master stage (paper §III-B
-// step 3: "applies Algorithm 1 to the first i−1 stages"); a search that
-// re-balances many prefixes of one weight array builds one Table and calls
-// its BalancePrefix instead.
-func BalancePrefix(part Partition, weights []float64, stages int) (Partition, error) {
-	if stages <= 0 || stages > part.Stages() {
-		return Partition{}, fmt.Errorf("%w: partition: prefix stages %d out of range [1,%d]", errdefs.ErrBadConfig, stages, part.Stages())
-	}
-	t, err := NewTable(weights[:part.Bounds[stages]], stages)
-	if err != nil {
-		return Partition{}, err
-	}
-	return t.BalancePrefix(part, stages)
-}
-
 // Table is Algorithm 1's dynamic program over one weight array, filled once
 // for every depth up to a maximum:
 //
@@ -143,10 +125,11 @@ func (t *Table) Partition(end, stages int) (Partition, error) {
 	return New(bounds, end)
 }
 
-// BalancePrefix is the table form of the package-level BalancePrefix: part
-// with its first `stages` stages re-balanced over the blocks they hold. Like
-// it, it returns part itself when that prefix is already balanced, and a
-// re-balanced copy otherwise.
+// BalancePrefix returns part with its first `stages` stages re-balanced over
+// the blocks they hold, leaving later bounds intact: part itself when that
+// prefix is already balanced, and a re-balanced copy otherwise. The
+// heuristic planner does this when it shifts the master stage (paper §III-B
+// step 3: "applies Algorithm 1 to the first i−1 stages").
 func (t *Table) BalancePrefix(part Partition, stages int) (Partition, error) {
 	if stages <= 0 || stages > part.Stages() {
 		return Partition{}, fmt.Errorf("%w: partition: prefix stages %d out of range [1,%d]", errdefs.ErrBadConfig, stages, part.Stages())
@@ -169,23 +152,4 @@ func (t *Table) BalancePrefix(part Partition, stages int) (Partition, error) {
 	out := part.Clone()
 	copy(out.Bounds, bounds)
 	return out, nil
-}
-
-// Even returns the Megatron-LM style partition: blocks split into p runs of
-// equal block count (callers arrange the block array so this equals "divide
-// transformer layers evenly"). It returns an error when p does not divide
-// the divisible region evenly, mirroring Megatron's constraint that pipeline
-// depth must be a factor of the layer count.
-func Even(n, p int) (Partition, error) {
-	if p <= 0 || n < p {
-		return Partition{}, fmt.Errorf("partition: cannot evenly split %d blocks into %d stages", n, p)
-	}
-	if n%p != 0 {
-		return Partition{}, fmt.Errorf("partition: %d blocks not divisible by %d stages", n, p)
-	}
-	bounds := make([]int, p+1)
-	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
-	}
-	return New(bounds, n)
 }

@@ -8,6 +8,7 @@ import (
 
 	"autopipe/internal/config"
 	"autopipe/internal/cost"
+	"autopipe/internal/errdefs"
 	"autopipe/internal/model"
 )
 
@@ -139,13 +140,43 @@ func TestBalanceErrors(t *testing.T) {
 	}
 }
 
+// balancePrefix re-balances the first `stages` stages of part with a fresh
+// Algorithm 1 table over just that block prefix: the per-call form of
+// Table.BalancePrefix, which the planner calls on one table for every depth.
+func balancePrefix(part Partition, weights []float64, stages int) (Partition, error) {
+	if stages <= 0 || stages > part.Stages() {
+		return Partition{}, fmt.Errorf("%w: partition: prefix stages %d out of range [1,%d]", errdefs.ErrBadConfig, stages, part.Stages())
+	}
+	t, err := NewTable(weights[:part.Bounds[stages]], stages)
+	if err != nil {
+		return Partition{}, err
+	}
+	return t.BalancePrefix(part, stages)
+}
+
+// even returns the Megatron-LM style partition: n blocks split into p runs
+// of equal block count, or an error when p does not divide n.
+func even(n, p int) (Partition, error) {
+	if p <= 0 || n < p {
+		return Partition{}, fmt.Errorf("partition: cannot evenly split %d blocks into %d stages", n, p)
+	}
+	if n%p != 0 {
+		return Partition{}, fmt.Errorf("partition: %d blocks not divisible by %d stages", n, p)
+	}
+	bounds := make([]int, p+1)
+	for i := 0; i <= p; i++ {
+		bounds[i] = i * n / p
+	}
+	return New(bounds, n)
+}
+
 func TestBalancePrefix(t *testing.T) {
 	weights := []float64{4, 4, 4, 4, 4, 4, 4, 4}
 	part, err := New([]int{0, 1, 4, 6, 8}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reb, err := BalancePrefix(part, weights, 2)
+	reb, err := balancePrefix(part, weights, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +188,13 @@ func TestBalancePrefix(t *testing.T) {
 	if reb.Bounds[2] != 4 || reb.Bounds[3] != 6 || reb.Bounds[4] != 8 {
 		t.Errorf("BalancePrefix disturbed suffix: %v", reb.Bounds)
 	}
-	if _, err := BalancePrefix(part, weights, 0); err == nil {
+	if _, err := balancePrefix(part, weights, 0); err == nil {
 		t.Error("want error for zero prefix stages")
 	}
 }
 
 func TestEven(t *testing.T) {
-	part, err := Even(12, 4)
+	part, err := even(12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +203,7 @@ func TestEven(t *testing.T) {
 			t.Errorf("stage %d has %d blocks, want 3", s, part.Size(s))
 		}
 	}
-	if _, err := Even(10, 4); err == nil {
+	if _, err := even(10, 4); err == nil {
 		t.Error("want error for indivisible block count")
 	}
 }
@@ -192,8 +223,12 @@ func TestStageTimesAndParams(t *testing.T) {
 			t.Errorf("stage %d has non-positive times f=%v b=%v", i, f[i], b[i])
 		}
 	}
-	if math.Abs(totalF-bl.TotalFwd()) > 1e-12*totalF {
-		t.Errorf("stage forwards sum to %v, model total %v", totalF, bl.TotalFwd())
+	var modelF float64
+	for _, blk := range bl.List {
+		modelF += blk.Fwd
+	}
+	if math.Abs(totalF-modelF) > 1e-12*totalF {
+		t.Errorf("stage forwards sum to %v, model total %v", totalF, modelF)
 	}
 	var params int64
 	for _, p := range part.StageParams(bl) {

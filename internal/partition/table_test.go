@@ -54,8 +54,8 @@ func refBalance(weights []float64, p int) []int {
 // TestTableMatchesPerCallBalance is the table's randomized oracle: on 400
 // seeded weight arrays — small integers, so equal-cost splits abound and
 // the smallest-k tie-break decides — every cell's backtrack must equal a
-// fresh per-call program over that prefix and depth, and Balance and
-// BalancePrefix must agree with it too.
+// fresh per-call program over that prefix and depth, and Balance and the
+// per-call balancePrefix must agree with it too.
 func TestTableMatchesPerCallBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
@@ -92,7 +92,7 @@ func TestTableMatchesPerCallBalance(t *testing.T) {
 			t.Fatalf("trial %d: Balance = %v, per-call %v", trial, part.Bounds, want)
 		}
 		for s := 1; s <= maxP; s++ {
-			got, err := BalancePrefix(part, weights, s)
+			got, err := balancePrefix(part, weights, s)
 			if err != nil {
 				t.Fatalf("trial %d: BalancePrefix(%d): %v", trial, s, err)
 			}
@@ -152,7 +152,7 @@ func TestBalanceRejectsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BalancePrefix(part, []float64{1, math.NaN(), 3}, 2); !errors.Is(err, errdefs.ErrBadConfig) {
+	if _, err := balancePrefix(part, []float64{1, math.NaN(), 3}, 2); !errors.Is(err, errdefs.ErrBadConfig) {
 		t.Errorf("BalancePrefix over a NaN weight: err = %v, want ErrBadConfig", err)
 	}
 }
@@ -164,7 +164,7 @@ func TestTableBalancePrefixDeep(t *testing.T) {
 	for i := range weights {
 		weights[i] = float64(1 + i%3)
 	}
-	part, err := Even(80, 40)
+	part, err := even(80, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

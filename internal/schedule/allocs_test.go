@@ -6,7 +6,7 @@ import "testing"
 
 // depGraphAllocs is the allocation count of Dependencies plus Acyclic on
 // 1F1B p16 m64 (2048 ops), measured with go1.24 on linux/amd64.
-const depGraphAllocs = 7938
+const depGraphAllocs = 7937
 
 // TestDepGraphAllocsPinned pins the allocations of building a schedule's
 // dependency graph and running the Kahn check on it: the cost every

@@ -38,15 +38,12 @@ type DepGraph struct {
 	s *Schedule
 	// base[d] is the flat id of device d's first op.
 	base []int
-	// all[id] and data[id] are views into one shared backing array (comb):
-	// all[id] lists every id that must complete before id starts — the
-	// same-device issue-order predecessor (if any) followed by the data
-	// dependencies — and data[id] is the same view minus the issue-order
-	// edge. Sharing one backing keeps Preds allocation-free, which the
-	// sanitizer's per-op happens-before check (the executor's inner loop)
-	// depends on.
+	// all[id] is a view into one shared backing array (comb) listing every
+	// id that must complete before id starts: the same-device issue-order
+	// predecessor (if any) followed by the data dependencies. Sharing one
+	// backing keeps Preds allocation-free, which the sanitizer's per-op
+	// happens-before check (the executor's inner loop) depends on.
 	all   [][]int
-	data  [][]int
 	comb  []int
 	total int
 }
@@ -78,11 +75,6 @@ func (g *DepGraph) NumOps() int { return g.total }
 // the graph's shared backing — read-only, valid for the graph's lifetime,
 // and allocation-free to obtain.
 func (g *DepGraph) Preds(id int) []int { return g.all[id] }
-
-// DataPreds returns only the cross-op data dependencies (activations,
-// gradients, the backward's forward stash), without the issue-order edge.
-// Like Preds, the result is a read-only view into the shared backing.
-func (g *DepGraph) DataPreds(id int) []int { return g.data[id] }
 
 // stashHalves enumerates the half labels a backward's forward stash can
 // carry: an unsliced forward (-1) or either sliced half.
@@ -176,7 +168,7 @@ func (s *Schedule) Dependencies() (*DepGraph, error) {
 	}
 
 	// Flatten into the shared backing: per op, the issue-order edge (if any)
-	// followed by its data dependencies, with all/data as sub-slice views.
+	// followed by its data dependencies, with all as sub-slice views.
 	edges := 0
 	for d := range s.Ops {
 		if n := len(s.Ops[d]); n > 0 {
@@ -188,7 +180,6 @@ func (s *Schedule) Dependencies() (*DepGraph, error) {
 	}
 	g.comb = make([]int, 0, edges)
 	g.all = make([][]int, g.total)
-	g.data = make([][]int, g.total)
 	for d := range s.Ops {
 		for i := range s.Ops[d] {
 			id := g.base[d] + i
@@ -196,10 +187,8 @@ func (s *Schedule) Dependencies() (*DepGraph, error) {
 			if i > 0 {
 				g.comb = append(g.comb, id-1)
 			}
-			dataLo := len(g.comb)
 			g.comb = append(g.comb, preds[id]...)
 			g.all[id] = g.comb[lo:len(g.comb):len(g.comb)]
-			g.data[id] = g.comb[dataLo:len(g.comb):len(g.comb)]
 		}
 	}
 	return g, nil

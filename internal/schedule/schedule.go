@@ -190,15 +190,6 @@ func PhasesOf(ops []Op) []Phase {
 	return out
 }
 
-// Phases classifies every op of the schedule, per device, via PhasesOf.
-func (s *Schedule) Phases() [][]Phase {
-	out := make([][]Phase, len(s.Ops))
-	for d, ops := range s.Ops {
-		out[d] = PhasesOf(ops)
-	}
-	return out
-}
-
 func identity(p int) []int {
 	m := make([]int, p)
 	for i := range m {

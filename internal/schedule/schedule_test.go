@@ -315,16 +315,15 @@ func TestPhasesOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases := s.Phases()
 	// Device 0: F0 F1 F2 | F3 B0 F4 B1 F5 B2 | B3 B4 B5.
 	want0 := []Phase{Warmup, Warmup, Warmup, Steady, Steady, Steady, Steady, Steady, Steady, Cooldown, Cooldown, Cooldown}
-	for i, ph := range phases[0] {
+	for i, ph := range PhasesOf(s.Ops[0]) {
 		if ph != want0[i] {
 			t.Fatalf("1F1B dev 0 op %d (%v): phase %v, want %v", i, s.Ops[0][i], ph, want0[i])
 		}
 	}
 	// Last device alternates from the start: no warmup, no cooldown.
-	for i, ph := range phases[3] {
+	for i, ph := range PhasesOf(s.Ops[3]) {
 		if ph != Steady {
 			t.Errorf("1F1B dev 3 op %d: phase %v, want steady", i, ph)
 		}
@@ -336,7 +335,7 @@ func TestPhasesOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp := g.Phases()[0]
+	gp := PhasesOf(g.Ops[0])
 	want := []Phase{Warmup, Warmup, Warmup, Steady, Steady, Cooldown, Cooldown, Cooldown}
 	for i, ph := range gp {
 		if ph != want[i] {
@@ -350,7 +349,8 @@ func TestPhasesOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops, ph := sl.Ops[0], sl.Phases()[0]
+	ops := sl.Ops[0]
+	ph := PhasesOf(ops)
 	for i, op := range ops {
 		if op.Kind == Bwd {
 			if ph[i-1] != Steady || ph[i-2] != Steady {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +55,21 @@ func TestChaosParseValidation(t *testing.T) {
 				t.Errorf("ParseChaos = %v, want ErrBadConfig", err)
 			}
 		})
+	}
+}
+
+// TestChaosFixtures holds the checked-in chaos plans to the outcomes the
+// root fixture manifest declares for them: testdata/chaos_basic.json must
+// parse, and testdata/reject/chaos_bad_prob.json must be rejected with
+// ErrBadConfig. The parser is test code in this package, so this test, not
+// the manifest, runs it over both files.
+func TestChaosFixtures(t *testing.T) {
+	root := filepath.Join("..", "..", "testdata")
+	if _, err := LoadChaos(filepath.Join(root, "chaos_basic.json")); err != nil {
+		t.Errorf("chaos_basic.json rejected: %v", err)
+	}
+	if _, err := LoadChaos(filepath.Join(root, "reject", "chaos_bad_prob.json")); !errors.Is(err, errdefs.ErrBadConfig) {
+		t.Errorf("chaos_bad_prob.json: got %v, want a rejection wrapping ErrBadConfig", err)
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 // produces, deterministically. A plan plus its seed fully determines every
 // injection decision: probabilistic rules are resolved by a splitmix64 hash
 // of (seed, rule index, request index), never a shared random stream, so a
-// chaotic run replays byte-for-byte.
+// chaotic run replays byte-for-byte. It is test code: TestSoakWithChaos
+// wraps each daemon incarnation with Chaos, and FuzzParseChaos and
+// TestChaosFixtures own the plan format.
 
 // ChaosKind names a failure class of the chaos DSL.
 type ChaosKind string

@@ -295,7 +295,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Registry exposes the server's obs registry (for the chaos middleware and tests).
+// Registry exposes the server's obs registry, for in-process callers that
+// read metrics without scraping /metrics.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Handler returns the daemon's HTTP handler.

@@ -447,16 +447,6 @@ func (r *Result) PhaseWindows() [][2]float64 {
 	return out
 }
 
-// WarmupEstimate returns the paper's closed-form Warmup overhead estimate:
-// the total forward time of one micro-batch plus the cross-stage hops.
-func WarmupEstimate(f []float64, comm float64) float64 {
-	var t float64
-	for _, fx := range f {
-		t += fx
-	}
-	return t + float64(len(f)-1)*comm
-}
-
 // Bubble returns the total idle time across stages within the iteration
 // (makespan*stages minus busy time), a convenience metric for tests and
 // ablations.

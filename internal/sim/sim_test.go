@@ -60,6 +60,16 @@ func TestSimulateStartupIsFirstMicroBatchArrival(t *testing.T) {
 	}
 }
 
+// warmupEstimate is the paper's closed-form Warmup overhead estimate: the
+// total forward time of one micro-batch plus the cross-stage hops.
+func warmupEstimate(f []float64, comm float64) float64 {
+	var t float64
+	for _, fx := range f {
+		t += fx
+	}
+	return t + float64(len(f)-1)*comm
+}
+
 func TestSimulateWarmupEstimateMatchesBalanced(t *testing.T) {
 	// On a perfectly balanced pipeline the paper's Warmup estimate (total
 	// forward of one micro-batch plus hops) equals the simulated startup.
@@ -70,7 +80,7 @@ func TestSimulateWarmupEstimateMatchesBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := WarmupEstimate(f[:3], comm) + comm // estimate covers stages 0..n-2 then one hop
+	est := warmupEstimate(f[:3], comm) + comm // estimate covers stages 0..n-2 then one hop
 	if !almostEq(r.Startup, est) {
 		t.Errorf("Startup = %v, estimate %v", r.Startup, est)
 	}

@@ -124,13 +124,3 @@ func SolveProfile(prof sim.StageProfile) (Plan, error) {
 	// inoperative for startup reduction (paper §III-C).
 	return Plan{NumSliced: mb, Stages: p, Micro: m, Rounds: rounds}, nil
 }
-
-// SolveUniform is a convenience wrapper for a uniform pipeline.
-func SolveUniform(p int, f, b, comm float64, m int) (Plan, error) {
-	fs := make([]float64, p)
-	bs := make([]float64, p)
-	for i := range fs {
-		fs[i], bs[i] = f, b
-	}
-	return SolveProfile(sim.StageProfile{Fwd: fs, Bwd: bs, Comm: comm, Micro: m})
-}

@@ -10,10 +10,21 @@ import (
 	"autopipe/internal/sim"
 )
 
+// solveUniform runs SolveProfile on a uniform pipeline: p stages, each with
+// forward f and backward b.
+func solveUniform(p int, f, b, comm float64, m int) (Plan, error) {
+	fs := make([]float64, p)
+	bs := make([]float64, p)
+	for i := range fs {
+		fs[i], bs[i] = f, b
+	}
+	return SolveProfile(sim.StageProfile{Fwd: fs, Bwd: bs, Comm: comm, Micro: m})
+}
+
 func TestSolveUniformSlicesOne(t *testing.T) {
 	// The paper's Fig. 8 example: a 4-stage pipeline with checkpointed
 	// backward (b = 3f) needs only micro-batch 0 sliced.
-	p, err := SolveUniform(4, 1, 3, 0.01, 8)
+	p, err := solveUniform(4, 1, 3, 0.01, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +34,7 @@ func TestSolveUniformSlicesOne(t *testing.T) {
 }
 
 func TestSolveSingleStage(t *testing.T) {
-	p, err := SolveUniform(1, 1, 2, 0, 8)
+	p, err := solveUniform(1, 1, 2, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +58,11 @@ func TestSolveErrors(t *testing.T) {
 func TestSolveLightBackwardSlicesMore(t *testing.T) {
 	// Without checkpointing (b < 2f) the deadline is tighter and more
 	// micro-batches must be sliced than with a heavy backward.
-	heavy, err := SolveUniform(6, 1, 3, 0.01, 12)
+	heavy, err := solveUniform(6, 1, 3, 0.01, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	light, err := SolveUniform(6, 1, 1.2, 0.01, 12)
+	light, err := solveUniform(6, 1, 1.2, 0.01, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +77,7 @@ func TestSolveBounds(t *testing.T) {
 		p := 2 + int(pRaw)%10
 		m := 1 + int(mRaw)%20
 		b := 1 + float64(bRaw%40)/10
-		plan, err := SolveUniform(p, 1, b, 0.02, m)
+		plan, err := solveUniform(p, 1, b, 0.02, m)
 		if err != nil {
 			return false
 		}
@@ -127,7 +138,7 @@ func TestSolvedCountHalvesStartupWithoutSlowingIteration(t *testing.T) {
 }
 
 func TestSolveMatchesGeometry(t *testing.T) {
-	p, err := SolveUniform(4, 1, 3, 0, 8)
+	p, err := solveUniform(4, 1, 3, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,15 +109,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// Scale returns t * s.
-func (t *Tensor) Scale(s float64) *Tensor {
-	out := t.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // ScaleInPlace multiplies t by s.
 func (t *Tensor) ScaleInPlace(s float64) {
 	for i := range t.Data {

@@ -99,10 +99,6 @@ func TestAddScaleClone(t *testing.T) {
 	if x.Data[0] != 11 {
 		t.Error("AddInPlace did not mutate")
 	}
-	s := y.Scale(0.5)
-	if s.Data[0] != 5 || y.Data[0] != 10 {
-		t.Error("Scale wrong or mutated receiver")
-	}
 	c := y.Clone()
 	c.Data[0] = 99
 	if y.Data[0] != 10 {

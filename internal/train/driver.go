@@ -70,7 +70,7 @@ type DriverConfig struct {
 	// clock, which advances by each iteration's makespan plus any modeled
 	// recovery latency.
 	Faults *fault.Plan
-	// Obs receives driver metrics and per-fault events (may be nil).
+	// Obs receives driver and fault-injection metrics (may be nil).
 	Obs *obs.Registry
 	// Search configures the planner engine for the initial plan and every
 	// re-plan.
@@ -465,7 +465,7 @@ func (d *driver) recoverLoss(ctx context.Context, iter int, cause error) error {
 	d.report.Recoveries = append(d.report.Recoveries, rec)
 	d.logf("iter %d: %s (device %d): checkpoint %dB, replan depth %d->%d bounds %v sliced %d, downtime %.6gs",
 		iter, kind, dead, ck.SizeBytes(), depthBefore, len(d.devices), d.part.Bounds, d.numSliced, downtime)
-	d.emitRecovery(rec)
+	d.recordRecovery(rec)
 	return nil
 }
 
@@ -486,7 +486,7 @@ func (d *driver) recoverOOM(ctx context.Context, iter int, cause error) error {
 	d.report.Recoveries = append(d.report.Recoveries, rec)
 	d.logf("iter %d: injected OOM: replan depth %d bounds %v sliced %d, downtime %.6gs",
 		iter, depth, d.part.Bounds, d.numSliced, d.lastReplanTime)
-	d.emitRecovery(rec)
+	d.recordRecovery(rec)
 	return nil
 }
 
@@ -535,7 +535,7 @@ func (d *driver) checkStraggler(ctx context.Context, iter int, res *exec.Result)
 	d.report.Recoveries = append(d.report.Recoveries, rec)
 	d.logf("iter %d: sustained deviation (ratio %.6g): re-profiled scales, live replan bounds %v sliced %d",
 		iter, ratio, d.part.Bounds, d.numSliced)
-	d.emitRecovery(rec)
+	d.recordRecovery(rec)
 }
 
 // replanInner runs the partition search for the current depth and re-solves
@@ -665,15 +665,10 @@ func (d *driver) logf(format string, args ...any) {
 	d.report.Log = append(d.report.Log, fmt.Sprintf(format, args...))
 }
 
-func (d *driver) emitRecovery(rec Recovery) {
+func (d *driver) recordRecovery(rec Recovery) {
 	if d.reg == nil {
 		return
 	}
 	d.reg.Counter("driver.recoveries").Inc()
 	d.reg.Gauge("driver.recovery_latency_s").Set(rec.Downtime)
-	d.reg.Emit("driver.recovery", obs.Fields{
-		"iter": rec.Iter, "kind": rec.Kind,
-		"downtime_s": rec.Downtime,
-		"depth":      rec.DepthAfter,
-	})
 }

@@ -1,7 +1,7 @@
 // Package train provides the training runtimes of the miniature framework:
 // a serial reference trainer and a goroutine-based synchronous pipeline
 // runtime that executes the very schedules AutoPipe plans (1F1B and the
-// sliced warmup), plus the optimizers. Its purpose is to demonstrate, with
+// sliced warmup), plus the Adam optimizer. Its purpose is to demonstrate, with
 // real numbers, the paper's semantic claims: synchronous pipeline
 // parallelism computes the same gradients as serial execution, micro-batch
 // slicing changes nothing but timing, and sub-layer stage cuts preserve the
@@ -16,25 +16,6 @@ import (
 	"autopipe/internal/nn"
 	"autopipe/internal/tensor"
 )
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*nn.Param)
-}
-
-// SGD is plain stochastic gradient descent.
-type SGD struct {
-	LR float64
-}
-
-// Step implements Optimizer.
-func (o SGD) Step(params []*nn.Param) {
-	for _, p := range params {
-		for i := range p.W.Data {
-			p.W.Data[i] -= o.LR * p.Grad.Data[i]
-		}
-	}
-}
 
 // Adam is the Adam optimizer (Kingma & Ba), the paper's parameter-update
 // phase.
@@ -91,7 +72,7 @@ func (a *Adam) SetMoments(params []*nn.Param, t int, m, v []*tensor.Tensor) erro
 	return nil
 }
 
-// Step implements Optimizer.
+// Step updates params from their accumulated gradients.
 func (a *Adam) Step(params []*nn.Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))

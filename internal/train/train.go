@@ -41,20 +41,6 @@ func SerialStep(mods []nn.Module, micros []Batch, scale float64) (loss float64) 
 	return loss
 }
 
-// Loss computes the mean cross-entropy of the model on the micro-batches
-// without touching gradients.
-func Loss(mods []nn.Module, micros []Batch) float64 {
-	var loss float64
-	var tokens int
-	for _, mb := range micros {
-		logits, _ := nn.ForwardAll(mods, mb.Inputs)
-		l, _ := nn.CrossEntropy(logits, mb.Targets)
-		loss += l
-		tokens += mb.Targets.Size()
-	}
-	return loss / float64(tokens)
-}
-
 // Dataset generates a deterministic synthetic corpus: sequences from a fixed
 // random Markov table, so next-token prediction is learnable by a tiny GPT.
 type Dataset struct {

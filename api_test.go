@@ -20,7 +20,7 @@ func TestPublicPlanEvaluateFlow(t *testing.T) {
 	cluster.NumGPUs = 4
 	run := autopipe.Run{MicroBatch: 32, GlobalBatch: 512, Checkpoint: true}
 
-	planner := autopipe.NewPlanner(autopipe.WithParallelism(1))
+	planner := autopipe.NewPlanner()
 	spec, blocks, err := planner.Plan(context.Background(), model, run, cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestPublicBuildSimulateSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := autopipe.NewPlanner(autopipe.WithParallelism(1)).PlanDepth(context.Background(), blocks, 4, 8)
+	pr, err := autopipe.NewPlanner().PlanDepth(context.Background(), blocks, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,9 @@ func TestPublicBuildSimulateSlice(t *testing.T) {
 // TestPlannerAPIFlow exercises the redesigned entry point: a Planner built
 // from functional options, planning under a context, reporting telemetry.
 func TestPlannerAPIFlow(t *testing.T) {
+	withProcs(t, 4)
 	reg := autopipe.NewRegistry()
-	p := autopipe.NewPlanner(
-		autopipe.WithParallelism(4),
-		autopipe.WithObserver(reg),
-	)
+	p := autopipe.NewPlanner(autopipe.WithObserver(reg))
 	model := autopipe.GPT2_345M()
 	cluster := autopipe.DefaultCluster()
 	cluster.NumGPUs = 4
@@ -116,25 +114,34 @@ func TestPlannerAPIFlow(t *testing.T) {
 	}
 }
 
+// withProcs sets GOMAXPROCS, and with it the planner's worker-pool width, to
+// w until the test or benchmark ends.
+func withProcs(tb testing.TB, w int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(w)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestPlannerDeterministicAcrossParallelism is the public determinism
-// property: for every zoo model, parallelism 1, 4, and GOMAXPROCS yield
-// byte-identical Specs (SearchTime, the only wall-clock field, zeroed).
+// property: for every zoo model, GOMAXPROCS 1, 2 and 4 yield byte-identical
+// Specs (SearchTime, the only wall-clock field, zeroed).
 func TestPlannerDeterministicAcrossParallelism(t *testing.T) {
 	cluster := autopipe.DefaultCluster()
 	run := autopipe.Run{MicroBatch: 8, GlobalBatch: 512, Checkpoint: true}
+	p := autopipe.NewPlanner()
 	for _, model := range autopipe.Models() {
 		var ref *autopipe.Spec
-		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			p := autopipe.NewPlanner(autopipe.WithParallelism(w))
+		for _, w := range []int{1, 2, 4} {
+			withProcs(t, w)
 			spec, _, err := p.Plan(context.Background(), model, run, cluster)
 			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", model.Name, w, err)
+				t.Fatalf("%s width %d: %v", model.Name, w, err)
 			}
 			spec.SearchTime = 0
 			if ref == nil {
 				ref = spec
 			} else if !reflect.DeepEqual(ref, spec) {
-				t.Errorf("%s: plan at parallelism %d differs from parallelism 1:\n%+v\nvs\n%+v",
+				t.Errorf("%s: plan at width %d differs from width 1:\n%+v\nvs\n%+v",
 					model.Name, w, spec, ref)
 			}
 		}

@@ -215,7 +215,7 @@ func BenchmarkPlannerGPT2_345M(b *testing.B) {
 	cluster := config.DefaultCluster()
 	cluster.NumGPUs = 4
 	run := config.Run{MicroBatch: 4, GlobalBatch: 128, Checkpoint: true}
-	planner := autopipe.NewPlanner(autopipe.WithParallelism(1))
+	planner := autopipe.NewPlanner()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := planner.Plan(context.Background(), config.GPT2_345M(), run, cluster); err != nil {
@@ -227,37 +227,42 @@ func BenchmarkPlannerGPT2_345M(b *testing.B) {
 // BenchmarkPlanParallel measures the parallel plan-space search engine on
 // the heaviest zoo configuration (GPT-2 1.3B across 16 GPUs at a large
 // global batch, where the depth-16 search with 256 micro-batches dominates).
-// The sub-benchmarks share one workload; the parent verifies — outside the
-// timed region — that the sequential and parallel engines return identical
+// The engine's worker-pool width is GOMAXPROCS, which each sub-benchmark
+// sets. The sub-benchmarks share one workload; the parent verifies —
+// outside the timed region — that GOMAXPROCS 1 and 8 return identical
 // Specs, the engine's core contract. The wall-clock ratio between the
-// parallelism=1 and parallelism=8 lines is the engine's speedup; it needs
-// spare CPU cores to materialize (on a single-core host the engine disables
-// speculation and the lines should simply stay close).
+// procs=1 and procs=8 lines is the engine's speedup; it needs spare CPU
+// cores to materialize, and with fewer cores than workers the wider lines
+// only add scheduling overhead.
 func BenchmarkPlanParallel(b *testing.B) {
 	model := config.GPT2_1_3B()
 	cluster := config.DefaultCluster()
 	run := config.Run{MicroBatch: 16, GlobalBatch: 4096, Checkpoint: true}
+	planner := autopipe.NewPlanner()
 
-	planWith := func(workers int) *autopipe.Spec {
-		p := autopipe.NewPlanner(autopipe.WithParallelism(workers))
-		spec, _, err := p.Plan(context.Background(), model, run, cluster)
+	plan := func() *autopipe.Spec {
+		spec, _, err := planner.Plan(context.Background(), model, run, cluster)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return spec
 	}
 
-	seq, par := planWith(1), planWith(8)
+	withProcs(b, 1)
+	seq := plan()
+	withProcs(b, 8)
+	par := plan()
 	seq.SearchTime, par.SearchTime = 0, 0
 	if !reflect.DeepEqual(seq, par) {
-		b.Fatalf("parallel plan differs from sequential:\n%+v\nvs\n%+v", par, seq)
+		b.Fatalf("plan at GOMAXPROCS 8 differs from GOMAXPROCS 1:\n%+v\nvs\n%+v", par, seq)
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallelism=%d", workers), func(b *testing.B) {
+	for _, procs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			withProcs(b, procs)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				planWith(workers)
+				plan()
 			}
 		})
 	}

@@ -45,8 +45,8 @@ type PlanPayload struct {
 	Run     autopipe.Run     `json:"run"`
 	Cluster autopipe.Cluster `json:"cluster"`
 	// Budget caps the number of candidate partitions the search may
-	// simulate (0 = unlimited). Unlike parallelism it changes which plan a
-	// truncated search returns, so it is part of the cache key.
+	// simulate (0 = unlimited). It changes which plan a truncated search
+	// returns, so it is part of the cache key.
 	Budget int `json:"budget,omitempty"`
 }
 

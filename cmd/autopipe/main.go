@@ -7,7 +7,10 @@
 // Usage:
 //
 //	autopipe -model gpt2-345m -gpus 4 -mbs 4 -gbs 128 \
-//	         [-parallelism N] [-timeout 30s] [-faults plan.json] [-json plan.json]
+//	         [-timeout 30s] [-faults plan.json] [-json plan.json]
+//
+// The planner searches on GOMAXPROCS workers; the plan does not depend on
+// the count.
 //
 // With -faults, the planned schedule is additionally executed under the
 // given fault plan, reporting the plan's iteration-time overhead when it
@@ -65,7 +68,7 @@ func main() {
 
 	ctx, cancel := pf.Context()
 	defer cancel()
-	spec, bl, err := autopipe.NewPlanner(pf.PlannerOptions()...).Plan(ctx, mc, run, cluster)
+	spec, bl, err := autopipe.NewPlanner().Plan(ctx, mc, run, cluster)
 	if err != nil {
 		fail(err)
 	}

@@ -7,7 +7,10 @@
 //
 //	autopiped [-addr 127.0.0.1:7180] [-store DIR] [-workers N] \
 //	          [-rate N] [-burst N] [-queue-wait 2s] \
-//	          [-parallelism N] [-timeout 30s] [-cpuprofile p] [-memprofile p]
+//	          [-timeout 30s] [-cpuprofile p] [-memprofile p]
+//
+// Each plan search runs on GOMAXPROCS workers; the plan, and so the cache
+// key, does not depend on the count.
 //
 // It serves until SIGINT/SIGTERM, then drains: unfinished persisted jobs
 // revert to pending so the next start re-runs them. The service's checks
@@ -59,7 +62,6 @@ func main() {
 // serve runs the daemon until SIGINT/SIGTERM, then drains.
 func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDepth, cacheEntries int) error {
 	srv, err := service.New(service.Config{
-		Parallelism:  pf.Parallelism,
 		Workers:      workers,
 		QueueDepth:   queueDepth,
 		CacheEntries: cacheEntries,

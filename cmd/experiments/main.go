@@ -4,7 +4,10 @@
 // Usage:
 //
 //	experiments [-exp all|table1|table2|table3|table4|fig9|fig10|fig11|fig12|fig13|fig14a|fig14b|resilience] \
-//	            [-parallelism N] [-timeout 10m] [-csv dir] [-faults plan.json]
+//	            [-timeout 10m] [-csv dir] [-faults plan.json]
+//
+// The planner searches on GOMAXPROCS workers; the plan does not depend on
+// the count.
 //
 // -faults adds a custom scenario to the resilience sweep: the given fault
 // plan is injected into the self-healing training driver alongside the
@@ -38,7 +41,6 @@ func main() {
 	}
 
 	env := experiments.DefaultEnv()
-	env.Search = pf.Options()
 	fplan, err := ff.Load()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

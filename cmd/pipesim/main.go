@@ -6,8 +6,11 @@
 //
 //	pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 \
 //	        [-schedule 1f1b|gpipe|sliced|interleaved] [-sliced N] [-gantt] \
-//	        [-parallelism N] [-timeout 30s] [-faults plan.json] \
+//	        [-timeout 30s] [-faults plan.json] \
 //	        [-metrics report.json] [-trace trace.json]
+//
+// The planner searches on GOMAXPROCS workers; the plan does not depend on
+// the count.
 //
 // With -faults, the schedule executes under the injected fault plan: a
 // surviving run reports its slowdown against the clean baseline, while a
@@ -101,7 +104,7 @@ func main() {
 	} else {
 		ctx, cancel := pf.Context()
 		var pr *autopipe.PlanResult
-		pr, err = autopipe.NewPlanner(pf.PlannerOptions()...).PlanDepth(ctx, bl, *stages, *micro)
+		pr, err = autopipe.NewPlanner().PlanDepth(ctx, bl, *stages, *micro)
 		cancel()
 		if err == nil {
 			part = pr.Best.Partition

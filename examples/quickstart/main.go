@@ -21,9 +21,9 @@ func main() {
 
 	// The Planner picks the pipeline depth and a balanced sub-layer
 	// partition; the Slicer sizes the warmup micro-batch slicing. The search
-	// fans out over a worker pool, but the resulting plan is deterministic —
-	// any parallelism level returns the same Spec.
-	planner := autopipe.NewPlanner(autopipe.WithParallelism(4))
+	// fans out over a pool of GOMAXPROCS workers, but the resulting plan is
+	// deterministic — every core count returns the same Spec.
+	planner := autopipe.NewPlanner()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	spec, blocks, err := planner.Plan(ctx, model, run, cluster)

@@ -1,10 +1,11 @@
 // Package cliutil provides the flag handling shared by the repository's
 // commands: autopipe, pipesim, experiments, and autopiped all register
-// their common flags here, so -parallelism, -timeout and the profiling
-// flags mean the same thing everywhere. The daemon's flags (-addr, -store
-// and the -rate/-burst/-queue-wait admission controls) live here too; it
-// has no fault- or chaos-injection flag. Parsed values resolve into a
-// planning context, engine options, or daemon configuration.
+// their common flags here, so -timeout and the profiling flags mean the
+// same thing everywhere. The daemon's flags (-addr, -store and the
+// -rate/-burst/-queue-wait admission controls) live here too; it has no
+// fault- or chaos-injection flag. The planner has no width flag: its worker
+// pool follows GOMAXPROCS. Parsed values resolve into a planning context or
+// daemon configuration.
 package cliutil
 
 import (
@@ -12,16 +13,11 @@ import (
 	"flag"
 	"time"
 
-	"autopipe"
-	"autopipe/internal/core"
 	"autopipe/internal/fault"
 )
 
 // PlannerFlags holds the parsed values of the shared planner flags.
 type PlannerFlags struct {
-	// Parallelism is the planner worker-pool size; 0 means one per CPU. It
-	// affects planning speed only — plans are identical at every setting.
-	Parallelism int
 	// Timeout bounds the whole planning run; 0 means no limit.
 	Timeout time.Duration
 }
@@ -30,7 +26,6 @@ type PlannerFlags struct {
 // fs.Parse). Pass flag.CommandLine for the process-wide set.
 func RegisterPlanner(fs *flag.FlagSet) *PlannerFlags {
 	pf := &PlannerFlags{}
-	fs.IntVar(&pf.Parallelism, "parallelism", 0, "planner search workers (0 = one per CPU); any value yields the same plan")
 	fs.DurationVar(&pf.Timeout, "timeout", 0, "abort planning after this duration, e.g. 30s (0 = no limit)")
 	return pf
 }
@@ -42,18 +37,6 @@ func (pf *PlannerFlags) Context() (context.Context, context.CancelFunc) {
 		return context.WithTimeout(context.Background(), pf.Timeout)
 	}
 	return context.WithCancel(context.Background())
-}
-
-// Options returns the engine options implied by the flags, for callers on
-// the internal core API (e.g. experiments.Env.Search).
-func (pf *PlannerFlags) Options() core.Options {
-	return core.Options{Parallelism: pf.Parallelism}
-}
-
-// PlannerOptions returns the public functional options implied by the flags,
-// for callers constructing an autopipe.Planner.
-func (pf *PlannerFlags) PlannerOptions() []autopipe.PlannerOption {
-	return []autopipe.PlannerOption{autopipe.WithParallelism(pf.Parallelism)}
 }
 
 // ExecFlags holds the parsed values of the shared executor flags.

@@ -24,25 +24,8 @@ func parsePlanner(t *testing.T, args ...string) *PlannerFlags {
 
 func TestPlannerDefaults(t *testing.T) {
 	pf := parsePlanner(t)
-	if pf.Parallelism != 0 || pf.Timeout != 0 {
+	if pf.Timeout != 0 {
 		t.Fatalf("defaults = %+v, want zero values", *pf)
-	}
-	if got := pf.Options(); got.Parallelism != 0 {
-		t.Errorf("Options().Parallelism = %d, want 0 (one worker per CPU)", got.Parallelism)
-	}
-}
-
-func TestPlannerZeroParallelismExplicit(t *testing.T) {
-	pf := parsePlanner(t, "-parallelism", "0")
-	if got := pf.Options(); got.Parallelism != 0 {
-		t.Errorf("explicit -parallelism 0 → Options().Parallelism = %d, want 0", got.Parallelism)
-	}
-}
-
-func TestPlannerParallelismForwarded(t *testing.T) {
-	pf := parsePlanner(t, "-parallelism", "7")
-	if got := pf.Options(); got.Parallelism != 7 {
-		t.Errorf("Options().Parallelism = %d, want 7", got.Parallelism)
 	}
 }
 

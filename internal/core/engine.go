@@ -22,24 +22,23 @@ import (
 
 // This file implements the concurrent plan-space search engine behind the
 // Planner API. The search fans out across pipeline depths × replication
-// factors × candidate partitions on a bounded worker pool, with a memoized
-// simulation cache and a shared best-so-far bound for cross-depth pruning.
+// factors × candidate partitions on a worker pool of GOMAXPROCS workers,
+// with a memoized simulation cache and a shared best-so-far bound for
+// cross-depth pruning.
 //
 // Determinism is by construction, not by luck: the search advances in global
 // waves. Each wave is a fixed, ordered list of candidate expansions; workers
 // evaluate them concurrently into private slots (all simulator calls are
 // pure and memoized), and then a single sequential merge replays the slots
 // in wave order to update the incumbent, the visited set, and the next wave.
-// Parallelism therefore changes only how fast a wave is evaluated — never
-// which candidates are explored, which one wins, or any telemetry counter —
-// so parallel and sequential runs return byte-identical plans.
+// Every evaluation a wave runs is one the merge consumes, so the pool width
+// changes only how fast a wave is evaluated — never which candidates are
+// explored, which one wins, or any telemetry counter — and runs at every
+// GOMAXPROCS return byte-identical plans.
 
 // Options configures the plan-space search engine. The zero value searches
-// with GOMAXPROCS workers, no candidate budget, and no telemetry registry.
+// with no candidate budget and no telemetry registry.
 type Options struct {
-	// Parallelism is the worker-pool size evaluating candidate partitions;
-	// <= 0 means GOMAXPROCS. Plans are identical at every setting.
-	Parallelism int
 	// Budget caps the number of distinct candidate partitions the engine
 	// simulates across the whole search (0 = unlimited). It is checked at
 	// wave boundaries — the wave in flight completes, so the cap can be
@@ -52,13 +51,6 @@ type Options struct {
 	// move phase times, and a convergence histogram) and engine-level metrics
 	// under "planner.engine.*".
 	Obs *obs.Registry
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
 }
 
 // runTasks evaluates task(w, 0..n) with at most width concurrent workers,
@@ -266,17 +258,11 @@ type expansion struct {
 	moveErr  [maxMasterMoves]error
 }
 
-// seedSlot, spec, and moveRef are the per-task slots of the three stored
-// worker tasks (seedTask, phaseATask, phaseBTask).
+// seedSlot and moveRef are the per-task slots of the seed and phase-B
+// worker tasks (seedTask, phaseBTask); phase A writes into the expansion.
 type seedSlot struct {
 	cand scored
 	err  error
-}
-
-// spec is one speculative cache-warming evaluation.
-type spec struct {
-	part partition.Partition
-	m    int
 }
 
 // moveRef addresses one master-move evaluation: expansion x, move index j.
@@ -297,14 +283,6 @@ type engine struct {
 	table *partition.Table
 	// workers holds one simulation scratch per worker-pool slot.
 	workers []worker
-	// prefetch enables speculative evaluation: while phase A computes an
-	// item's cooldown adjustment, idle workers warm the cache with the
-	// master moves of the unadjusted partition — exactly phase B's task
-	// list whenever the adjustment turns out to be a no-op, which is the
-	// common case near convergence. Speculation only ever touches the
-	// cache, so results are identical with it on or off; it is disabled
-	// when there are no spare cores to run it on.
-	prefetch bool
 
 	// Wave-scratch arenas, truncated and refilled every wave so the search
 	// loop reuses their backing instead of reallocating per wave, and the
@@ -312,26 +290,23 @@ type engine struct {
 	ds        []*depthState
 	seedSlots []seedSlot
 	exps      []expansion
-	specs     []spec
 	refs      []moveRef
-	moveBuf   []partition.Partition
 
 	// The worker tasks, bound once at construction: handing runTasks a
 	// stored value instead of a per-wave closure keeps closure creation out
 	// of the wave loop.
-	taskSeed, taskAB, taskB func(w, i int)
+	taskSeed, taskA, taskB func(w, i int)
 }
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
-	e := &engine{opts: opts, par: opts.parallelism(), bl: bl}
+	e := &engine{opts: opts, par: runtime.GOMAXPROCS(0), bl: bl}
 	e.cache.entries = make(map[cacheKey]*cacheEntry)
 	e.workers = make([]worker, e.par)
 	for i := range e.workers {
 		e.workers[i] = newWorker(bl)
 	}
-	e.prefetch = e.par > 1 && runtime.NumCPU() > 1
 	e.taskSeed = e.seedTask
-	e.taskAB = e.phaseATask
+	e.taskA = e.phaseATask
 	e.taskB = e.phaseBTask
 	return e
 }
@@ -348,15 +323,9 @@ func (e *engine) seedTask(w, i int) {
 	e.seedSlots[i].cand, e.seedSlots[i].err = e.cache.eval(&e.workers[w], e.bl, part, part.Key(), d.m)
 }
 
-// phaseATask runs one phase-A slot: a cooldown adjustment for i < len(exps),
-// a speculative cache warm above that.
+// phaseATask runs the cooldown adjustment of expansion e.exps[i].
 func (e *engine) phaseATask(w, i int) {
-	if i < len(e.exps) {
-		e.expandA(&e.workers[w], &e.exps[i])
-		return
-	}
-	s := e.specs[i-len(e.exps)]
-	e.cache.eval(&e.workers[w], e.bl, s.part, s.part.Key(), s.m) //nolint:errcheck // cache-warming only
+	e.expandA(&e.workers[w], &e.exps[i])
 }
 
 // phaseBTask evaluates one master-move candidate into its expansion slot.
@@ -481,25 +450,9 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 			return nil
 		}
 
-		// Phase A: cooldown adjustments, one task per wave item. With spare
-		// workers, speculative tasks warm the cache with each item's
-		// pre-adjustment master moves; when the adjustment is a no-op those
-		// are phase B's exact evaluations, collapsing the round's critical
-		// path from two sequential simulations to one.
+		// Phase A: cooldown adjustments, one task per wave item.
 		adjustSW := obs.NewStopwatch()
-		e.specs = e.specs[:0]
-		if e.prefetch {
-			for xi := range e.exps {
-				x := &e.exps[xi]
-				if i := x.item.sum.Master; i > 0 {
-					e.moveBuf = masterMoves(e.table, x.item.part, i, e.moveBuf[:0])
-					for _, mv := range e.moveBuf {
-						e.specs = append(e.specs, spec{mv, x.d.m})
-					}
-				}
-			}
-		}
-		runTasks(ctx, e.par, len(e.exps)+len(e.specs), e.taskAB)
+		runTasks(ctx, e.par, len(e.exps), e.taskA)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -586,7 +539,6 @@ func (e *engine) publish(ds []*depthState, total time.Duration) {
 		}
 	}
 	reg.Gauge("planner.engine.search_s").Set(total.Seconds())
-	reg.Gauge("planner.engine.parallelism").Set(float64(e.par))
 	reg.Counter("planner.engine.cache_hits").Add(float64(e.cache.hits.Load()))
 	reg.Counter("planner.engine.cache_misses").Add(float64(e.cache.misses.Load()))
 	reg.Counter("planner.engine.depths_pruned").Add(float64(pruned))
@@ -754,7 +706,7 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 // PlanDepthOpts searches for a balanced partition of bl into p stages for
 // iterations of m micro-batches, with explicit search options and
 // cancellation. Candidate evaluation fans out on the engine's worker pool;
-// the result is identical at every parallelism setting.
+// the result is identical at every GOMAXPROCS.
 func PlanDepthOpts(ctx context.Context, bl *model.Blocks, p, m int, opts Options) (*PlanResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: plan depth %d: %w", p, err)

@@ -12,67 +12,103 @@ import (
 	"autopipe/internal/cost"
 	"autopipe/internal/errdefs"
 	"autopipe/internal/memory"
+	"autopipe/internal/obs"
 	"autopipe/internal/partition"
+	"autopipe/internal/plan"
 )
 
+// withProcs sets GOMAXPROCS, and with it the engine's worker-pool width, to
+// w until the test ends.
+func withProcs(t *testing.T, w int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(w)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// workCounts are the search's deterministic work counters, as the engine
+// publishes them.
+type workCounts struct {
+	hits, misses, pruned float64
+}
+
+func readWorkCounts(reg *obs.Registry) workCounts {
+	c := reg.Snapshot().Counters
+	return workCounts{c["planner.engine.cache_hits"], c["planner.engine.cache_misses"], c["planner.engine.depths_pruned"]}
+}
+
 // TestEngineDeterministicAcrossParallelism is the engine's core contract:
-// the plan must be byte-identical at every worker-pool size, for every zoo
-// model. Wall-clock fields are zeroed before comparing — they are the only
-// fields allowed to differ.
+// the plan must be byte-identical at every worker-pool width, for every zoo
+// model, and so must the work that found it: the candidates evaluated and
+// accepted, the simulation-cache hits and misses, and the depths pruned.
+// Wall-clock fields are zeroed before comparing — they are the only fields
+// allowed to differ.
 func TestEngineDeterministicAcrossParallelism(t *testing.T) {
-	widths := []int{1, 4, runtime.GOMAXPROCS(0)}
 	cluster := config.DefaultCluster()
 	run := config.Run{MicroBatch: 4, GlobalBatch: 512, Checkpoint: true}
 	for _, mc := range config.Zoo() {
-		var specs []plan0
-		for _, w := range widths {
-			spec, _, err := PlanClusterOpts(context.Background(), mc, run, cluster, Options{Parallelism: w})
+		var (
+			ref     *plan.Spec
+			refWork workCounts
+		)
+		for _, w := range []int{1, 2, 4} {
+			withProcs(t, w)
+			reg := obs.NewRegistry()
+			spec, _, err := PlanClusterOpts(context.Background(), mc, run, cluster, Options{Obs: reg})
 			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", mc.Name, w, err)
+				t.Fatalf("%s width %d: %v", mc.Name, w, err)
 			}
 			spec.SearchTime = 0
-			specs = append(specs, plan0{w, spec})
-		}
-		for _, s := range specs[1:] {
-			if !reflect.DeepEqual(specs[0].spec, s.spec) {
-				t.Errorf("%s: plan differs between parallelism %d and %d:\n%+v\nvs\n%+v",
-					mc.Name, specs[0].width, s.width, specs[0].spec, s.spec)
+			work := readWorkCounts(reg)
+			if ref == nil {
+				ref, refWork = spec, work
+				continue
+			}
+			if !reflect.DeepEqual(ref, spec) {
+				t.Errorf("%s: plan differs between width 1 and %d:\n%+v\nvs\n%+v", mc.Name, w, ref, spec)
+			}
+			if work != refWork {
+				t.Errorf("%s: work counts (hits, misses, pruned) %v at width %d, want %v as at width 1",
+					mc.Name, work, w, refWork)
 			}
 		}
 	}
 }
 
-type plan0 struct {
-	width int
-	spec  interface{}
-}
-
 // TestPlanDepthOptsDeterministicTelemetry pins down that not only the best
 // partition but the entire search trajectory (candidate counts, convergence
-// curve) is parallelism-independent.
+// curve, cache hits and misses) is independent of the worker-pool width.
 func TestPlanDepthOptsDeterministicTelemetry(t *testing.T) {
 	bl := buildSub(t, config.GPT2_762M(), 4)
-	var base *PlanResult
-	for _, w := range []int{1, 3, 8} {
-		res, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Parallelism: w})
+	var (
+		base     *PlanResult
+		baseWork workCounts
+	)
+	for _, w := range []int{1, 2, 4} {
+		withProcs(t, w)
+		reg := obs.NewRegistry()
+		res, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Obs: reg})
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", w, err)
+			t.Fatalf("width %d: %v", w, err)
 		}
+		work := readWorkCounts(reg)
 		if base == nil {
-			base = res
+			base, baseWork = res, work
 			continue
 		}
 		if !res.Best.Partition.Equal(base.Best.Partition) {
-			t.Errorf("parallelism %d: best partition %v, want %v", w, res.Best.Partition, base.Best.Partition)
+			t.Errorf("width %d: best partition %v, want %v", w, res.Best.Partition, base.Best.Partition)
 		}
 		if res.Telemetry.Candidates != base.Telemetry.Candidates ||
 			res.Telemetry.Accepted != base.Telemetry.Accepted {
-			t.Errorf("parallelism %d: telemetry (%d, %d), want (%d, %d)", w,
+			t.Errorf("width %d: telemetry (%d, %d), want (%d, %d)", w,
 				res.Telemetry.Candidates, res.Telemetry.Accepted,
 				base.Telemetry.Candidates, base.Telemetry.Accepted)
 		}
 		if !reflect.DeepEqual(res.Telemetry.Convergence, base.Telemetry.Convergence) {
-			t.Errorf("parallelism %d: convergence curve differs", w)
+			t.Errorf("width %d: convergence curve differs", w)
+		}
+		if work != baseWork {
+			t.Errorf("width %d: work counts (hits, misses, pruned) %v, want %v as at width 1", w, work, baseWork)
 		}
 	}
 }
@@ -152,7 +188,8 @@ func TestEngineBudget(t *testing.T) {
 	if a.Best.Sim == nil {
 		t.Fatal("budget-truncated search returned no plan")
 	}
-	b, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Budget: 2, Parallelism: 7})
+	withProcs(t, 4)
+	b, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +207,7 @@ func TestDepthLowerBoundSound(t *testing.T) {
 		for _, p := range []int{2, 4, 8} {
 			m := 2 * p
 			lb := depthLowerBound(bl, p, m)
-			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
+			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", mc.Name, p, err)
 			}
@@ -209,7 +246,7 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 			}
 			dp := cluster.NumGPUs / p
 			m := run.MicroBatches(dp)
-			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{Parallelism: 1})
+			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", tc.mc.Name, p, err)
 			}
@@ -234,31 +271,6 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 		if diff := spec.Predicted - bestScore; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("%s mbs=%d: engine predicted %.6f s, brute force %.6f s", tc.mc.Name, tc.mbs, spec.Predicted, bestScore)
 		}
-	}
-}
-
-// TestPrefetchDoesNotChangeResults forces the speculative cache-warming path
-// (normally gated on spare cores) and checks the search result and telemetry
-// are identical to the plain engine's — speculation must only ever touch the
-// cache.
-func TestPrefetchDoesNotChangeResults(t *testing.T) {
-	bl := buildSub(t, config.GPT2_762M(), 4)
-	plain, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(bl, Options{Parallelism: 4})
-	e.prefetch = true
-	d := &depthState{p: 4, m: 16, seen: make(map[string]bool)}
-	if err := e.run(context.Background(), []*depthState{d}, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !d.best.part.Equal(plain.Best.Partition) {
-		t.Errorf("prefetch changed the best partition: %v vs %v", d.best.part, plain.Best.Partition)
-	}
-	if d.tel.Candidates != plain.Telemetry.Candidates || d.tel.Accepted != plain.Telemetry.Accepted {
-		t.Errorf("prefetch changed telemetry: (%d, %d) vs (%d, %d)",
-			d.tel.Candidates, d.tel.Accepted, plain.Telemetry.Candidates, plain.Telemetry.Accepted)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestPlanDepthReproducesTable2Scheme4(t *testing.T) {
 	// The planner's choice for GPT-2 345M at 4 stages is Table II's
 	// partition 4: 6.5 / 6.5 / 6.5 / 4.5 layers.
 	bl := buildSub(t, config.GPT2_345M(), 4)
-	res, err := PlanDepthOpts(context.Background(), bl, 4, 8, Options{Parallelism: 1})
+	res, err := PlanDepthOpts(context.Background(), bl, 4, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPlanDepthNeverWorseThanSeed(t *testing.T) {
 	for _, mc := range config.Zoo() {
 		for _, p := range []int{2, 4, 8} {
 			bl := buildSub(t, mc, 4)
-			res, err := PlanDepthOpts(context.Background(), bl, p, 2*p, Options{Parallelism: 1})
+			res, err := PlanDepthOpts(context.Background(), bl, p, 2*p, Options{})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", mc.Name, p, err)
 			}
@@ -62,7 +62,7 @@ func TestPlanDepthBeatsEvenPartition(t *testing.T) {
 	// head/embedding imbalance matters (any depth).
 	bl := buildSub(t, config.GPT2_345M(), 4)
 	for _, p := range []int{2, 4, 8, 12} {
-		res, err := PlanDepthOpts(context.Background(), bl, p, 2*p, Options{Parallelism: 1})
+		res, err := PlanDepthOpts(context.Background(), bl, p, 2*p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestPlanDepthBeatsEvenPartition(t *testing.T) {
 
 func TestPlanDepthSingleStage(t *testing.T) {
 	bl := buildSub(t, config.GPT2_345M(), 4)
-	res, err := PlanDepthOpts(context.Background(), bl, 1, 8, Options{Parallelism: 1})
+	res, err := PlanDepthOpts(context.Background(), bl, 1, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPlanClusterDepthChoicesMatchPaper(t *testing.T) {
 		c := cl
 		c.NumGPUs = tc.gpus
 		run := config.Run{MicroBatch: tc.mbs, GlobalBatch: tc.gbs, Checkpoint: true}
-		spec, _, err := PlanClusterOpts(context.Background(), tc.mc, run, c, Options{Parallelism: 1})
+		spec, _, err := PlanClusterOpts(context.Background(), tc.mc, run, c, Options{})
 		if err != nil {
 			t.Fatalf("%s %d GPUs mbs %d: %v", tc.mc.Name, tc.gpus, tc.mbs, err)
 		}
@@ -167,11 +167,11 @@ func TestPlanClusterRejectsInfeasible(t *testing.T) {
 	cl.NumGPUs = 1
 	// GPT-2 1.3B cannot fit one 24 GB device at micro-batch 16 at any depth.
 	run := config.Run{MicroBatch: 16, GlobalBatch: 512, Checkpoint: true}
-	if _, _, err := PlanClusterOpts(context.Background(), config.GPT2_1_3B(), run, cl, Options{Parallelism: 1}); err == nil {
+	if _, _, err := PlanClusterOpts(context.Background(), config.GPT2_1_3B(), run, cl, Options{}); err == nil {
 		t.Error("want error: no feasible single-GPU plan for GPT-2 1.3B")
 	}
 	// Invalid run configs are rejected up front.
-	if _, _, err := PlanClusterOpts(context.Background(), config.GPT2_345M(), config.Run{}, cl, Options{Parallelism: 1}); err == nil {
+	if _, _, err := PlanClusterOpts(context.Background(), config.GPT2_345M(), config.Run{}, cl, Options{}); err == nil {
 		t.Error("want error for invalid run")
 	}
 }

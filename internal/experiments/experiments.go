@@ -32,10 +32,6 @@ type Env struct {
 	Seed uint64
 	// Ctx bounds every planning call; nil means context.Background().
 	Ctx context.Context
-	// Search configures the planner engine (parallelism, budget, telemetry)
-	// for every planning call. Engine results are independent of
-	// parallelism, so the tables come out identical at any setting.
-	Search core.Options
 	// Faults, when non-nil, is appended to the Resilience sweep as an extra
 	// custom scenario (cmd/experiments -faults).
 	Faults *fault.Plan
@@ -53,16 +49,15 @@ func (e Env) ctx() context.Context {
 	return context.Background()
 }
 
-// planDepth runs the fixed-depth partition search with the env's engine
-// options.
+// planDepth runs the fixed-depth partition search under the env's context.
 func (e Env) planDepth(bl *model.Blocks, p, m int) (*core.PlanResult, error) {
-	return core.PlanDepthOpts(e.ctx(), bl, p, m, e.Search)
+	return core.PlanDepthOpts(e.ctx(), bl, p, m, core.Options{})
 }
 
 // planCluster runs the full planner on an explicit cluster (experiments
-// sweep modified copies of e.Cluster) with the env's engine options.
+// sweep modified copies of e.Cluster) under the env's context.
 func (e Env) planCluster(mc config.Model, run config.Run, cl config.Cluster) (*plan.Spec, *model.Blocks, error) {
-	return core.PlanClusterOpts(e.ctx(), mc, run, cl, e.Search)
+	return core.PlanClusterOpts(e.ctx(), mc, run, cl, core.Options{})
 }
 
 // buildSub lowers a model at sub-layer granularity for the env.

@@ -65,7 +65,6 @@ func (e Env) resilienceConfig() train.DriverConfig {
 		Steps:    resilienceSteps,
 		LR:       2e-3,
 		DataSeed: 3,
-		Search:   e.Search,
 	}
 }
 

@@ -52,7 +52,7 @@ func TestTelemetryPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.PlanDepthOpts(context.Background(), bl, 4, 16, core.Options{Parallelism: 1})
+	res, err := core.PlanDepthOpts(context.Background(), bl, 4, 16, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

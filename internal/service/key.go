@@ -18,10 +18,11 @@ const keyVersion = "autopiped-key/1"
 // keyDoc is the canonical content hashed into a job's cache key: the job
 // kind plus exactly the request fields that determine its result.
 //
-// Deliberately absent: parallelism. The engine is deterministic by
-// construction — any worker-pool width returns a byte-identical plan — so
-// two requests differing only in parallelism share one cache entry. The
-// search budget IS present: a truncated search can return a different plan.
+// Deliberately absent: anything about the host. The engine is deterministic
+// by construction — its worker-pool width follows GOMAXPROCS, and every
+// width returns a byte-identical plan — so daemons on different machines
+// agree on every key. The search budget IS present: a truncated search can
+// return a different plan.
 // encoding/json marshals struct fields in declaration order, so the encoding
 // (and therefore the hash) is canonical for a fixed keyVersion.
 type keyDoc struct {

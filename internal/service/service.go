@@ -57,12 +57,9 @@ import (
 // Config parameterizes a Server. The zero value serves with four queue
 // workers, a 256-deep queue, a 1024-entry cache, and no persistence.
 type Config struct {
-	// Parallelism is the planner worker-pool size used inside each plan
-	// search (the engine knob); <= 0 means one per CPU. It is not part of
-	// the cache key — plans are identical at every setting.
-	Parallelism int
 	// Workers is the number of queue workers executing jobs concurrently;
-	// <= 0 means 4. Distinct requests run in parallel; identical requests
+	// <= 0 means 4. Each plan search inside a job runs on its own pool of
+	// GOMAXPROCS workers. Distinct requests run in parallel; identical requests
 	// coalesce via singleflight regardless of this setting.
 	Workers int
 	// QueueDepth bounds the pending-job queue; <= 0 means 256. A full
@@ -667,7 +664,6 @@ func (s *Server) runEngine(ctx context.Context, req client.SubmitRequest) (json.
 	switch req.Kind {
 	case client.KindPlan:
 		p := autopipe.NewPlanner(
-			autopipe.WithParallelism(s.cfg.Parallelism),
 			autopipe.WithSearchBudget(req.Plan.Budget),
 			autopipe.WithObserver(s.reg),
 		)

@@ -72,9 +72,6 @@ type DriverConfig struct {
 	Faults *fault.Plan
 	// Obs receives driver and fault-injection metrics (may be nil).
 	Obs *obs.Registry
-	// Search configures the planner engine for the initial plan and every
-	// re-plan.
-	Search core.Options
 
 	// MaxRetries caps transient-fault retries per iteration (default 3).
 	MaxRetries int
@@ -541,7 +538,7 @@ func (d *driver) checkStraggler(ctx context.Context, iter int, res *exec.Result)
 // replanInner runs the partition search for the current depth and re-solves
 // the slicing, returning the candidate count for the modeled latency.
 func (d *driver) replanInner(ctx context.Context) (int, error) {
-	pr, err := core.PlanDepthOpts(ctx, d.blocks, len(d.devices), d.cfg.Micro, d.cfg.Search)
+	pr, err := core.PlanDepthOpts(ctx, d.blocks, len(d.devices), d.cfg.Micro, core.Options{})
 	if err != nil {
 		return 0, err
 	}

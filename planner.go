@@ -31,26 +31,19 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // Planner is the AutoPipe planning engine: balanced sub-layer partitioning
 // (Algorithm 1 seed plus heuristic master-stage refinement), analytic 1F1B
 // simulation of every candidate, and warmup micro-batch slicing
-// (Algorithm 2). The zero value — NewPlanner() — searches with one worker
-// per CPU and no budget; a Planner is immutable after construction and safe
-// for concurrent use.
+// (Algorithm 2). The zero value — NewPlanner() — searches with no budget; a
+// Planner is immutable after construction and safe for concurrent use.
 //
 // The plan-space search fans out across pipeline depths and candidate
-// partitions on a worker pool, but its result is deterministic: the same
-// inputs yield byte-identical plans at every parallelism setting.
+// partitions on a worker pool of GOMAXPROCS workers, but its result is
+// deterministic: the same inputs yield byte-identical plans, and the same
+// search telemetry counters, at every GOMAXPROCS.
 type Planner struct {
 	opts core.Options
 }
 
 // PlannerOption configures a Planner at construction.
 type PlannerOption func(*Planner)
-
-// WithParallelism sets the worker-pool size for candidate evaluation; n <= 0
-// means one worker per CPU. Parallelism changes only planning speed, never
-// the plan.
-func WithParallelism(n int) PlannerOption {
-	return func(p *Planner) { p.opts.Parallelism = n }
-}
 
 // WithObserver directs search telemetry (per-depth candidate counts,
 // convergence curves, phase timings, cache statistics) into reg.

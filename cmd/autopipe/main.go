@@ -126,13 +126,7 @@ func main() {
 // finish an iteration under injection.
 func assessFaults(spec *plan.Spec, bl *model.Blocks, res *plan.Result, cluster config.Cluster, fplan *fault.Plan, sanitize bool) {
 	f, b := plan.StageWallTimes(spec, bl)
-	var sched *schedule.Schedule
-	var err error
-	if spec.NumSliced > 0 {
-		sched, err = schedule.Sliced(spec.Depth(), res.Micro, spec.NumSliced)
-	} else {
-		sched, err = schedule.OneFOneB(spec.Depth(), res.Micro)
-	}
+	sched, err := schedule.Sliced(spec.Depth(), res.Micro, spec.NumSliced)
 	if err != nil {
 		fail(err)
 	}

@@ -2,162 +2,270 @@ package autopipe_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// testOnlyExports lists the exported package-level funcs and types in
-// internal/ that only test files reference, keyed by package path under
-// internal/ and name, each with the reason it stays exported. Every other
-// such identifier belongs in a _test.go file or nowhere.
+// testOnlyExports lists the exported package-level funcs and types, and the
+// exported methods, in internal/ that only test files reference, keyed by
+// package path under internal/ and name (Type.Method for a method), each with
+// the reason it stays exported. Every other such identifier belongs in a
+// _test.go file or nowhere.
 var testOnlyExports = map[string]string{
-	"nn.TinyGPT":                 "the tiny-model config the nn and train tests share",
-	"nn.Checkpoint":              "activation checkpointing (paper §II-C) of the miniature framework; the nn tests and train's TestCheckpointedPipelineMatchesSerial show it leaves gradients unchanged",
-	"schedule.ParseJSON":         "parses the schedule goldens for the root fixture manifest and the schedule tests",
-	"schedule.EncodeJSON":        "writes the schedule golden format for the JSON round-trip tests and FuzzParseSchedule",
-	"analysis/analysistest.Run":  "the analyzer fixture harness; only the analyzers' tests run it",
-	"analysis/analysistest.Load": "the analyzer fixture harness; only the analyzers' tests run it",
+	"nn.TinyGPT":                      "the tiny-model config the nn and train tests share",
+	"nn.Checkpoint":                   "activation checkpointing (paper §II-C) of the miniature framework; the nn tests and train's TestCheckpointedPipelineMatchesSerial show it leaves gradients unchanged",
+	"schedule.ParseJSON":              "parses the schedule goldens for the root fixture manifest and the schedule tests",
+	"schedule.EncodeJSON":             "writes the schedule golden format for the JSON round-trip tests and FuzzParseSchedule",
+	"schedule.Schedule.CheckDeadlock": "the static deadlock check (DESIGN.md §11.3) the root fixture manifest runs over every schedule golden; the exec sanitizer is its dynamic half",
+	"analysis/analysistest.Run":       "the analyzer fixture harness; only the analyzers' tests run it",
+	"analysis/analysistest.Load":      "the analyzer fixture harness; only the analyzers' tests run it",
 }
 
-// TestNoTestOnlyExports fails when an exported package-level func or type
-// in internal/ has no reference in a non-test Go file, its own declaration
-// (and its methods' receivers) not counting. Such an identifier is test
-// machinery inside production code: move it into the tests that need it, or
-// give it a reason in testOnlyExports. Non-test files of every package count
-// as references, including the perfbench module, which imports internal/
+// TestNoTestOnlyExports fails when an exported package-level func or type, or
+// an exported method, in internal/ has no use in a non-test Go file, its own
+// declaration and its methods' receivers not counting. Such an identifier is
+// test machinery inside production code: move it into the tests that need
+// it, or give it a reason in testOnlyExports. Non-test files of every package
+// count as uses, including the perfbench module, which imports internal/
 // packages through its replace directive.
+//
+// Uses are resolved by type-checking the module's non-test files, with the
+// standard library type-checked from source. Two kinds of method are exempt:
+// methods on types the root package re-exports, which are public API, and
+// methods that implement an interface non-test code can name (declared in the
+// module, in a package it imports, or written inline), such as error,
+// fmt.Stringer or the nn module interface; those are called through the
+// interface, where no use names the concrete method.
 func TestNoTestOnlyExports(t *testing.T) {
-	type file struct {
-		pkg string // import path of the file's package
-		ast *ast.File
-	}
-	var files []file
-	pkgName := map[string]string{} // import path -> package name
 	fset := token.NewFileSet()
+	imp := &moduleImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+	}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
+		if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(p, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
-			return nil
+			files = append(files, f)
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := path.Join("autopipe", filepath.ToSlash(filepath.Dir(p)))
-		pkgName[pkg] = f.Name.Name
-		files = append(files, file{pkg, f})
+		imp.files[path.Join("autopipe", filepath.ToSlash(p))] = files
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("walk module: %v", err)
 	}
-
-	// key names a package-level identifier; internal/ packages drop the
-	// module prefix, as in testOnlyExports.
-	key := func(pkg, name string) string {
-		return strings.TrimPrefix(pkg, "autopipe/internal/") + "." + name
+	for pkg := range imp.files {
+		if _, err := imp.Import(pkg); err != nil {
+			t.Fatalf("type-check %s: %v", pkg, err)
+		}
 	}
-	declared := map[string]token.Pos{}
-	referenced := map[string]bool{}
-	for _, f := range files {
-		// skip holds the identifiers that declare rather than use a name.
-		skip := map[*ast.Ident]bool{}
-		for _, decl := range f.ast.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				skip[decl.Name] = true
-				if decl.Recv == nil {
-					if strings.HasPrefix(f.pkg, "autopipe/internal/") && decl.Name.IsExported() {
-						declared[key(f.pkg, decl.Name.Name)] = decl.Name.Pos()
-					}
-					continue
-				}
-				ast.Inspect(decl.Recv, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						skip[id] = true
-					}
-					return true
-				})
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						skip[ts.Name] = true
-						if strings.HasPrefix(f.pkg, "autopipe/internal/") && ts.Name.IsExported() {
-							declared[key(f.pkg, ts.Name.Name)] = ts.Name.Pos()
+
+	// A use in a method's receiver list names the type the method belongs
+	// to, not a caller of it.
+	receiver := map[*ast.Ident]bool{}
+	for _, files := range imp.files {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							receiver[id] = true
 						}
-					}
+						return true
+					})
 				}
 			}
 		}
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range f.ast.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if imp.Name != nil {
-				imports[imp.Name.Name] = p
-			} else if name, ok := pkgName[p]; ok {
-				imports[name] = p
+	}
+	used := map[types.Object]bool{}
+	for id, obj := range imp.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if !receiver[id] {
+			used[obj] = true
+		}
+	}
+
+	// Methods on the root package's re-exported types are public API.
+	public := map[*types.TypeName]bool{}
+	root := imp.pkgs["autopipe"].Scope()
+	for _, name := range root.Names() {
+		if tn, ok := root.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				public[named.Obj()] = true
 			}
 		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						referenced[key(p, n.Sel.Name)] = true
-					}
-				}
-				skip[n.Sel] = true // a field or method name, never a package-level one
-			case *ast.Field:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					skip[id] = true // a struct literal's field name
-				}
-			case *ast.Ident:
-				if !skip[n] {
-					referenced[key(f.pkg, n.Name)] = true
+	}
+	ifaces := nameableInterfaces(t, imp)
+
+	declared := map[string]types.Object{}
+	for pkgPath, pkg := range imp.pkgs {
+		if !strings.HasPrefix(pkgPath, "autopipe/internal/") {
+			continue
+		}
+		prefix := strings.TrimPrefix(pkgPath, "autopipe/internal/") + "."
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			switch obj.(type) {
+			case *types.Func, *types.TypeName:
+				if obj.Exported() {
+					declared[prefix+name] = obj
 				}
 			}
-			return true
-		})
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() || public[tn] {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !implementsNameable(named, m.Name(), ifaces) {
+					declared[prefix+name+"."+m.Name()] = m
+				}
+			}
+		}
 	}
 
 	var unused []string
-	for name := range declared {
-		if referenced[name] {
+	for name, obj := range declared {
+		if used[obj] {
 			if _, listed := testOnlyExports[name]; listed {
 				t.Errorf("%s has a non-test caller now; drop it from testOnlyExports", name)
 			}
 			continue
 		}
 		if _, listed := testOnlyExports[name]; !listed {
-			unused = append(unused, fset.Position(declared[name]).String()+": "+name)
+			unused = append(unused, fset.Position(obj.Pos()).String()+": "+name)
 		}
 	}
 	for name := range testOnlyExports {
 		if _, ok := declared[name]; !ok {
-			t.Errorf("testOnlyExports names %s, which is not an exported func or type in internal/", name)
+			t.Errorf("testOnlyExports names %s, which is not an exported func, type or method in internal/", name)
 		}
 	}
 	slices.Sort(unused)
 	for _, u := range unused {
 		t.Errorf("%s is exported but only tests use it", u)
 	}
+}
+
+// moduleImporter type-checks the module's packages from their parsed
+// non-test files, recording every package's uses in one shared types.Info,
+// and hands standard-library imports to std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	files map[string][]*ast.File // import path -> non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// nameableInterfaces indexes by method name the interfaces non-test code can
+// name: error and the protocols package errors asserts inline, every
+// non-generic named interface declared in the module or in a package it
+// imports, and every interface type written in its source.
+func nameableInterfaces(t *testing.T, m *moduleImporter) map[string][]*types.Interface {
+	out := map[string][]*types.Interface{}
+	add := func(typ types.Type) {
+		if named, ok := typ.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return
+		}
+		iface, ok := typ.Underlying().(*types.Interface)
+		if !ok || !iface.IsMethodSet() {
+			return
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			name := iface.Method(i).Name()
+			out[name] = append(out[name], iface)
+		}
+	}
+	for _, expr := range []string{
+		"error",
+		"interface{ Unwrap() error }",
+		"interface{ Unwrap() []error }",
+		"interface{ Is(error) bool }",
+		"interface{ As(any) bool }",
+	} {
+		tv, err := types.Eval(m.fset, nil, token.NoPos, expr)
+		if err != nil {
+			t.Fatalf("evaluate %s: %v", expr, err)
+		}
+		add(tv.Type)
+	}
+	seen := map[*types.Package]bool{}
+	for _, pkg := range m.pkgs {
+		for _, p := range append([]*types.Package{pkg}, pkg.Imports()...) {
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			for _, name := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+					add(tn.Type())
+				}
+			}
+		}
+	}
+	for _, tv := range m.info.Types {
+		if tv.IsType() {
+			add(tv.Type)
+		}
+	}
+	return out
+}
+
+// implementsNameable reports whether named, or a pointer to it, implements
+// an interface in ifaces that has a method called method.
+func implementsNameable(named *types.Named, method string, ifaces map[string][]*types.Interface) bool {
+	for _, iface := range ifaces[method] {
+		if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+			return true
+		}
+	}
+	return false
 }

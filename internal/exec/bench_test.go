@@ -13,7 +13,7 @@ import (
 // experiment regeneration and of the self-healing driver, so its ops/sec (the
 // sanitizer stays on — TestMain forces it for the whole package, exactly as
 // production -sanitize runs pay for it) is measured here. Its allocations are
-// pinned by TestSanitizedRunAllocsPinned and TestRunnerReuseAllocationFree.
+// pinned by TestSanitizedRunAllocsPinned.
 
 // benchCfg is a realistic non-degenerate configuration: distinct stage
 // times, a cross-stage payload, finite bandwidth, and a kernel overhead.
@@ -76,33 +76,6 @@ func BenchmarkRunInterleaved(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchRun(b, s, benchCfg(p*v))
-}
-
-// BenchmarkRunReuse measures the steady-state Runner: working state retained
-// across iterations, sanitizer on (TestMain forces it), registry attached.
-// One warmup run before the timer so even a single measured
-// iteration (-benchtime 1x, the CI compare configuration) sees the
-// steady state — which must be allocation-free, as
-// TestRunnerReuseAllocationFree pins.
-func BenchmarkRunReuse(b *testing.B) {
-	p, m := 8, 32
-	s, err := schedule.OneFOneB(p, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := benchCfg(p)
-	cfg.Obs = obs.NewRegistry()
-	r := NewRunner()
-	if _, err := r.Run(s, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkRunObserved measures the executor with a metrics registry

@@ -159,14 +159,6 @@ type arrivalInfo struct {
 	ready, arrival float64
 }
 
-// Run executes s under cfg with a fresh Runner — the one-shot entry point.
-// The returned Result is independently owned. Drivers that execute the same
-// schedule repeatedly should hold a Runner, whose reused state makes the
-// steady-state event loop allocation-free.
-func Run(s *schedule.Schedule, cfg Config) (*Result, error) {
-	return NewRunner().Run(s, cfg)
-}
-
 // inputsReady reports whether op's cross-stage input (if any) has arrived,
 // and with what timing. hasInput is false for ops with no cross-stage
 // dependency.

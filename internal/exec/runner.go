@@ -10,98 +10,48 @@ import (
 	"autopipe/internal/schedule"
 )
 
-// Runner executes schedules with its working state — dependency graph,
-// sanitizer, arrival maps, trace backing — retained across calls, so a
-// driver that re-executes the same schedule many times (the self-healing
-// training loop, the fault-injection soak) pays the setup allocations once
-// and runs the steady-state event loop allocation-free, sanitizer included.
-// The package-level Run is NewRunner().Run and keeps the one-shot contract.
-//
-// The contract the reuse rests on:
-//
-//   - the returned Result (and everything reachable from it) is valid only
-//     until the next Run call on the same Runner, which overwrites it;
-//   - the schedule must not be mutated between runs — the per-schedule
-//     caches (validation, dependency graph) key on its identity;
-//   - a Runner is not safe for concurrent use. Use one Runner per goroutine.
-type Runner struct {
-	// Per-schedule caches, keyed on pointer identity.
-	validFor *schedule.Schedule
-	san      *Sanitizer
-	sanFor   *schedule.Schedule
+// run is the working state of one execution: the schedule and config, the
+// sanitizer when the execution is checked, the arrival and link maps the
+// event loop consults, and the Result it fills.
+type run struct {
+	s   *schedule.Schedule
+	cfg Config
+	san *Sanitizer // nil when this execution is not sanitized
 
-	// Scratch state reused across runs.
 	arrived     map[msgKey]arrivalInfo
 	pendingHalf map[msgKey]float64
 	linkFree    map[[2]int]float64
 	devFree     []float64
 	next        []int
 	res         Result
-
-	// Per-run context threaded to the helper methods (set by Run).
-	s       *schedule.Schedule
-	cfg     Config
-	liveSan *Sanitizer // nil when this run is not sanitized
 }
 
-// NewRunner returns a Runner with empty caches. The zero value is also ready
-// to use.
-func NewRunner() *Runner { return &Runner{} }
+// Run executes s under cfg; it is the executor's only entry point. Each call
+// validates s and cfg, builds its own working state (and a Sanitizer when
+// cfg.Sanitize asks for one), and returns a Result that belongs to the
+// caller: nothing else holds or reuses it. Run is small enough to inline, so
+// a caller that drops the Result keeps the working state on its stack.
+func Run(s *schedule.Schedule, cfg Config) (*Result, error) {
+	var r run
+	return r.exec(s, cfg)
+}
 
 // phys maps a schedule device index to the physical device id fault plans
 // reference.
-func (r *Runner) phys(d int) int {
+func (r *run) phys(d int) int {
 	if r.cfg.DeviceMap != nil {
 		return r.cfg.DeviceMap[d]
 	}
 	return d
 }
 
-// reset prepares the scratch state for one execution of s, reusing every
-// map and slice backing from previous runs.
-func (r *Runner) reset(s *schedule.Schedule) {
-	if r.arrived == nil {
-		r.arrived = map[msgKey]arrivalInfo{}
-		r.pendingHalf = map[msgKey]float64{}
-		r.linkFree = map[[2]int]float64{}
-	} else {
-		clear(r.arrived)
-		clear(r.pendingHalf)
-		clear(r.linkFree)
-	}
-	if len(r.devFree) == s.Devices {
-		clear(r.devFree)
-		clear(r.next)
-	} else {
-		r.devFree = make([]float64, s.Devices)
-		r.next = make([]int, s.Devices)
-	}
-	res := &r.res
-	res.IterTime = 0
-	res.Startup = math.NaN()
-	if len(res.Traces) == s.Devices {
-		for d := range res.Traces {
-			res.Traces[d] = res.Traces[d][:0]
-		}
-		clear(res.Busy)
-	} else {
-		res.Traces = make([][]OpTrace, s.Devices)
-		res.Busy = make([]float64, s.Devices)
-	}
-	res.Msgs = res.Msgs[:0]
-}
-
-// Run executes s under cfg. See the Runner doc comment for the lifetime of
-// the returned Result.
-func (r *Runner) Run(s *schedule.Schedule, cfg Config) (*Result, error) {
+// exec validates s and cfg, sets up r and runs the event loop.
+func (r *run) exec(s *schedule.Schedule, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if r.validFor != s {
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		r.validFor = s
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	if len(cfg.VirtFwd) != s.VirtStages || len(cfg.VirtBwd) != s.VirtStages {
 		return nil, fmt.Errorf("%w: exec: schedule has %d virtual stages, config has %d fwd / %d bwd times",
@@ -112,25 +62,26 @@ func (r *Runner) Run(s *schedule.Schedule, cfg Config) (*Result, error) {
 			errdefs.ErrBadConfig, len(cfg.DeviceMap), s.Devices)
 	}
 	r.s, r.cfg = s, cfg
-	r.liveSan = nil
 	if cfg.Sanitize || testSanitize {
-		if r.san != nil && r.sanFor == s {
-			r.san.reset(cfg)
-		} else {
-			san, err := newSanitizer(s, cfg)
-			if err != nil {
-				return nil, err
-			}
-			r.san, r.sanFor = san, s
+		san, err := newSanitizer(s, cfg)
+		if err != nil {
+			return nil, err
 		}
-		r.liveSan = r.san
+		r.san = san
 	}
 	var sw obs.Stopwatch
 	if cfg.Obs != nil {
 		sw = obs.NewStopwatch()
 	}
-	r.reset(s)
+	r.arrived = map[msgKey]arrivalInfo{}
+	r.pendingHalf = map[msgKey]float64{}
+	r.linkFree = map[[2]int]float64{}
+	r.devFree = make([]float64, s.Devices)
+	r.next = make([]int, s.Devices)
 	res := &r.res
+	res.Startup = math.NaN()
+	res.Traces = make([][]OpTrace, s.Devices)
+	res.Busy = make([]float64, s.Devices)
 
 	rng := jitterStream{state: cfg.Seed*2862933555777941757 + 3037000493}
 	remaining := 0
@@ -173,8 +124,8 @@ func (r *Runner) Run(s *schedule.Schedule, cfg Config) (*Result, error) {
 					tr.InputReady, tr.InputArrive = input.ready, input.arrival
 				}
 				res.Traces[d] = append(res.Traces[d], tr)
-				if r.liveSan != nil {
-					if err := r.liveSan.checkOp(tr); err != nil {
+				if r.san != nil {
+					if err := r.san.checkOp(tr); err != nil {
 						observeRun(cfg.Obs, sw)
 						return nil, err
 					}
@@ -198,8 +149,8 @@ func (r *Runner) Run(s *schedule.Schedule, cfg Config) (*Result, error) {
 		}
 	}
 
-	if r.liveSan != nil {
-		if err := r.liveSan.finish(); err != nil {
+	if r.san != nil {
+		if err := r.san.finish(); err != nil {
 			observeRun(cfg.Obs, sw)
 			return nil, err
 		}
@@ -239,13 +190,13 @@ func (r *Runner) Run(s *schedule.Schedule, cfg Config) (*Result, error) {
 
 // transfer moves one cross-stage payload across its link, modeling queueing,
 // serialization, latency, and the active fault plan, and records the trace.
-func (r *Runner) transfer(m MsgTrace) (float64, error) {
+func (r *run) transfer(m MsgTrace) (float64, error) {
 	cfg := &r.cfg
 	if m.From == m.To {
 		m.Start, m.Free, m.Arrive = m.Ready, m.Ready, m.Ready
 		r.res.Msgs = append(r.res.Msgs, m)
-		if r.liveSan != nil {
-			if err := r.liveSan.checkMsg(m); err != nil {
+		if r.san != nil {
+			if err := r.san.checkMsg(m); err != nil {
 				return 0, err
 			}
 		}
@@ -281,8 +232,8 @@ func (r *Runner) transfer(m MsgTrace) (float64, error) {
 	m.Free = m.Arrive - cfg.Network.Latency
 	r.linkFree[key] = m.Free
 	r.res.Msgs = append(r.res.Msgs, m)
-	if r.liveSan != nil {
-		if err := r.liveSan.checkMsg(m); err != nil {
+	if r.san != nil {
+		if err := r.san.checkMsg(m); err != nil {
 			return 0, err
 		}
 	}
@@ -292,7 +243,7 @@ func (r *Runner) transfer(m MsgTrace) (float64, error) {
 // deliver schedules op's output transfer (if any) and deposits the arrival
 // times consumers wait on. A fault on the transfer (dropped message, dead
 // link) propagates as a typed error.
-func (r *Runner) deliver(op schedule.Op, end float64) error {
+func (r *run) deliver(op schedule.Op, end float64) error {
 	s, cfg := r.s, &r.cfg
 	var destVirt int
 	switch {

@@ -54,8 +54,9 @@ type Sanitizer struct {
 	executed int
 }
 
-// testSanitize force-enables the sanitizer for every Run in this process; the
-// exec and train test binaries set it so all executor tests run fully checked.
+// testSanitize force-enables the sanitizer for every Run in this process. The
+// exec test binary's TestMain sets it, so every executor test runs fully
+// checked; other packages' tests ask for the check through Config.Sanitize.
 var testSanitize bool
 
 // newSanitizer builds the checker for one execution. Building the dependency
@@ -81,23 +82,6 @@ func newSanitizer(s *schedule.Schedule, cfg Config) (*Sanitizer, error) {
 		linkFree: map[[2]int]sim.Time{},
 		credit:   make([]float64, s.VirtStages),
 	}, nil
-}
-
-// reset returns the checker to its pre-run state for another execution of
-// the same schedule: the dependency graph and state arrays are reused, only
-// cleared. cfg carries the (possibly different) timing model of the new run.
-func (z *Sanitizer) reset(cfg Config) {
-	z.net = cfg.Network
-	z.overhead = cfg.KernelOverhead
-	z.fwd, z.bwd = cfg.VirtFwd, cfg.VirtBwd
-	z.faulty = cfg.Faults != nil
-	clear(z.seen)
-	clear(z.doneAt)
-	clear(z.nextIdx)
-	clear(z.lastEnd)
-	clear(z.linkFree)
-	clear(z.credit)
-	z.executed = 0
 }
 
 // timeLess reports a < b beyond floating-point tolerance (absolute plus

@@ -70,15 +70,7 @@ func (e Env) buildSub(mc config.Model, mbs int) (*model.Blocks, error) {
 // plain 1F1B (numSliced == 0) or AutoPipe's sliced schedule.
 func (e Env) runPartition(bl *model.Blocks, part partition.Partition, m, numSliced int, jitter float64) (*exec.Result, error) {
 	f, b := part.StageTimes(bl)
-	var (
-		s   *schedule.Schedule
-		err error
-	)
-	if numSliced > 0 {
-		s, err = schedule.Sliced(part.Stages(), m, numSliced)
-	} else {
-		s, err = schedule.OneFOneB(part.Stages(), m)
-	}
+	s, err := schedule.Sliced(part.Stages(), m, numSliced)
 	if err != nil {
 		return nil, err
 	}

@@ -202,7 +202,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Error("nil injector crashed a device")
 	}
 	in2 := New(nil, nil)
-	if in2.OOMAt(0, 0) || in2.Plan() != nil {
+	if in2.OOMAt(0, 0) || in2.plan != nil {
 		t.Error("empty injector injected something")
 	}
 }

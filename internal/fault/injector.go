@@ -49,14 +49,6 @@ func New(p *Plan, reg *obs.Registry) *Injector {
 	return inj
 }
 
-// Plan returns the plan the injector runs (nil for an empty injector).
-func (in *Injector) Plan() *Plan {
-	if in == nil {
-		return nil
-	}
-	return in.plan
-}
-
 // fire records that fault i affected execution, counting its first
 // activation.
 func (in *Injector) fire(i int) {

@@ -177,13 +177,7 @@ func Evaluate(s *Spec, bl *model.Blocks, run config.Run, cluster config.Cluster)
 	}
 
 	f, b := StageWallTimes(s, bl)
-	var sched *schedule.Schedule
-	var err error
-	if s.NumSliced > 0 {
-		sched, err = schedule.Sliced(p, res.Micro, s.NumSliced)
-	} else {
-		sched, err = schedule.OneFOneB(p, res.Micro)
-	}
+	sched, err := schedule.Sliced(p, res.Micro, s.NumSliced)
 	if err != nil {
 		return nil, err
 	}

@@ -252,14 +252,15 @@ func GPipe(p, m int) (*Schedule, error) {
 // numSliced micro-batches are split into two halves at every stage. At each
 // stage's final warmup forward the first half's send is cancelled and
 // aggregated with the second half's, which avoids the blockage the paper
-// describes (§III-C).
+// describes (§III-C). With numSliced 0 nothing is split, and Sliced returns
+// exactly what OneFOneB(p, m) does, name included.
 func Sliced(p, m, numSliced int) (*Schedule, error) {
 	if numSliced < 0 || numSliced > m {
 		return nil, fmt.Errorf("schedule: sliced count %d out of range [0,%d]", numSliced, m)
 	}
 	base, err := OneFOneB(p, m)
-	if err != nil {
-		return nil, err
+	if err != nil || numSliced == 0 {
+		return base, err
 	}
 	s := &Schedule{
 		Name: "Sliced-1F1B", Devices: p, VirtStages: p, DeviceOf: identity(p),

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -111,18 +112,18 @@ func TestSlicedStructure(t *testing.T) {
 }
 
 func TestSlicedZeroEqualsOneFOneB(t *testing.T) {
-	a, _ := OneFOneB(4, 8)
-	b, err := Sliced(4, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range a.Ops {
-		if len(a.Ops[x]) != len(b.Ops[x]) {
-			t.Fatalf("stage %d differs in op count", x)
-		}
-		for i := range a.Ops[x] {
-			if a.Ops[x][i] != b.Ops[x][i] {
-				t.Errorf("stage %d op %d: %v vs %v", x, i, a.Ops[x][i], b.Ops[x][i])
+	for p := 1; p <= 8; p++ {
+		for m := 1; m <= 16; m++ {
+			want, err := OneFOneB(p, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Sliced(p, m, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("p=%d m=%d: Sliced(p, m, 0) = %+v, want OneFOneB's %+v", p, m, got, want)
 			}
 		}
 	}

@@ -47,14 +47,6 @@ func (t *Tensor) Size() int {
 	return n
 }
 
-// Dim returns the length of axis i (negative i counts from the back).
-func (t *Tensor) Dim(i int) int {
-	if i < 0 {
-		i += len(t.Shape)
-	}
-	return t.Shape[i]
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	out := New(t.Shape...)

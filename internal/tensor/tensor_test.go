@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -11,8 +12,8 @@ func TestNewAndSize(t *testing.T) {
 	if x.Size() != 24 || len(x.Data) != 24 {
 		t.Errorf("size = %d", x.Size())
 	}
-	if x.Dim(0) != 2 || x.Dim(-1) != 4 {
-		t.Errorf("dims = %d, %d", x.Dim(0), x.Dim(-1))
+	if !slices.Equal(x.Shape, []int{2, 3, 4}) {
+		t.Errorf("shape = %v", x.Shape)
 	}
 	defer func() {
 		if recover() == nil {

@@ -340,11 +340,7 @@ func (d *driver) executeWithRecovery(ctx context.Context, iter int) (res *exec.R
 
 // buildSchedule lays out the current plan's schedule.
 func (d *driver) buildSchedule() (*schedule.Schedule, error) {
-	p := len(d.devices)
-	if d.numSliced > 0 {
-		return schedule.Sliced(p, d.cfg.Micro, d.numSliced)
-	}
-	return schedule.OneFOneB(p, d.cfg.Micro)
+	return schedule.Sliced(len(d.devices), d.cfg.Micro, d.numSliced)
 }
 
 // runExec executes the current plan's schedule on the timing executor with

@@ -78,15 +78,7 @@ func (p *Pipeline) Step(micros []Batch, numSliced int, scale float64) (float64, 
 	if m == 0 {
 		return 0, fmt.Errorf("%w: train: no micro-batches", errdefs.ErrBadConfig)
 	}
-	var (
-		sched *schedule.Schedule
-		err   error
-	)
-	if numSliced > 0 {
-		sched, err = schedule.Sliced(nStages, m, numSliced)
-	} else {
-		sched, err = schedule.OneFOneB(nStages, m)
-	}
+	sched, err := schedule.Sliced(nStages, m, numSliced)
 	if err != nil {
 		return 0, err
 	}

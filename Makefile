@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke perfbench-test fault-smoke fmt-check tier1 verify clean
+.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke perfbench-test fault-smoke experiments-smoke fmt-check tier1 verify clean
 
 all: build
 
@@ -97,6 +97,15 @@ perfbench-test:
 fault-smoke:
 	$(GO) run ./cmd/pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 -faults testdata/faults_basic.json
 
+# experiments-smoke runs the evaluation harness through its command: every
+# experiment id, the -csv writer and the exit status, which the package
+# tests (calling experiments.Env directly) do not reach.
+experiments-smoke:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/experiments -exp all -csv "$$dir" >/dev/null || exit 1; \
+	n="$$(ls "$$dir" | wc -l)"; \
+	if [ "$$n" -ne 18 ]; then echo "experiments-smoke: $$n CSV files, want 18"; exit 1; fi
+
 # fmt-check fails (with the offending files listed) if anything is not
 # gofmt-clean.
 fmt-check:
@@ -112,13 +121,14 @@ tier1: build test
 # autopipelint's simclock and errsentinel), the full test suite under the race
 # detector, the deep race pass over the planner engine and the whole
 # service/observability surface (race-all), a one-shot benchmark
-# smoke, the fault-injection smoke, the sanitized executions, the tier-1
-# gate, and the repository benchmark's own tests. The daemon's end-to-end,
-# restart-resume and crash-recovery soak checks, and the soak behind the
-# test-only chaos middleware, are tier-1 tests in internal/service. (CI
+# smoke, the fault-injection smoke, the sanitized executions, the
+# experiments command smoke, the tier-1 gate, and the repository benchmark's
+# own tests. The daemon's end-to-end, restart-resume and crash-recovery soak
+# checks, and the soak behind the test-only chaos middleware, are tier-1
+# tests in internal/service. (CI
 # additionally runs fuzz-smoke, kept out of verify so the local gate stays
 # fast.)
-verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke sanitize
+verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke sanitize experiments-smoke
 
 clean:
 	$(GO) clean ./...

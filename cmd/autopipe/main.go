@@ -130,14 +130,8 @@ func assessFaults(spec *plan.Spec, bl *model.Blocks, res *plan.Result, cluster c
 	if err != nil {
 		fail(err)
 	}
-	cfg := exec.Config{
-		VirtFwd:        f,
-		VirtBwd:        b,
-		CommBytes:      bl.List[0].OutBytes,
-		Network:        cluster.Network,
-		KernelOverhead: cluster.Device.KernelOverhead,
-		Sanitize:       sanitize,
-	}
+	cfg := plan.ExecConfig(f, b, bl, cluster)
+	cfg.Sanitize = sanitize
 	clean, err := exec.Run(sched, cfg)
 	if err != nil {
 		fail(err)

@@ -3,8 +3,12 @@
 //
 // Usage:
 //
-//	experiments [-exp all|table1|table2|table3|table4|fig9|fig10|fig11|fig12|fig13|fig14a|fig14b|resilience] \
-//	            [-timeout 10m] [-csv dir] [-faults plan.json]
+//	experiments [-exp all|ID[,ID...]] [-timeout 10m] [-csv dir] [-faults plan.json]
+//
+// where each ID is one of table1, table2, fig9, fig10, fig11, table3,
+// table4, fig12, fig13, fig14a, fig14b, abl-granularity, abl-heuristic,
+// abl-slicing, abl-schedule, abl-interleaved, telemetry, or resilience
+// ("all" runs the 18 in that order).
 //
 // The planner searches on GOMAXPROCS workers; the plan does not depend on
 // the count.

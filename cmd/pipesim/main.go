@@ -15,7 +15,7 @@
 // With -faults, the schedule executes under the injected fault plan: a
 // surviving run reports its slowdown against the clean baseline, while a
 // fatal fault (device crash, permanent link loss) is classified by its typed
-// error. See cmd/experiments -suite resilience for the self-healing driver
+// error. See cmd/experiments -exp resilience for the self-healing driver
 // that recovers from fatal faults instead of stopping.
 package main
 
@@ -38,6 +38,7 @@ import (
 	"autopipe/internal/model"
 	"autopipe/internal/obs"
 	"autopipe/internal/partition"
+	"autopipe/internal/plan"
 	"autopipe/internal/schedule"
 	"autopipe/internal/sim"
 	"autopipe/internal/slicer"
@@ -82,7 +83,7 @@ func main() {
 		fail(err)
 	}
 
-	plan, err := ff.Load()
+	fplan, err := ff.Load()
 	if err != nil {
 		fail(err)
 	}
@@ -148,17 +149,10 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	cfg := exec.Config{
-		VirtFwd:        virtF,
-		VirtBwd:        virtB,
-		CommBytes:      bl.List[0].OutBytes,
-		Network:        cluster.Network,
-		KernelOverhead: cluster.Device.KernelOverhead,
-		Obs:            reg,
-		Sanitize:       ef.Sanitize,
-	}
+	cfg := plan.ExecConfig(virtF, virtB, bl, cluster)
+	cfg.Obs, cfg.Sanitize = reg, ef.Sanitize
 	var cleanIter float64
-	if plan != nil {
+	if fplan != nil {
 		// Baseline without injection so the faulted run's slowdown is
 		// attributable, then execute under the plan.
 		clean, err := exec.Run(s, cfg)
@@ -166,7 +160,7 @@ func main() {
 			fail(err)
 		}
 		cleanIter = clean.IterTime
-		cfg.Faults = fault.New(plan, reg)
+		cfg.Faults = fault.New(fplan, reg)
 	}
 	r, err := exec.Run(s, cfg)
 	if err != nil {
@@ -196,14 +190,14 @@ func main() {
 	fmt.Print(part.Describe(bl))
 	fmt.Printf("\niteration time:   %.1f ms\n", r.IterTime*1e3)
 	fmt.Printf("startup overhead: %.1f ms\n", r.Startup*1e3)
-	if plan != nil {
-		name := plan.Name
+	if fplan != nil {
+		name := fplan.Name
 		if name == "" {
 			name = ff.Path
 		}
 		injected := reg.Snapshot().Counters["fault.injected"]
 		fmt.Printf("fault plan %q: %d fault(s) declared, %.0f activated; survived with +%.1f%% iteration time (clean %.1f ms)\n",
-			name, len(plan.Faults), injected, 100*(r.IterTime-cleanIter)/cleanIter, cleanIter*1e3)
+			name, len(fplan.Faults), injected, 100*(r.IterTime-cleanIter)/cleanIter, cleanIter*1e3)
 	}
 	for d, u := range r.Utilization() {
 		fmt.Printf("device %d utilization: %.1f%%\n", d, 100*u)
@@ -289,7 +283,7 @@ func failFault(err error) {
 	switch {
 	case errors.Is(err, errdefs.ErrDeviceLost):
 		fmt.Fprintln(os.Stderr, "pipesim: fatal fault (device lost):", err)
-		fmt.Fprintln(os.Stderr, "pipesim: a bare schedule cannot survive device loss; the self-healing driver (cmd/experiments -suite resilience) checkpoints and replans over the survivors")
+		fmt.Fprintln(os.Stderr, "pipesim: a bare schedule cannot survive device loss; the self-healing driver (cmd/experiments -exp resilience) checkpoints and replans over the survivors")
 	case errors.Is(err, errdefs.ErrLinkDown):
 		fmt.Fprintln(os.Stderr, "pipesim: fatal fault (link down):", err)
 	case errors.Is(err, errdefs.ErrOOM):

@@ -26,10 +26,11 @@ func main() {
 	fmt.Printf("%6s  %12s  %12s  %12s  %12s  %8s\n",
 		"depth", "Megatron", "Slicer", "Planner", "AutoPipe", "speedup")
 	for _, depth := range []int{2, 4, 8, 12} {
-		res, err := env.ComparePoint(model, depth, 16, 2*depth)
+		pt, err := env.ComparePoint(model, depth, 16, 2*depth)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := pt.Results
 		mega := res[experiments.SeriesMegatron]
 		auto := res[experiments.SeriesAutoPipe]
 		fmt.Printf("%6d  %10.1fms  %10.1fms  %10.1fms  %10.1fms  %7.2fx\n",

@@ -7,6 +7,7 @@ import (
 	"autopipe/internal/cost"
 	"autopipe/internal/exec"
 	"autopipe/internal/model"
+	"autopipe/internal/plan"
 	"autopipe/internal/schedule"
 	"autopipe/internal/slicer"
 	"autopipe/internal/tableio"
@@ -217,12 +218,7 @@ func (e Env) AblationSchedules() ([]SchedulePoint, *tableio.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		r, err := exec.Run(s, exec.Config{
-			VirtFwd: prof.Fwd, VirtBwd: prof.Bwd,
-			CommBytes:      bl.List[0].OutBytes,
-			Network:        e.Cluster.Network,
-			KernelOverhead: e.Cluster.Device.KernelOverhead,
-		})
+		r, err := exec.Run(s, plan.ExecConfig(prof.Fwd, prof.Bwd, bl, e.Cluster))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -246,4 +242,29 @@ func (e Env) AblationSchedules() ([]SchedulePoint, *tableio.Table, error) {
 		t.AddRow(bd.name, tableio.Ms(r.IterTime), tableio.Ms(r.Startup), fmt.Sprintf("%.1f", pt.PeakStash))
 	}
 	return points, t, nil
+}
+
+// AblationInterleaved tests the paper's §I claim that Megatron's interleaved
+// schedule "damages the pipeline balance and thus harms the system
+// throughput": although interleaving halves the startup overhead (Fig. 14),
+// its fixed even chunk assignment pins the embedding to device 0 and the
+// vocabulary head to the last device's final chunk, so the steady state
+// bottlenecks on the head-heavy device and each micro-batch pays twice the
+// cross-device hops. AutoPipe instead rebalances the partition and keeps the
+// one-chunk schedule.
+func (e Env) AblationInterleaved() ([]Point, *tableio.Table, error) {
+	var settings []setting
+	for _, mbs := range []int{4, 8, 16} {
+		settings = append(settings, setting{config.GPT2_345M(), 4, mbs, 8})
+	}
+	t := &tableio.Table{
+		ID:      "abl-interleaved",
+		Title:   "Iteration time (ms): plain 1F1B vs interleaved vs AutoPipe; GPT-2 345M, 4 stages",
+		Columns: []string{"Mbs", "Megatron 1F1B", "Interleaved", "AutoPipe", "AutoPipe vs interleaved"},
+	}
+	t.Note("interleaving halves startup (Fig. 14) but its fixed even chunks cannot rebalance the head-heavy tail and its micro-batches hop twice as often")
+	return e.compareTable(t, settings, func(p Point) []string {
+		row := append([]string{fmt.Sprint(p.Mbs)}, cells(p, false, SeriesMegatron, SeriesInterleaved, SeriesAutoPipe)...)
+		return append(row, speedupCell(p, SeriesInterleaved, SeriesAutoPipe))
+	})
 }

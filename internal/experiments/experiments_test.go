@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -225,6 +227,19 @@ func TestTable3LowMemoryShapes(t *testing.T) {
 	}
 }
 
+// TestTable3ReturnsPlanningErrors: only a planner's ErrInfeasible becomes an
+// OOM cell; any other planning error, such as an expired context, fails the
+// table instead of printing as OOM.
+func TestTable3ReturnsPlanningErrors(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := DefaultEnv()
+	e.Ctx = ctx
+	if _, _, err := e.Table3(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Table3 under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
 func TestTable4HighMemoryShapes(t *testing.T) {
 	e := DefaultEnv()
 	rows, _, err := e.Table4()
@@ -251,7 +266,7 @@ func TestTable4HighMemoryShapes(t *testing.T) {
 			d13 := byKey["GPT-2 1.3B/"+itoa(g)+"/D"].Cells[i]
 			p13 := byKey["GPT-2 1.3B/"+itoa(g)+"/P"].Cells[i]
 			a13 := byKey["GPT-2 1.3B/"+itoa(g)+"/A"].Cells[i]
-			if !strings.HasPrefix(d13.Err, "OOM") {
+			if !d13.OOM || !strings.HasPrefix(d13.Err, "OOM") {
 				t.Errorf("1.3B %d GPUs: DAPPLE should OOM, got %+v", g, d13)
 			}
 			if p13.Err != "" || a13.Err != "" {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"autopipe/internal/baselines/dapple"
-	"autopipe/internal/baselines/piper"
 	"autopipe/internal/config"
 	"autopipe/internal/partition"
 	"autopipe/internal/plan"
@@ -39,25 +37,14 @@ func (e Env) Fig12() ([]Fig12Point, *tableio.Table, error) {
 		Columns: []string{"Model", "Planner", "Search time", "Candidates"},
 	}
 	for _, mc := range config.Zoo() {
-		ds, _, err := dapple.Plan(mc, run, e.Cluster, dapple.Options{Exhaustive: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		ps, _, err := piper.Plan(mc, run, e.Cluster, piper.FullSpace())
-		if err != nil {
-			return nil, nil, err
-		}
-		as, _, err := e.planCluster(mc, run, e.Cluster)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, p := range []struct {
-			name string
-			spec *plan.Spec
-		}{{"DAPPLE", ds}, {"Piper", ps}, {"AutoPipe", as}} {
-			pt := Fig12Point{Model: mc.Name, Planner: p.name, Search: p.spec.SearchTime, Evaluated: p.spec.Evaluated}
+		for _, alg := range planners {
+			spec, _, err := e.plan(alg.name, mc, run, e.Cluster, true)
+			if err != nil {
+				return nil, nil, err
+			}
+			pt := Fig12Point{Model: mc.Name, Planner: alg.name, Search: spec.SearchTime, Evaluated: spec.Evaluated}
 			points = append(points, pt)
-			t.AddRow(mc.Name, p.name, pt.Search.String(), fmt.Sprint(pt.Evaluated))
+			t.AddRow(mc.Name, alg.name, pt.Search.String(), fmt.Sprint(pt.Evaluated))
 		}
 	}
 	t.Note("the paper's DAPPLE is Python; equal-language implementations leave the search-space gap, which keeps the D >> P > A ordering")
@@ -91,46 +78,22 @@ func (e Env) Fig13() ([]Fig13Point, *tableio.Table, error) {
 		cl.NumGPUs = g
 		run := config.Run{MicroBatch: 32, GlobalBatch: 512, Checkpoint: true}
 
-		type entry struct {
-			name string
-			spec *plan.Spec
-			bl   interface {
-				Weights() []float64
+		first := len(points)
+		for _, alg := range planners {
+			spec, bl, err := e.plan(alg.name, mc, run, cl, false)
+			if err != nil {
+				return nil, nil, err
 			}
-			std    float64
-			stages int
+			f, b := plan.StageWallTimes(spec, bl)
+			points = append(points, Fig13Point{GPUs: g, Planner: alg.name, StdDev: stageStd(f, b), Stages: spec.Depth()})
 		}
-		var entries []entry
-
-		ds, dbl, err := dapple.Plan(mc, run, cl, dapple.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		df, db := plan.StageWallTimes(ds, dbl)
-		entries = append(entries, entry{"DAPPLE", ds, dbl, stageStd(df, db), ds.Depth()})
-
-		psp, pbl, err := piper.Plan(mc, run, cl, piper.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		pf, pb := plan.StageWallTimes(psp, pbl)
-		entries = append(entries, entry{"Piper", psp, pbl, stageStd(pf, pb), psp.Depth()})
-
-		asp, abl, err := e.planCluster(mc, run, cl)
-		if err != nil {
-			return nil, nil, err
-		}
-		af, ab := plan.StageWallTimes(asp, abl)
-		entries = append(entries, entry{"AutoPipe", asp, abl, stageStd(af, ab), asp.Depth()})
-
-		auto := entries[2].std
-		for _, en := range entries {
+		auto := points[len(points)-1].StdDev
+		for _, p := range points[first:] {
 			ratio := "-"
-			if en.name != "AutoPipe" && auto > 0 {
-				ratio = tableio.Speedup(en.std / auto)
+			if p.Planner != "AutoPipe" && auto > 0 {
+				ratio = tableio.Speedup(p.StdDev / auto)
 			}
-			points = append(points, Fig13Point{GPUs: g, Planner: en.name, StdDev: en.std, Stages: en.stages})
-			t.AddRow(fmt.Sprint(g), en.name, fmt.Sprint(en.stages), tableio.Ms(en.std), ratio)
+			t.AddRow(fmt.Sprint(g), p.Planner, fmt.Sprint(p.Stages), tableio.Ms(p.StdDev), ratio)
 		}
 	}
 	return points, t, nil

@@ -7,51 +7,25 @@ import (
 	"autopipe/internal/tableio"
 )
 
-// Fig9Point is one measured configuration of Fig. 9.
-type Fig9Point struct {
-	Model   string
-	Mbs     int
-	Results map[string]MethodResult
-}
-
 // Fig9 reproduces paper Fig. 9: iteration time under different micro-batch
 // sizes with a fixed 4-stage pipeline and 8 micro-batches per iteration, for
 // Megatron-LM, the Slicer alone, the Planner alone, and full AutoPipe.
 // GPT-2 762M runs out of memory at micro-batch 32, so — like the paper — its
 // sweep tops out at 24.
-func (e Env) Fig9() ([]Fig9Point, *tableio.Table, error) {
-	const depth, m = 4, 8
-	models := []config.Model{config.GPT2_345M(), config.GPT2_762M(), config.BERTLarge()}
-	sizes := []int{4, 8, 16, 24, 32}
-
-	var points []Fig9Point
+func (e Env) Fig9() ([]Point, *tableio.Table, error) {
+	var settings []setting
+	for _, mc := range []config.Model{config.GPT2_345M(), config.GPT2_762M(), config.BERTLarge()} {
+		for _, mbs := range []int{4, 8, 16, 24, 32} {
+			settings = append(settings, setting{mc, 4, mbs, 8})
+		}
+	}
 	t := &tableio.Table{
 		ID:      "fig9",
 		Title:   "Iteration time (ms) vs micro-batch size; 4 stages, 8 micro-batches",
 		Columns: []string{"Model", "Mbs", SeriesMegatron, SeriesSlicer, SeriesPlanner, SeriesAutoPipe, "AutoPipe speedup"},
 	}
-	for _, mc := range models {
-		for _, mbs := range sizes {
-			res, err := e.ComparePoint(mc, depth, mbs, m)
-			if err != nil {
-				return nil, nil, err
-			}
-			points = append(points, Fig9Point{Model: mc.Name, Mbs: mbs, Results: res})
-			t.AddRow(mc.Name, fmt.Sprint(mbs),
-				cell(res[SeriesMegatron]), cell(res[SeriesSlicer]),
-				cell(res[SeriesPlanner]), cell(res[SeriesAutoPipe]),
-				speedupCell(res[SeriesMegatron], res[SeriesAutoPipe]))
-		}
-	}
 	t.Note("OOM marks configurations exceeding 24 GB device memory (GPT-2 762M at micro-batch 32, as in the paper)")
-	return points, t, nil
-}
-
-// Fig10Point is one measured configuration of Fig. 10.
-type Fig10Point struct {
-	Model   string
-	Depth   int
-	Results map[string]MethodResult
+	return e.compareTable(t, settings, func(p Point) []string { return iterRow(p, p.Model, fmt.Sprint(p.Mbs)) })
 }
 
 // Fig10 reproduces paper Fig. 10: iteration time at different pipeline
@@ -59,53 +33,33 @@ type Fig10Point struct {
 // size is 4 for the GPT-2 models and 16 for BERT-large; GPT-2 762M uses a
 // 9-stage pipeline instead of 8 because Megatron-LM needs the depth to
 // divide the layer count.
-func (e Env) Fig10() ([]Fig10Point, *tableio.Table, error) {
-	type modelCase struct {
+func (e Env) Fig10() ([]Point, *tableio.Table, error) {
+	cases := []struct {
 		mc     config.Model
 		mbs    int
 		depths []int
-	}
-	cases := []modelCase{
+	}{
 		{config.GPT2_345M(), 4, []int{2, 4, 8, 12}},
 		{config.GPT2_762M(), 4, []int{2, 4, 9, 12}},
 		{config.BERTLarge(), 16, []int{2, 4, 8, 12}},
 	}
-	var points []Fig10Point
+	var settings []setting
+	for _, c := range cases {
+		for _, depth := range c.depths {
+			settings = append(settings, setting{c.mc, depth, c.mbs, 2 * depth})
+		}
+	}
 	t := &tableio.Table{
 		ID:      "fig10",
 		Title:   "Iteration time (ms) vs pipeline depth; micro-batches = 2 x depth",
 		Columns: []string{"Model", "Stages", SeriesMegatron, SeriesSlicer, SeriesPlanner, SeriesAutoPipe, "AutoPipe speedup"},
 	}
-	for _, c := range cases {
-		for _, depth := range c.depths {
-			res, err := e.ComparePoint(c.mc, depth, c.mbs, 2*depth)
-			if err != nil {
-				return nil, nil, err
-			}
-			points = append(points, Fig10Point{Model: c.mc.Name, Depth: depth, Results: res})
-			t.AddRow(c.mc.Name, fmt.Sprint(depth),
-				cell(res[SeriesMegatron]), cell(res[SeriesSlicer]),
-				cell(res[SeriesPlanner]), cell(res[SeriesAutoPipe]),
-				speedupCell(res[SeriesMegatron], res[SeriesAutoPipe]))
-		}
-	}
-	return points, t, nil
+	return e.compareTable(t, settings, func(p Point) []string { return iterRow(p, p.Model, fmt.Sprint(p.Depth)) })
 }
 
-func cell(r MethodResult) string {
-	switch {
-	case r.Infeasible:
-		return "X"
-	case r.OOM:
-		return "OOM"
-	default:
-		return tableio.Ms(r.IterTime)
-	}
-}
-
-func speedupCell(base, autopipe MethodResult) string {
-	if base.OOM || autopipe.OOM || base.Infeasible || autopipe.Infeasible || autopipe.IterTime == 0 {
-		return "-"
-	}
-	return tableio.Speedup(base.IterTime / autopipe.IterTime)
+// iterRow renders a Fig. 9/10 row: the key cells, the four methods'
+// iteration times, and AutoPipe's speedup over Megatron-LM.
+func iterRow(p Point, key ...string) []string {
+	row := append(key, cells(p, false, SeriesMegatron, SeriesSlicer, SeriesPlanner, SeriesAutoPipe)...)
+	return append(row, speedupCell(p, SeriesMegatron, SeriesAutoPipe))
 }

@@ -63,7 +63,6 @@ func (e Env) resilienceConfig() train.DriverConfig {
 		Micro:    4,
 		Batch:    4,
 		Steps:    resilienceSteps,
-		LR:       2e-3,
 		DataSeed: 3,
 	}
 }

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
-	"autopipe/internal/baselines/dapple"
-	"autopipe/internal/baselines/piper"
 	"autopipe/internal/config"
+	"autopipe/internal/errdefs"
 	"autopipe/internal/model"
 	"autopipe/internal/plan"
 	"autopipe/internal/tableio"
@@ -13,9 +13,13 @@ import (
 
 // PlannerCell is one (planner, global batch) measurement of Tables III/IV.
 type PlannerCell struct {
-	// IterTime is in seconds; Err carries "OOM"/"runtime error" markers.
+	// IterTime is in seconds; Err explains a cell that did not run: a
+	// planner that found no memory-feasible plan, or the evaluator's "OOM"
+	// and "runtime error" markers. OOM sets the table's OOM marker; any
+	// other Err prints as '-'.
 	IterTime float64
 	Err      string
+	OOM      bool
 }
 
 // PlannerRow is one (model, mbs, #GPUs, planner) row of Tables III/IV.
@@ -29,47 +33,35 @@ type PlannerRow struct {
 	Cells   []PlannerCell // one per global batch size
 }
 
-// plannerComparison runs DAPPLE, Piper, and AutoPipe for each (model, mbs,
-// #GPUs) case and evaluates their plans at each global batch size — the
-// paper's "applying corresponding algorithms' results to Megatron-LM".
+// plannerComparison runs the planner roster for each (model, mbs, #GPUs)
+// case and evaluates their plans at each global batch size — the paper's
+// "applying corresponding algorithms' results to Megatron-LM".
 func (e Env) plannerComparison(mc config.Model, mbs int, gpus []int, gbs []int) ([]PlannerRow, error) {
 	var rows []PlannerRow
 	for _, g := range gpus {
 		cl := e.Cluster
 		cl.NumGPUs = g
-		for _, alg := range []string{"D", "P", "A"} {
-			row := PlannerRow{Model: mc.Name, Mbs: mbs, GPUs: g, Planner: alg}
+		for _, alg := range planners {
+			row := PlannerRow{Model: mc.Name, Mbs: mbs, GPUs: g, Planner: alg.short}
 			for _, b := range gbs {
 				run := config.Run{MicroBatch: mbs, GlobalBatch: b, Checkpoint: true}
-				var (
-					spec *plan.Spec
-					bl   *model.Blocks
-					err  error
-				)
-				switch alg {
-				case "D":
-					spec, bl, err = dapple.Plan(mc, run, cl, dapple.Options{})
-				case "P":
-					// Piper is constrained to the shared Megatron backend:
-					// activation checkpointing mandated, no tensor
-					// parallelism (see package piper).
-					spec, bl, err = piper.Plan(mc, run, cl, piper.Options{})
-				default:
-					spec, bl, err = e.planCluster(mc, run, cl)
+				spec, bl, err := e.plan(alg.name, mc, run, cl, false)
+				if errors.Is(err, errdefs.ErrInfeasible) {
+					// A planner that refuses memory-infeasible configurations
+					// at planning time reports the cell as OOM.
+					row.Cells = append(row.Cells, PlannerCell{Err: err.Error(), OOM: true})
+					continue
 				}
 				if err != nil {
-					// AutoPipe refuses memory-infeasible configurations at
-					// planning time; report the cell as OOM.
-					row.Cells = append(row.Cells, PlannerCell{Err: "OOM"})
-					continue
+					return nil, err
 				}
 				res, err := plan.Evaluate(spec, bl, run, cl)
 				if err != nil {
 					return nil, err
 				}
 				row.Spec, row.Blocks = spec, bl
-				if res.Err != "" {
-					row.Cells = append(row.Cells, PlannerCell{Err: res.Err})
+				if fail := res.Failure(); fail != nil {
+					row.Cells = append(row.Cells, PlannerCell{Err: res.Err, OOM: errors.Is(fail, errdefs.ErrOOM)})
 					continue
 				}
 				row.Cells = append(row.Cells, PlannerCell{IterTime: res.IterTime})
@@ -92,7 +84,7 @@ func plannerTable(id, title string, gbs []int, rows []PlannerRow) *tableio.Table
 			switch {
 			case c.Err == "":
 				cells = append(cells, tableio.Ms(c.IterTime))
-			case len(c.Err) >= 3 && c.Err[:3] == "OOM":
+			case c.OOM:
 				cells = append(cells, "OOM")
 			default:
 				cells = append(cells, "-")

@@ -181,13 +181,7 @@ func Evaluate(s *Spec, bl *model.Blocks, run config.Run, cluster config.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	r, err := exec.Run(sched, exec.Config{
-		VirtFwd:        f,
-		VirtBwd:        b,
-		CommBytes:      bl.List[0].OutBytes,
-		Network:        cluster.Network,
-		KernelOverhead: cluster.Device.KernelOverhead,
-	})
+	r, err := exec.Run(sched, ExecConfig(f, b, bl, cluster))
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +189,22 @@ func Evaluate(s *Spec, bl *model.Blocks, run config.Run, cluster config.Cluster)
 	res.AllReduce = allReduce(s, bl, cluster.Network)
 	res.IterTime = r.IterTime + res.AllReduce
 	return res, nil
+}
+
+// ExecConfig returns the executor setup shared by every run of a plan on the
+// simulated testbed: the per-virtual-stage forward/backward times f and b,
+// the cross-stage payload (the first block's output activation, which every
+// stage boundary of a transformer carries), and the cluster's link and
+// kernel-launch costs. Callers add their own fields (jitter, faults, the
+// sanitizer, a device map) to the returned value.
+func ExecConfig(f, b []float64, bl *model.Blocks, cluster config.Cluster) exec.Config {
+	return exec.Config{
+		VirtFwd:        f,
+		VirtBwd:        b,
+		CommBytes:      bl.List[0].OutBytes,
+		Network:        cluster.Network,
+		KernelOverhead: cluster.Device.KernelOverhead,
+	}
 }
 
 // StageWallTimes returns the per-stage forward/backward wall times of the

@@ -16,6 +16,7 @@ import (
 	"autopipe/internal/nn"
 	"autopipe/internal/obs"
 	"autopipe/internal/partition"
+	"autopipe/internal/plan"
 	"autopipe/internal/schedule"
 	"autopipe/internal/sim"
 	"autopipe/internal/slicer"
@@ -61,8 +62,6 @@ type DriverConfig struct {
 	Micro, Batch int
 	// Steps is the number of training iterations to run.
 	Steps int
-	// LR is the Adam learning rate.
-	LR float64
 	// DataSeed seeds the synthetic corpus.
 	DataSeed uint64
 	// Faults, when non-nil, is the fault plan injected into every timing
@@ -73,27 +72,6 @@ type DriverConfig struct {
 	// Obs receives driver and fault-injection metrics (may be nil).
 	Obs *obs.Registry
 
-	// MaxRetries caps transient-fault retries per iteration (default 3).
-	MaxRetries int
-	// BackoffBase is the first retry backoff in simulated seconds; each retry
-	// doubles it, capped at 1 s (default 0.05).
-	BackoffBase float64
-	// StragglerFactor is the measured/predicted iteration-time ratio beyond
-	// which (in either direction) an iteration counts as deviant
-	// (default 1.35).
-	StragglerFactor float64
-	// StragglerPatience is the number of consecutive deviant iterations that
-	// trigger re-profiling and a live re-plan (default 2).
-	StragglerPatience int
-	// CheckpointBandwidth is the modeled save/restore bandwidth in bytes/s
-	// (default 12.5e9, a 100 Gb/s fabric).
-	CheckpointBandwidth float64
-	// ReplanCandidateCost is the modeled planning time per candidate the
-	// search evaluates, in seconds (default 2e-4). Modeling replan latency
-	// from the candidate count instead of wall clock keeps recovery
-	// trajectories deterministic.
-	ReplanCandidateCost float64
-
 	// Sanitize threads the executor's runtime happens-before checker through
 	// every timing execution (measured and reference); a violation aborts
 	// training with an error wrapping errdefs.ErrInternal. The package's
@@ -101,30 +79,30 @@ type DriverConfig struct {
 	Sanitize bool
 }
 
-func (cfg DriverConfig) withDefaults() DriverConfig {
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 0.05
-	}
-	if cfg.StragglerFactor == 0 {
-		cfg.StragglerFactor = 1.35
-	}
-	if cfg.StragglerPatience == 0 {
-		cfg.StragglerPatience = 2
-	}
-	if cfg.CheckpointBandwidth == 0 {
-		cfg.CheckpointBandwidth = 12.5e9
-	}
-	if cfg.ReplanCandidateCost == 0 {
-		cfg.ReplanCandidateCost = 2e-4
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 1e-3
-	}
-	return cfg
-}
+// The driver's recovery constants.
+const (
+	// learningRate is the Adam learning rate.
+	learningRate = 2e-3
+	// maxRetries caps transient-fault retries per iteration.
+	maxRetries = 3
+	// backoffBase is the first retry backoff in simulated seconds; each
+	// retry doubles it, capped at 1 s.
+	backoffBase = 0.05
+	// stragglerFactor is the measured/predicted iteration-time ratio beyond
+	// which (in either direction) an iteration counts as deviant.
+	stragglerFactor = 1.35
+	// stragglerPatience is the number of consecutive deviant iterations
+	// that trigger re-profiling and a live re-plan.
+	stragglerPatience = 2
+	// checkpointBandwidth is the modeled save/restore bandwidth in bytes/s
+	// (a 100 Gb/s fabric).
+	checkpointBandwidth = 12.5e9
+	// replanCandidateCost is the modeled planning time per candidate the
+	// search evaluates, in seconds. Modeling replan latency from the
+	// candidate count instead of wall clock keeps recovery trajectories
+	// deterministic.
+	replanCandidateCost = 2e-4
+)
 
 func (cfg DriverConfig) validate() error {
 	if cfg.Depth < 1 {
@@ -213,7 +191,6 @@ type driver struct {
 // returned error is non-nil only when training could not complete: an invalid
 // config, an unrecoverable fault (every device dead), or retries exhausted.
 func RunDriver(ctx context.Context, cfg DriverConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -233,7 +210,7 @@ func RunDriver(ctx context.Context, cfg DriverConfig) (*Report, error) {
 
 	d := &driver{
 		cfg: cfg, reg: cfg.Obs, inj: fault.New(cfg.Faults, cfg.Obs), blocks: bl,
-		mods: mods, opt: NewAdam(cfg.LR),
+		mods: mods, opt: NewAdam(learningRate),
 		ds:     NewDataset(cfg.NN.Vocab, cfg.NN.MaxSeq, cfg.DataSeed),
 		scales: map[int]float64{},
 		report: &Report{},
@@ -306,10 +283,10 @@ func (d *driver) executeWithRecovery(ctx context.Context, iter int) (res *exec.R
 		}
 		switch {
 		case errors.Is(err, errdefs.ErrTransient):
-			if retries >= d.cfg.MaxRetries {
+			if retries >= maxRetries {
 				return nil, recovered, fmt.Errorf("train: driver iter %d: %d retries exhausted: %w", iter, retries, err)
 			}
-			backoff := d.cfg.BackoffBase * float64(uint64(1)<<uint(retries))
+			backoff := backoffBase * float64(uint64(1)<<uint(retries))
 			if backoff > 1 {
 				backoff = 1
 			}
@@ -351,18 +328,10 @@ func (d *driver) runExec() (*exec.Result, error) {
 		return nil, err
 	}
 	f, b := d.part.StageTimes(d.blocks)
-	return exec.Run(s, exec.Config{
-		VirtFwd:        f,
-		VirtBwd:        b,
-		CommBytes:      d.blocks.List[0].OutBytes,
-		Network:        d.cfg.Cluster.Network,
-		KernelOverhead: d.cfg.Cluster.Device.KernelOverhead,
-		Obs:            d.reg,
-		Faults:         d.inj,
-		Start:          d.clock,
-		DeviceMap:      d.devices,
-		Sanitize:       d.cfg.Sanitize,
-	})
+	cfg := plan.ExecConfig(f, b, d.blocks, d.cfg.Cluster)
+	cfg.Obs, cfg.Faults, cfg.Sanitize = d.reg, d.inj, d.cfg.Sanitize
+	cfg.Start, cfg.DeviceMap = d.clock, d.devices
+	return exec.Run(s, cfg)
 }
 
 // referenceTime is the driver's expectation for one iteration of the current
@@ -376,14 +345,9 @@ func (d *driver) referenceTime() float64 {
 		return 0
 	}
 	prof := d.scaledProfile(d.part)
-	r, err := exec.Run(s, exec.Config{
-		VirtFwd:        prof.Fwd,
-		VirtBwd:        prof.Bwd,
-		CommBytes:      d.blocks.List[0].OutBytes,
-		Network:        d.cfg.Cluster.Network,
-		KernelOverhead: d.cfg.Cluster.Device.KernelOverhead,
-		Sanitize:       d.cfg.Sanitize,
-	})
+	cfg := plan.ExecConfig(prof.Fwd, prof.Bwd, d.blocks, d.cfg.Cluster)
+	cfg.Sanitize = d.cfg.Sanitize
+	r, err := exec.Run(s, cfg)
 	if err != nil {
 		return 0
 	}
@@ -433,7 +397,7 @@ func (d *driver) recoverLoss(ctx context.Context, iter int, cause error) error {
 	// in a real deployment, so the driver proves the round trip.
 	params := nn.CollectParams(d.mods)
 	ck := Snapshot(iter-1, params, d.opt)
-	saveTime := float64(ck.SizeBytes()) / d.cfg.CheckpointBandwidth
+	saveTime := float64(ck.SizeBytes()) / checkpointBandwidth
 
 	d.devices = survivors
 	if err := d.replan(ctx, fmt.Sprintf("iter %d %s", iter, kind)); err != nil {
@@ -442,7 +406,7 @@ func (d *driver) recoverLoss(ctx context.Context, iter int, cause error) error {
 	replanTime := d.lastReplanTime
 
 	d.mods = nn.BuildGPT(d.cfg.NN)
-	d.opt = NewAdam(d.cfg.LR)
+	d.opt = NewAdam(learningRate)
 	if err := ck.Restore(nn.CollectParams(d.mods), d.opt); err != nil {
 		return err
 	}
@@ -494,12 +458,12 @@ func (d *driver) checkStraggler(ctx context.Context, iter int, res *exec.Result)
 		return
 	}
 	ratio := res.IterTime / predicted
-	if ratio > d.cfg.StragglerFactor || ratio < 1/d.cfg.StragglerFactor {
+	if ratio > stragglerFactor || ratio < 1/stragglerFactor {
 		d.patience++
 	} else {
 		d.patience = 0
 	}
-	if d.patience < d.cfg.StragglerPatience {
+	if d.patience < stragglerPatience {
 		return
 	}
 	d.patience = 0
@@ -564,7 +528,7 @@ func (d *driver) replan(ctx context.Context, why string) error {
 	if err != nil {
 		return fmt.Errorf("train: driver replan (%s): %w", why, err)
 	}
-	d.lastReplanTime = float64(evaluated) * d.cfg.ReplanCandidateCost
+	d.lastReplanTime = float64(evaluated) * replanCandidateCost
 	d.report.Replans++
 	if d.reg != nil {
 		d.reg.Counter("driver.replans").Inc()

@@ -38,7 +38,6 @@ func driverCfg(steps int) DriverConfig {
 		Micro:    4,
 		Batch:    4,
 		Steps:    steps,
-		LR:       2e-3,
 		DataSeed: 3,
 		Sanitize: true,
 	}
@@ -155,7 +154,6 @@ func TestDriverTransientRetry(t *testing.T) {
 // failure.
 func TestDriverRetriesExhausted(t *testing.T) {
 	cfg := driverCfg(3)
-	cfg.MaxRetries = 2
 	cfg.Faults = &fault.Plan{Faults: []fault.Fault{
 		{Kind: fault.MsgDrop, At: 0, From: 0, To: 1, Count: 100},
 	}}

@@ -17,7 +17,7 @@ vet:
 # package: simclock and errsentinel, the determinism and typed-error
 # invariants (DESIGN.md §11). Unused //lint:allow waivers fail the run. The
 # invariants the retired analyzers covered are executable checks: mutex
-# copies in `make vet` (copylocks), lock pairing and worker-pool
+# copies in `make vet` (copylocks), lock pairing and mid-search
 # cancellation in `make test` and the race targets, hot-path allocations in
 # the per-package testing.AllocsPerRun pins, and the checked-in JSON fixtures
 # in the root TestCheckedInFixtures (DESIGN.md §11.6).
@@ -63,8 +63,10 @@ race:
 
 # race-core runs the planner engine, plan evaluator, discrete-event
 # executor, and self-healing training driver under the race detector at
-# full depth — the packages where the parallel search's worker pool, the
-# simulation cache, and the fault-injected recovery paths live.
+# full depth. The search itself is serial, but the service calls the
+# Planner from concurrent queue workers, so the engine must share no state
+# between calls; the executor and the fault-injected recovery paths run
+# goroutines of their own.
 race-core:
 	$(GO) test -race ./internal/core/... ./internal/plan/... ./internal/exec/... ./internal/train/...
 

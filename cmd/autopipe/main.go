@@ -9,8 +9,8 @@
 //	autopipe -model gpt2-345m -gpus 4 -mbs 4 -gbs 128 \
 //	         [-timeout 30s] [-faults plan.json] [-json plan.json]
 //
-// The planner searches on GOMAXPROCS workers; the plan does not depend on
-// the count.
+// Each plan search runs serially on one goroutine, so the plan does not
+// depend on the machine's core count.
 //
 // With -faults, the planned schedule is additionally executed under the
 // given fault plan, reporting the plan's iteration-time overhead when it

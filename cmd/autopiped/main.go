@@ -9,8 +9,8 @@
 //	          [-rate N] [-burst N] [-queue-wait 2s] \
 //	          [-timeout 30s] [-cpuprofile p] [-memprofile p]
 //
-// Each plan search runs on GOMAXPROCS workers; the plan, and so the cache
-// key, does not depend on the count.
+// Each plan search runs serially inside one queue worker; the plan, and so
+// the cache key, does not depend on the machine's core count.
 //
 // It serves until SIGINT/SIGTERM, then drains: unfinished persisted jobs
 // revert to pending so the next start re-runs them. The service's checks

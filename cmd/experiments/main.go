@@ -10,8 +10,8 @@
 // abl-slicing, abl-schedule, abl-interleaved, telemetry, or resilience
 // ("all" runs the 18 in that order).
 //
-// The planner searches on GOMAXPROCS workers; the plan does not depend on
-// the count.
+// Each plan search runs serially on one goroutine, so the plan does not
+// depend on the machine's core count.
 //
 // -faults adds a custom scenario to the resilience sweep: the given fault
 // plan is injected into the self-healing training driver alongside the

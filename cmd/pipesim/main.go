@@ -9,8 +9,8 @@
 //	        [-timeout 30s] [-faults plan.json] \
 //	        [-metrics report.json] [-trace trace.json]
 //
-// The planner searches on GOMAXPROCS workers; the plan does not depend on
-// the count.
+// Each plan search runs serially on one goroutine, so the plan does not
+// depend on the machine's core count.
 //
 // With -faults, the schedule executes under the injected fault plan: a
 // surviving run reports its slowdown against the clean baseline, while a

@@ -21,8 +21,7 @@ func main() {
 
 	// The Planner picks the pipeline depth and a balanced sub-layer
 	// partition; the Slicer sizes the warmup micro-batch slicing. The search
-	// fans out over a pool of GOMAXPROCS workers, but the resulting plan is
-	// deterministic — every core count returns the same Spec.
+	// is serial and deterministic — every machine returns the same Spec.
 	planner := autopipe.NewPlanner()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -3,9 +3,9 @@
 // their common flags here, so -timeout and the profiling flags mean the
 // same thing everywhere. The daemon's flags (-addr, -store and the
 // -rate/-burst/-queue-wait admission controls) live here too; it has no
-// fault- or chaos-injection flag. The planner has no width flag: its worker
-// pool follows GOMAXPROCS. Parsed values resolve into a planning context or
-// daemon configuration.
+// fault- or chaos-injection flag. The planner has no width flag: each search
+// is serial. Parsed values resolve into a planning context or daemon
+// configuration.
 package cliutil
 
 import (

@@ -13,17 +13,16 @@ import (
 // planSearchAllocs is the allocation count of one full plan search for
 // GPT-2 345M on 8 GPUs with an observer registry, measured with go1.24 on
 // linux/amd64.
-const planSearchAllocs = 246
+const planSearchAllocs = 214
 
 // TestPlanSearchAllocsPinned pins the allocations of the paper's Fig. 12
 // workload: one PlanClusterOpts call (Algorithm 1 seed, master-stage moves,
 // memory check, slicing) for GPT-2 345M on 8 GPUs, mbs 4, gbs 128, with
-// checkpointing. testing.AllocsPerRun sets GOMAXPROCS to 1, so the engine
-// runs at width 1 and the count does not depend on the machine's core
-// count. The search must also assess exactly 22 candidates, so a change that
-// moves the count by doing different work shows as such. (The race
-// detector's instrumentation changes allocation counts, so -race skips this
-// file.)
+// checkpointing. The search is serial, so the count does not depend on the
+// machine's core count. The search must also assess exactly 22 candidates,
+// so a change that moves the count by doing different work shows as such.
+// (The race detector's instrumentation changes allocation counts, so -race
+// skips this file.)
 func TestPlanSearchAllocsPinned(t *testing.T) {
 	cluster := config.DefaultCluster()
 	cluster.NumGPUs = 8

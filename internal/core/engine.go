@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"autopipe/internal/config"
@@ -20,21 +17,19 @@ import (
 	"autopipe/internal/slicer"
 )
 
-// This file implements the concurrent plan-space search engine behind the
-// Planner API. The search fans out across pipeline depths × replication
-// factors × candidate partitions on a worker pool of GOMAXPROCS workers,
-// with a memoized simulation cache and a shared best-so-far bound for
-// cross-depth pruning.
+// This file implements the plan-space search engine behind the Planner API.
+// One call searches every pipeline depth of a plan serially, with a memoized
+// simulation cache and a shared best-so-far bound for cross-depth pruning.
+// Concurrency comes from the callers, not the engine: each call builds its
+// own engine, so concurrent calls share nothing.
 //
-// Determinism is by construction, not by luck: the search advances in global
-// waves. Each wave is a fixed, ordered list of candidate expansions; workers
-// evaluate them concurrently into private slots (all simulator calls are
-// pure and memoized), and then a single sequential merge replays the slots
-// in wave order to update the incumbent, the visited set, and the next wave.
-// Every evaluation a wave runs is one the merge consumes, so the pool width
-// changes only how fast a wave is evaluated — never which candidates are
-// explored, which one wins, or any telemetry counter — and runs at every
-// GOMAXPROCS return byte-identical plans.
+// The search advances every depth in lockstep waves. A wave runs three
+// serial loops: the step-2 cooldown adjustment of every wave item, then the
+// step-3 master-move evaluations, then a merge that replays the results in
+// wave order to update each depth's incumbent, visited set and next wave.
+// The budget and pruning gates read only merged state at wave boundaries, so
+// the same inputs always explore the same candidates, pick the same plan and
+// count the same work.
 
 // Options configures the plan-space search engine. The zero value searches
 // with no candidate budget and no telemetry registry.
@@ -53,44 +48,6 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// runTasks evaluates task(w, 0..n) with at most width concurrent workers,
-// w in [0, width) naming the worker that runs the task so it can use that
-// worker's scratch. Tasks write results into their own pre-allocated slots;
-// the caller merges them in deterministic order afterwards. Cancellation is
-// checked between tasks; in-flight tasks finish.
-func runTasks(ctx context.Context, width, n int, task func(w, i int)) {
-	if width > n {
-		width = n
-	}
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			task(0, i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(width)
-	for w := 0; w < width; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() == nil {
-					task(w, i)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // scored is the engine's form of a candidate: a partition, its Key (the
 // visited-set and cache identity, computed once), and the simulator summary
 // the search decides on. The full sim.Result is materialized only for the
@@ -101,9 +58,9 @@ type scored struct {
 	sum  sim.Summary
 }
 
-// worker is one search worker's reusable simulation scratch: the flat
-// recurrence arrays and the stage-time buffers of the profile it simulates,
-// sized for the deepest possible partition (one stage per block).
+// worker is the search's reusable simulation scratch: the flat recurrence
+// arrays and the stage-time buffers of the profile it simulates, sized for
+// the deepest possible partition (one stage per block).
 type worker struct {
 	sim  sim.Scratch
 	f, b []float64
@@ -125,46 +82,6 @@ func (w *worker) summarize(bl *model.Blocks, part partition.Partition, m int) (s
 type cacheKey struct {
 	part  string
 	micro int
-}
-
-type cacheEntry struct {
-	// ready is released once sum and err are final.
-	ready sync.WaitGroup
-	sum   sim.Summary
-	err   error
-}
-
-// simCache memoizes simulator evaluations. It is safe for concurrent
-// callers: the first caller of a key computes it, and concurrent callers of
-// the same key block on that computation and share the result instead of
-// duplicating it.
-type simCache struct {
-	mu           sync.Mutex
-	entries      map[cacheKey]*cacheEntry
-	hits, misses atomic.Int64
-}
-
-// eval returns the summary of part (whose Key is key) with m micro-batches,
-// simulating it on w's scratch if no caller has before.
-func (c *simCache) eval(w *worker, bl *model.Blocks, part partition.Partition, key string, m int) (scored, error) {
-	k := cacheKey{part: key, micro: m}
-	c.mu.Lock()
-	e, hit := c.entries[k]
-	if !hit {
-		e = new(cacheEntry)
-		e.ready.Add(1)
-		c.entries[k] = e
-	}
-	c.mu.Unlock()
-	if hit {
-		c.hits.Add(1)
-		e.ready.Wait()
-	} else {
-		c.misses.Add(1)
-		e.sum, e.err = w.summarize(bl, part, m)
-		e.ready.Done()
-	}
-	return scored{part: part, key: key, sum: e.sum}, e.err
 }
 
 // depthState is one fixed-depth search progressing through global waves.
@@ -197,8 +114,8 @@ type depthState struct {
 	score    float64
 }
 
-// record accounts one evaluated candidate in deterministic merge order and
-// reports whether it is new to this depth's search.
+// record accounts one evaluated candidate in merge order and reports
+// whether it is new to this depth's search.
 func (d *depthState) record(c scored) bool {
 	if d.seen[c.key] {
 		return false
@@ -215,7 +132,7 @@ func (d *depthState) record(c scored) bool {
 
 // candidateLess is the deterministic reduction order: strictly better
 // iteration time wins; exact ties break toward the lexicographically smaller
-// partition bounds so parallel and sequential runs agree bit-for-bit.
+// partition bounds.
 func candidateLess(a, b scored) bool {
 	if a.sum.IterTime != b.sum.IterTime {
 		return a.sum.IterTime < b.sum.IterTime
@@ -234,11 +151,12 @@ func lexLess(a, b []int) bool {
 
 // maxMasterMoves bounds masterMoves' output: two block moves, each with at
 // most one rebalanced variant. The fixed-size arrays in expansion are sized
-// by it so phase B evaluates into pre-existing slots without allocating.
+// by it so the move loop evaluates into pre-existing slots without
+// allocating.
 const maxMasterMoves = 4
 
-// expansion is the parallel-phase slot of one wave item: the step-2 adjusted
-// continuation (phase A) and the evaluated step-3 master moves (phase B).
+// expansion is one wave item's work: the step-2 adjusted continuation and
+// the evaluated step-3 master moves, held until the merge replays them.
 type expansion struct {
 	d    *depthState
 	item scored
@@ -258,91 +176,58 @@ type expansion struct {
 	moveErr  [maxMasterMoves]error
 }
 
-// seedSlot and moveRef are the per-task slots of the seed and phase-B
-// worker tasks (seedTask, phaseBTask); phase A writes into the expansion.
-type seedSlot struct {
-	cand scored
-	err  error
-}
-
-// moveRef addresses one master-move evaluation: expansion x, move index j.
-type moveRef struct {
-	x *expansion
-	j int
-}
-
-// engine runs wave-synchronous searches over one block array.
+// engine runs one wave search over one block array. It is not safe for
+// concurrent use; every plan call builds its own.
 type engine struct {
-	opts  Options
-	par   int
-	bl    *model.Blocks
-	cache simCache
+	opts Options
+	bl   *model.Blocks
 	// table is Algorithm 1's program over the block weights for the deepest
 	// searched depth, filled once per search: every depth's seed and every
 	// master move's prefix re-balance is a backtrack in it.
 	table *partition.Table
-	// workers holds one simulation scratch per worker-pool slot.
-	workers []worker
+	w     worker
 
-	// Wave-scratch arenas, truncated and refilled every wave so the search
-	// loop reuses their backing instead of reallocating per wave, and the
-	// current depth list the seed task indexes into.
-	ds        []*depthState
-	seedSlots []seedSlot
-	exps      []expansion
-	refs      []moveRef
+	// cache memoizes simulator evaluations across waves and depths.
+	cache        map[cacheKey]sim.Summary
+	hits, misses int
 
-	// The worker tasks, bound once at construction: handing runTasks a
-	// stored value instead of a per-wave closure keeps closure creation out
-	// of the wave loop.
-	taskSeed, taskA, taskB func(w, i int)
+	// exps is the wave's expansion arena, truncated and refilled every wave
+	// so the search loop reuses its backing instead of reallocating.
+	exps []expansion
 }
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
-	e := &engine{opts: opts, par: runtime.GOMAXPROCS(0), bl: bl}
-	e.cache.entries = make(map[cacheKey]*cacheEntry)
-	e.workers = make([]worker, e.par)
-	for i := range e.workers {
-		e.workers[i] = newWorker(bl)
-	}
-	e.taskSeed = e.seedTask
-	e.taskA = e.phaseATask
-	e.taskB = e.phaseBTask
-	return e
+	return &engine{opts: opts, bl: bl, w: newWorker(bl), cache: make(map[cacheKey]sim.Summary)}
 }
 
-// seedTask evaluates depth e.ds[i]'s Algorithm 1 seed into e.seedSlots[i].
-// runTasks reaches it through the stored e.taskSeed binding.
-func (e *engine) seedTask(w, i int) {
-	d := e.ds[i]
-	part, err := e.table.Partition(e.bl.Len(), d.p)
+// eval returns the summary of part with m micro-batches, simulating it only
+// if the search has not before.
+func (e *engine) eval(part partition.Partition, m int) (scored, error) {
+	c := scored{part: part, key: part.Key()}
+	k := cacheKey{part: c.key, micro: m}
+	if sum, ok := e.cache[k]; ok {
+		e.hits++
+		c.sum = sum
+		return c, nil
+	}
+	e.misses++
+	sum, err := e.w.summarize(e.bl, part, m)
 	if err != nil {
-		e.seedSlots[i].err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
-		return
+		return c, err
 	}
-	e.seedSlots[i].cand, e.seedSlots[i].err = e.cache.eval(&e.workers[w], e.bl, part, part.Key(), d.m)
+	e.cache[k] = sum
+	c.sum = sum
+	return c, nil
 }
 
-// phaseATask runs the cooldown adjustment of expansion e.exps[i].
-func (e *engine) phaseATask(w, i int) {
-	e.expandA(&e.workers[w], &e.exps[i])
-}
-
-// phaseBTask evaluates one master-move candidate into its expansion slot.
-func (e *engine) phaseBTask(w, i int) {
-	r := e.refs[i]
-	mv := r.x.moves[r.j]
-	r.x.moveCand[r.j], r.x.moveErr[r.j] = e.cache.eval(&e.workers[w], e.bl, mv, mv.Key(), r.x.d.m)
-}
-
-// expandA runs the step-2 cooldown adjustment for one wave item (paper
+// adjust runs the step-2 cooldown adjustment for one wave item (paper
 // Eq. (1)): evaluate the adjusted suffix and continue from it — if its
 // master stage moved, step 3 starts from the new master.
-func (e *engine) expandA(w *worker, x *expansion) {
+func (e *engine) adjust(x *expansion) {
 	cur := x.item
 	x.cur, x.master = cur, cur.sum.Master
 	if adj, changed := adjustAfterMaster(e.bl, cur.part, x.master); changed {
-		c, err := e.cache.eval(w, e.bl, adj, adj.Key(), x.d.m)
+		c, err := e.eval(adj, x.d.m)
 		if err != nil {
 			x.err = err
 			return
@@ -351,17 +236,19 @@ func (e *engine) expandA(w *worker, x *expansion) {
 		x.cur, x.master = c, c.sum.Master
 	}
 	// Step 3 cannot move a master already at stage 0; generate the move
-	// candidates here (cheap and pure) so phase B is a flat evaluation list.
+	// candidates here (cheap and pure) so the move loop is a flat
+	// evaluation list.
 	if x.master > 0 {
 		x.moves = masterMoves(e.table, x.cur.part, x.master, x.moveBuf[:0])
 	}
 }
 
 // run advances every depth in ds through synchronized waves until all are
-// done. prune (may be nil) is consulted at wave boundaries to abandon depths
-// that provably cannot win; onComplete (may be nil) fires in deterministic
-// order when a depth finishes searching, and typically updates the shared
-// bound prune reads.
+// done. It checks ctx before every seed, adjustment and move evaluation and
+// returns its error at the first check that finds it cancelled. prune (may
+// be nil) is consulted at wave boundaries to abandon depths that provably
+// cannot win; onComplete (may be nil) fires in depth order when a depth
+// finishes searching, and typically updates the shared bound prune reads.
 func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthState) bool, onComplete func(*depthState)) error {
 	finish := func(d *depthState) {
 		d.done = true
@@ -372,8 +259,8 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 	}
 
 	// Seed wave: fill Algorithm 1's table once for the deepest depth, then
-	// evaluate every depth's seed concurrently. Wall-clock telemetry goes
-	// through obs.Stopwatch — never time.Now — so the simclock invariant
+	// evaluate every depth's seed. Wall-clock telemetry goes through
+	// obs.Stopwatch — never time.Now — so the simclock invariant
 	// (deterministic packages read no clock that can influence a decision)
 	// stays machine-checkable.
 	seedSW := obs.NewStopwatch()
@@ -386,35 +273,34 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 		return fmt.Errorf("core: seeding: %w", err)
 	}
 	e.table = table
-	e.ds = ds
-	e.seedSlots = make([]seedSlot, len(ds))
-	runTasks(ctx, e.par, len(ds), e.taskSeed)
-	if err := ctx.Err(); err != nil {
-		return err
+	for _, d := range ds {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		part, err := e.table.Partition(e.bl.Len(), d.p)
+		if err != nil {
+			d.err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
+			continue
+		}
+		d.seed, d.err = e.eval(part, d.m)
 	}
 	seedDur := seedSW.Elapsed()
-	for i, d := range ds {
+	for _, d := range ds {
 		d.tel.SeedTime = seedDur
-		if e.seedSlots[i].err != nil {
-			d.err = e.seedSlots[i].err
+		if d.err != nil {
 			d.done = true
 			continue
 		}
-		d.seed = e.seedSlots[i].cand
 		d.record(d.seed)
 		if d.p == 1 {
 			finish(d)
 		} else {
-			d.wave = d.wave[:0]
-			d.wave = append(d.wave, d.seed)
+			d.wave = append(d.wave[:0], d.seed)
 		}
 	}
 
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Budget and pruning gates, on merged (deterministic) state only.
+		// Budget and pruning gates, on merged state only.
 		if e.opts.Budget > 0 {
 			total := 0
 			for _, d := range ds {
@@ -450,29 +336,29 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 			return nil
 		}
 
-		// Phase A: cooldown adjustments, one task per wave item.
+		// Step 2: the cooldown adjustment of every wave item.
 		adjustSW := obs.NewStopwatch()
-		runTasks(ctx, e.par, len(e.exps), e.taskA)
-		if err := ctx.Err(); err != nil {
-			return err
+		for xi := range e.exps {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			e.adjust(&e.exps[xi])
 		}
 		adjustDur := adjustSW.Elapsed()
 
-		// Phase B: master-move evaluations, one task per candidate.
+		// Step 3: every master-move candidate of every adjusted item.
 		moveSW := obs.NewStopwatch()
-		e.refs = e.refs[:0]
 		for xi := range e.exps {
 			x := &e.exps[xi]
 			if x.err != nil {
 				continue
 			}
-			for j := range x.moves {
-				e.refs = append(e.refs, moveRef{x, j})
+			for j, mv := range x.moves {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				x.moveCand[j], x.moveErr[j] = e.eval(mv, x.d.m)
 			}
-		}
-		runTasks(ctx, e.par, len(e.refs), e.taskB)
-		if err := ctx.Err(); err != nil {
-			return err
 		}
 		moveDur := moveSW.Elapsed()
 
@@ -539,8 +425,8 @@ func (e *engine) publish(ds []*depthState, total time.Duration) {
 		}
 	}
 	reg.Gauge("planner.engine.search_s").Set(total.Seconds())
-	reg.Counter("planner.engine.cache_hits").Add(float64(e.cache.hits.Load()))
-	reg.Counter("planner.engine.cache_misses").Add(float64(e.cache.misses.Load()))
+	reg.Counter("planner.engine.cache_hits").Add(float64(e.hits))
+	reg.Counter("planner.engine.cache_misses").Add(float64(e.misses))
 	reg.Counter("planner.engine.depths_pruned").Add(float64(pruned))
 }
 
@@ -580,10 +466,10 @@ func depthLowerBound(bl *model.Blocks, p, m int) float64 {
 // with explicit search options and cancellation. It considers every pipeline
 // depth that divides the GPU count (AutoPipe keeps the data-parallel size
 // uniform across stages — one of the reasons its search is an order of
-// magnitude faster than Piper's, §IV-D), searches all depths concurrently on
-// one worker pool, prunes depths whose lower bound cannot beat the shared
-// best-so-far score, and finally sizes the micro-batch slicing with
-// Algorithm 2 on the winning partition.
+// magnitude faster than Piper's, §IV-D), searches all depths in lockstep
+// waves, prunes depths whose lower bound cannot beat the shared best-so-far
+// score, and finally sizes the micro-batch slicing with Algorithm 2 on the
+// winning partition.
 //
 // The returned error wraps errdefs.ErrBadConfig for invalid inputs,
 // errdefs.ErrInfeasible when no plan fits device memory, and the context
@@ -705,8 +591,7 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 
 // PlanDepthOpts searches for a balanced partition of bl into p stages for
 // iterations of m micro-batches, with explicit search options and
-// cancellation. Candidate evaluation fans out on the engine's worker pool;
-// the result is identical at every GOMAXPROCS.
+// cancellation.
 func PlanDepthOpts(ctx context.Context, bl *model.Blocks, p, m int, opts Options) (*PlanResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: plan depth %d: %w", p, err)

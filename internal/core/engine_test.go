@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"autopipe/internal/config"
@@ -16,14 +15,6 @@ import (
 	"autopipe/internal/partition"
 	"autopipe/internal/plan"
 )
-
-// withProcs sets GOMAXPROCS, and with it the engine's worker-pool width, to
-// w until the test ends.
-func withProcs(t *testing.T, w int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(w)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
 
 // workCounts are the search's deterministic work counters, as the engine
 // publishes them.
@@ -36,79 +27,111 @@ func readWorkCounts(reg *obs.Registry) workCounts {
 	return workCounts{c["planner.engine.cache_hits"], c["planner.engine.cache_misses"], c["planner.engine.depths_pruned"]}
 }
 
-// TestEngineDeterministicAcrossParallelism is the engine's core contract:
-// the plan must be byte-identical at every worker-pool width, for every zoo
-// model, and so must the work that found it: the candidates evaluated and
-// accepted, the simulation-cache hits and misses, and the depths pruned.
-// Wall-clock fields are zeroed before comparing — they are the only fields
-// allowed to differ.
-func TestEngineDeterministicAcrossParallelism(t *testing.T) {
+// recordedPlans are the plans and work counts of the pooled engine this
+// serial search replaced, recorded for every zoo model on the default
+// 16-GPU cluster at mbs 4, gbs 512 (SearchTime zeroed).
+var recordedPlans = map[string]struct {
+	spec plan.Spec
+	work workCounts
+}{
+	"GPT-2 345M": {plan.Spec{Planner: "AutoPipe", Partition: partition.Partition{Bounds: []int{0, 50}}, StageDevices: []int{16},
+		Evaluated: 36, Accepted: 5, Predicted: 6.2657541261864, SliceConverged: true}, workCounts{33, 36, 1}},
+	"GPT-2 762M": {plan.Spec{Planner: "AutoPipe", Partition: partition.Partition{Bounds: []int{0, 74}}, StageDevices: []int{16},
+		Evaluated: 62, Accepted: 7, Predicted: 12.186241824870084, SliceConverged: true}, workCounts{61, 62, 0}},
+	"GPT-2 1.3B": {plan.Spec{Planner: "AutoPipe", Partition: partition.Partition{Bounds: []int{0, 27, 50}}, StageDevices: []int{8, 8},
+		NumSliced: 1, Evaluated: 34, Accepted: 10, Predicted: 16.109056375649878, SliceRounds: 1, SliceConverged: true}, workCounts{19, 34, 0}},
+	"BERT-large": {plan.Spec{Planner: "AutoPipe", Partition: partition.Partition{Bounds: []int{0, 50}}, StageDevices: []int{16},
+		Evaluated: 30, Accepted: 9, Predicted: 2.946557396206328, SliceConverged: true}, workCounts{16, 30, 0}},
+}
+
+// TestEngineMatchesRecordedPlans is the engine's core contract: for every
+// zoo model the plan is the recorded one, and so is the work that found it:
+// the candidates evaluated and accepted, the simulation-cache hits and
+// misses, and the depths pruned. Two back-to-back searches must also agree.
+// SearchTime, the only wall-clock field, is zeroed before comparing.
+func TestEngineMatchesRecordedPlans(t *testing.T) {
 	cluster := config.DefaultCluster()
 	run := config.Run{MicroBatch: 4, GlobalBatch: 512, Checkpoint: true}
 	for _, mc := range config.Zoo() {
-		var (
-			ref     *plan.Spec
-			refWork workCounts
-		)
-		for _, w := range []int{1, 2, 4} {
-			withProcs(t, w)
+		want, ok := recordedPlans[mc.Name]
+		if !ok {
+			t.Fatalf("%s: no recorded plan", mc.Name)
+		}
+		for i := 0; i < 2; i++ {
 			reg := obs.NewRegistry()
 			spec, _, err := PlanClusterOpts(context.Background(), mc, run, cluster, Options{Obs: reg})
 			if err != nil {
-				t.Fatalf("%s width %d: %v", mc.Name, w, err)
+				t.Fatalf("%s run %d: %v", mc.Name, i, err)
 			}
 			spec.SearchTime = 0
-			work := readWorkCounts(reg)
-			if ref == nil {
-				ref, refWork = spec, work
-				continue
+			if !reflect.DeepEqual(*spec, want.spec) {
+				t.Errorf("%s run %d: plan\n%+v\nwant the recorded\n%+v", mc.Name, i, *spec, want.spec)
 			}
-			if !reflect.DeepEqual(ref, spec) {
-				t.Errorf("%s: plan differs between width 1 and %d:\n%+v\nvs\n%+v", mc.Name, w, ref, spec)
-			}
-			if work != refWork {
-				t.Errorf("%s: work counts (hits, misses, pruned) %v at width %d, want %v as at width 1",
-					mc.Name, work, w, refWork)
+			if work := readWorkCounts(reg); work != want.work {
+				t.Errorf("%s run %d: work counts (hits, misses, pruned) %v, want the recorded %v", mc.Name, i, work, want.work)
 			}
 		}
 	}
 }
 
+// TestPlanClusterConcurrentCalls plans every zoo model from several
+// goroutines at once, as the service's queue workers do: each call builds
+// its own engine, so every call must still return the recorded plan (and
+// `make race-core` checks that the calls share no state).
+func TestPlanClusterConcurrentCalls(t *testing.T) {
+	cluster := config.DefaultCluster()
+	run := config.Run{MicroBatch: 4, GlobalBatch: 512, Checkpoint: true}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, mc := range config.Zoo() {
+				spec, _, err := PlanClusterOpts(context.Background(), mc, run, cluster, Options{})
+				if err != nil {
+					t.Errorf("%s: %v", mc.Name, err)
+					return
+				}
+				spec.SearchTime = 0
+				if want := recordedPlans[mc.Name].spec; !reflect.DeepEqual(*spec, want) {
+					t.Errorf("%s: concurrent plan\n%+v\nwant the recorded\n%+v", mc.Name, *spec, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestPlanDepthOptsDeterministicTelemetry pins down that not only the best
 // partition but the entire search trajectory (candidate counts, convergence
-// curve, cache hits and misses) is independent of the worker-pool width.
+// curve, cache hits and misses) is the recorded one, on two back-to-back
+// runs.
 func TestPlanDepthOptsDeterministicTelemetry(t *testing.T) {
 	bl := buildSub(t, config.GPT2_762M(), 4)
-	var (
-		base     *PlanResult
-		baseWork workCounts
-	)
-	for _, w := range []int{1, 2, 4} {
-		withProcs(t, w)
+	const seedIter = 6.982762342196323 // the seed is never beaten here
+	wantConv := make([]float64, 30)
+	for i := range wantConv {
+		wantConv[i] = seedIter
+	}
+	wantBest := []int{0, 20, 39, 58, 74}
+	wantWork := workCounts{31, 30, 0}
+	for i := 0; i < 2; i++ {
 		reg := obs.NewRegistry()
 		res, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Obs: reg})
 		if err != nil {
-			t.Fatalf("width %d: %v", w, err)
+			t.Fatalf("run %d: %v", i, err)
 		}
-		work := readWorkCounts(reg)
-		if base == nil {
-			base, baseWork = res, work
-			continue
+		if !reflect.DeepEqual(res.Best.Partition.Bounds, wantBest) {
+			t.Errorf("run %d: best partition %v, want %v", i, res.Best.Partition.Bounds, wantBest)
 		}
-		if !res.Best.Partition.Equal(base.Best.Partition) {
-			t.Errorf("width %d: best partition %v, want %v", w, res.Best.Partition, base.Best.Partition)
+		if res.Telemetry.Candidates != 30 || res.Telemetry.Accepted != 1 {
+			t.Errorf("run %d: telemetry (%d, %d), want (30, 1)", i, res.Telemetry.Candidates, res.Telemetry.Accepted)
 		}
-		if res.Telemetry.Candidates != base.Telemetry.Candidates ||
-			res.Telemetry.Accepted != base.Telemetry.Accepted {
-			t.Errorf("width %d: telemetry (%d, %d), want (%d, %d)", w,
-				res.Telemetry.Candidates, res.Telemetry.Accepted,
-				base.Telemetry.Candidates, base.Telemetry.Accepted)
+		if !reflect.DeepEqual(res.Telemetry.Convergence, wantConv) {
+			t.Errorf("run %d: convergence curve %v, want %v", i, res.Telemetry.Convergence, wantConv)
 		}
-		if !reflect.DeepEqual(res.Telemetry.Convergence, base.Telemetry.Convergence) {
-			t.Errorf("width %d: convergence curve differs", w)
-		}
-		if work != baseWork {
-			t.Errorf("width %d: work counts (hits, misses, pruned) %v, want %v as at width 1", w, work, baseWork)
+		if work := readWorkCounts(reg); work != wantWork {
+			t.Errorf("run %d: work counts (hits, misses, pruned) %v, want %v", i, work, wantWork)
 		}
 	}
 }
@@ -126,29 +149,73 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
-// TestRunTasksStopsOnCancel pins the worker pool's cancellation path: once
-// the context is cancelled, workers drain the remaining indices without
-// running them. Task 10 cancels, and every later task waits for that cancel
-// before it counts, so a later task runs only if its worker had already
-// passed the ctx check: at most one per other worker.
-func TestRunTasksStopsOnCancel(t *testing.T) {
-	for _, width := range []int{1, 2, 4, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancelled := make(chan struct{})
-		var ran atomic.Int64
-		runTasks(ctx, width, 1000, func(_, i int) {
-			switch {
-			case i == 10:
-				cancel()
-				close(cancelled)
-			case i > 10:
-				<-cancelled
+// flipCtx is a context whose Err turns to context.Canceled from its
+// (after+1)-th call on, counting the calls.
+type flipCtx struct {
+	context.Context
+	after, calls int
+}
+
+func newFlipCtx(after int) *flipCtx { return &flipCtx{Context: context.Background(), after: after} }
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEngineStopsMidSearchOnCancel cancels the search at every one of its
+// context checks in turn: PlanDepthOpts and PlanClusterOpts must return
+// context.Canceled with a nil result at the first check after the flip and
+// consult the context no more. The engine itself checks before every
+// evaluation, so a search cancelled after k checks has run at most k.
+func TestEngineStopsMidSearchOnCancel(t *testing.T) {
+	bl := buildSub(t, config.GPT2_762M(), 4)
+	run := config.Run{MicroBatch: 4, GlobalBatch: 128, Checkpoint: true}
+	for _, tc := range []struct {
+		name string
+		plan func(context.Context) (bool, error) // reports whether a result came back
+	}{
+		{"PlanDepthOpts", func(ctx context.Context) (bool, error) {
+			res, err := PlanDepthOpts(ctx, bl, 4, 16, Options{})
+			return res != nil, err
+		}},
+		{"PlanClusterOpts", func(ctx context.Context) (bool, error) {
+			spec, blocks, err := PlanClusterOpts(ctx, config.GPT2_345M(), run, config.DefaultCluster(), Options{})
+			return spec != nil || blocks != nil, err
+		}},
+	} {
+		full := newFlipCtx(1 << 30)
+		if _, err := tc.plan(full); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if full.calls < 10 {
+			t.Fatalf("%s: only %d context checks in a full search", tc.name, full.calls)
+		}
+		for k := 0; k < full.calls; k++ {
+			ctx := newFlipCtx(k)
+			got, err := tc.plan(ctx)
+			if !errors.Is(err, context.Canceled) || got {
+				t.Fatalf("%s cancelled after %d checks: result %v, err %v; want no result and context.Canceled", tc.name, k, got, err)
 			}
-			ran.Add(1)
-		})
-		cancel()
-		if got, limit := ran.Load(), int64(11+width); got > limit {
-			t.Errorf("width %d: %d tasks ran, want at most %d once task 10 cancels", width, got, limit)
+			if ctx.calls != k+1 {
+				t.Fatalf("%s cancelled after %d checks: %d checks, want %d", tc.name, k, ctx.calls, k+1)
+			}
+		}
+	}
+
+	// The same sweep on the engine directly: no evaluation runs unchecked.
+	for k := 0; ; k++ {
+		e := newEngine(bl, Options{})
+		d := &depthState{p: 4, m: 16, seen: make(map[string]bool)}
+		err := e.run(newFlipCtx(k), []*depthState{d}, nil, nil)
+		if err == nil {
+			break
+		}
+		if evals := e.hits + e.misses; evals > k {
+			t.Fatalf("cancelled after %d checks: %d evaluations ran", k, evals)
 		}
 	}
 }
@@ -188,7 +255,6 @@ func TestEngineBudget(t *testing.T) {
 	if a.Best.Sim == nil {
 		t.Fatal("budget-truncated search returned no plan")
 	}
-	withProcs(t, 4)
 	b, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Budget: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +340,8 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestSimCacheDedup checks the memoization layer: concurrent evaluations of
-// the same partition compute once and share the result.
+// TestSimCacheDedup checks the memoization layer: repeated evaluations of
+// the same partition simulate once and return the same summary.
 func TestSimCacheDedup(t *testing.T) {
 	bl := buildSub(t, config.GPT2_345M(), 4)
 	e := newEngine(bl, Options{})
@@ -283,32 +349,27 @@ func TestSimCacheDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan scored, 16)
-	for i := 0; i < 16; i++ {
-		go func() {
-			w := newWorker(bl)
-			c, err := e.cache.eval(&w, bl, part, part.Key(), 8)
-			if err != nil {
-				t.Error(err)
-			}
-			done <- c
-		}()
+	first, err := e.eval(part, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := <-done
 	if first.sum.IterTime <= 0 {
 		t.Fatalf("cached summary %+v, want a positive iteration time", first.sum)
 	}
 	for i := 1; i < 16; i++ {
-		c := <-done
+		c, err := e.eval(part, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if c.sum != first.sum {
 			t.Fatal("cache returned distinct results for the same key")
 		}
 	}
-	if got := e.cache.misses.Load(); got != 1 {
-		t.Errorf("misses = %d, want 1 (single computation)", got)
+	if e.misses != 1 {
+		t.Errorf("misses = %d, want 1 (single computation)", e.misses)
 	}
-	if got := e.cache.hits.Load(); got != 15 {
-		t.Errorf("hits = %d, want 15", got)
+	if e.hits != 15 {
+		t.Errorf("hits = %d, want 15", e.hits)
 	}
 }
 

@@ -19,10 +19,10 @@ const keyVersion = "autopiped-key/1"
 // kind plus exactly the request fields that determine its result.
 //
 // Deliberately absent: anything about the host. The engine is deterministic
-// by construction — its worker-pool width follows GOMAXPROCS, and every
-// width returns a byte-identical plan — so daemons on different machines
-// agree on every key. The search budget IS present: a truncated search can
-// return a different plan.
+// by construction — each search is serial and reads no clock or core count
+// that can steer it — so daemons on different machines agree on every key.
+// The search budget IS present: a truncated search can return a different
+// plan.
 // encoding/json marshals struct fields in declaration order, so the encoding
 // (and therefore the hash) is canonical for a fixed keyVersion.
 type keyDoc struct {

@@ -1,6 +1,6 @@
 // Package service implements autopiped, the planner-as-a-service daemon: a
-// job queue with a bounded worker pool over the existing parallel planning
-// engine, a content-addressed plan cache with singleflight dedup (a million
+// job queue with a bounded worker pool over the serial planning engine, a
+// content-addressed plan cache with singleflight dedup (a million
 // near-identical plan requests cost one search), a JSON-on-disk job store
 // that survives restarts, and an HTTP/JSON API whose typed wire errors
 // round-trip the errdefs sentinels (client-side errors.Is sees exactly what
@@ -58,9 +58,9 @@ import (
 // workers, a 256-deep queue, a 1024-entry cache, and no persistence.
 type Config struct {
 	// Workers is the number of queue workers executing jobs concurrently;
-	// <= 0 means 4. Each plan search inside a job runs on its own pool of
-	// GOMAXPROCS workers. Distinct requests run in parallel; identical requests
-	// coalesce via singleflight regardless of this setting.
+	// <= 0 means 4. Each plan search inside a job is serial, so Workers
+	// bounds the planner's concurrency. Distinct requests run in parallel;
+	// identical requests coalesce via singleflight regardless of this setting.
 	Workers int
 	// QueueDepth bounds the pending-job queue; <= 0 means 256. A full
 	// queue rejects submissions with 503 unavailable (the client retries).

@@ -34,10 +34,11 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // (Algorithm 2). The zero value — NewPlanner() — searches with no budget; a
 // Planner is immutable after construction and safe for concurrent use.
 //
-// The plan-space search fans out across pipeline depths and candidate
-// partitions on a worker pool of GOMAXPROCS workers, but its result is
+// Each call searches serially: pipeline depths advance in lockstep waves on
+// the calling goroutine, and concurrent calls share nothing, so a caller
+// that wants parallelism plans several requests at once. The result is
 // deterministic: the same inputs yield byte-identical plans, and the same
-// search telemetry counters, at every GOMAXPROCS.
+// search telemetry counters, on every machine.
 type Planner struct {
 	opts core.Options
 }

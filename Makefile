@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke perfbench-test fault-smoke experiments-smoke fmt-check tier1 verify clean
+.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke perfbench-test experiments-smoke fmt-check tier1 verify clean
 
 all: build
 
@@ -36,12 +36,11 @@ lint-waivers:
 # sanitize executes the README quickstart schedules with the runtime
 # happens-before sanitizer on: every op is checked against the dependency
 # graph, the link model, and the activation-memory ledger as it executes.
-# (The exec and train test suites force the sanitizer unconditionally; this
-# target exercises the user-facing -sanitize path.)
+# (The exec test suite forces the sanitizer unconditionally; this target
+# exercises pipesim's user-facing -sanitize path.)
 sanitize:
 	$(GO) run ./cmd/pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 -sanitize
 	$(GO) run ./cmd/pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 -schedule sliced -sanitize
-	$(GO) run ./cmd/pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 -faults testdata/faults_basic.json -sanitize
 
 # fuzz-smoke runs each fuzz target briefly: long enough to replay the corpus
 # and explore a little, short enough for every CI run. The root
@@ -50,7 +49,6 @@ sanitize:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/schedule
-	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzParseChaos -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzParseDeadline -fuzztime=$(FUZZTIME) ./internal/service
@@ -62,11 +60,10 @@ race:
 	$(GO) test -race -short ./...
 
 # race-core runs the planner engine, plan evaluator, discrete-event
-# executor, and self-healing training driver under the race detector at
-# full depth. The search itself is serial, but the service calls the
-# Planner from concurrent queue workers, so the engine must share no state
-# between calls; the executor and the fault-injected recovery paths run
-# goroutines of their own.
+# executor, and the training runtimes under the race detector at full
+# depth. The search itself is serial, but the service calls the Planner
+# from concurrent queue workers, so the engine must share no state between
+# calls; the pipeline training runtime runs one goroutine per stage.
 race-core:
 	$(GO) test -race ./internal/core/... ./internal/plan/... ./internal/exec/... ./internal/train/...
 
@@ -94,11 +91,6 @@ bench-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# fault-smoke executes a schedule under the checked-in basic fault plan —
-# the README's resilience quickstart must keep working end to end.
-fault-smoke:
-	$(GO) run ./cmd/pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 -faults testdata/faults_basic.json
-
 # experiments-smoke runs the evaluation harness through its command: every
 # experiment id, the -csv writer and the exit status, which the package
 # tests (calling experiments.Env directly) do not reach.
@@ -106,7 +98,7 @@ experiments-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/experiments -exp all -csv "$$dir" >/dev/null || exit 1; \
 	n="$$(ls "$$dir" | wc -l)"; \
-	if [ "$$n" -ne 18 ]; then echo "experiments-smoke: $$n CSV files, want 18"; exit 1; fi
+	if [ "$$n" -ne 17 ]; then echo "experiments-smoke: $$n CSV files, want 17"; exit 1; fi
 
 # fmt-check fails (with the offending files listed) if anything is not
 # gofmt-clean.
@@ -123,14 +115,14 @@ tier1: build test
 # autopipelint's simclock and errsentinel), the full test suite under the race
 # detector, the deep race pass over the planner engine and the whole
 # service/observability surface (race-all), a one-shot benchmark
-# smoke, the fault-injection smoke, the sanitized executions, the
+# smoke, the sanitized executions, the
 # experiments command smoke, the tier-1 gate, and the repository benchmark's
 # own tests. The daemon's end-to-end, restart-resume and crash-recovery soak
 # checks, and the soak behind the test-only chaos middleware, are tier-1
 # tests in internal/service. (CI
 # additionally runs fuzz-smoke, kept out of verify so the local gate stays
 # fast.)
-verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke fault-smoke sanitize experiments-smoke
+verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke sanitize experiments-smoke
 
 clean:
 	$(GO) clean ./...

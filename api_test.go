@@ -172,6 +172,14 @@ func TestPublicSentinelErrors(t *testing.T) {
 		t.Errorf("invalid run: err = %v, want ErrBadConfig", err)
 	}
 
+	// A cluster without GPUs → ErrBadConfig.
+	empty := cluster
+	empty.NumGPUs = 0
+	run := autopipe.Run{MicroBatch: 4, GlobalBatch: 128, Checkpoint: true}
+	if _, _, err := p.Plan(context.Background(), autopipe.GPT2_345M(), run, empty); !errors.Is(err, autopipe.ErrBadConfig) {
+		t.Errorf("no GPUs: err = %v, want ErrBadConfig", err)
+	}
+
 	// A huge micro-batch on few GPUs exceeds memory at every depth →
 	// ErrInfeasible.
 	cluster.NumGPUs = 2

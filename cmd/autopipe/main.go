@@ -7,18 +7,13 @@
 // Usage:
 //
 //	autopipe -model gpt2-345m -gpus 4 -mbs 4 -gbs 128 \
-//	         [-timeout 30s] [-faults plan.json] [-json plan.json]
+//	         [-timeout 30s] [-json plan.json]
 //
 // Each plan search runs serially on one goroutine, so the plan does not
 // depend on the machine's core count.
-//
-// With -faults, the planned schedule is additionally executed under the
-// given fault plan, reporting the plan's iteration-time overhead when it
-// survives or the typed failure when it does not.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,13 +22,8 @@ import (
 	"autopipe/internal/baselines/megatron"
 	"autopipe/internal/cliutil"
 	"autopipe/internal/config"
-	"autopipe/internal/errdefs"
-	"autopipe/internal/exec"
-	"autopipe/internal/fault"
 	"autopipe/internal/memory"
-	"autopipe/internal/model"
 	"autopipe/internal/plan"
-	"autopipe/internal/schedule"
 )
 
 func main() {
@@ -43,17 +33,10 @@ func main() {
 	gbs := flag.Int("gbs", 128, "global batch size")
 	jsonPath := flag.String("json", "", "write the plan as JSON to this path")
 	pf := cliutil.RegisterPlanner(flag.CommandLine)
-	ff := cliutil.RegisterFaults(flag.CommandLine)
-	ef := cliutil.RegisterExec(flag.CommandLine)
 	prof := cliutil.RegisterProfile(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
-	if err != nil {
-		fail(err)
-	}
-
-	fplan, err := ff.Load()
 	if err != nil {
 		fail(err)
 	}
@@ -107,9 +90,6 @@ func main() {
 				rr.IterTime*1e3, rr.IterTime/res.IterTime)
 		}
 	}
-	if fplan != nil {
-		assessFaults(spec, bl, res, cluster, fplan, ef.Sanitize)
-	}
 	if *jsonPath != "" {
 		if err := config.Save(*jsonPath, spec); err != nil {
 			fail(err)
@@ -117,40 +97,6 @@ func main() {
 		fmt.Printf("plan written to %s\n", *jsonPath)
 	}
 	if err := stopProf(); err != nil {
-		fail(err)
-	}
-}
-
-// assessFaults re-executes the planned schedule under the fault plan and
-// reports the survivor's overhead, or the typed failure if the plan cannot
-// finish an iteration under injection.
-func assessFaults(spec *plan.Spec, bl *model.Blocks, res *plan.Result, cluster config.Cluster, fplan *fault.Plan, sanitize bool) {
-	f, b := plan.StageWallTimes(spec, bl)
-	sched, err := schedule.Sliced(spec.Depth(), res.Micro, spec.NumSliced)
-	if err != nil {
-		fail(err)
-	}
-	cfg := plan.ExecConfig(f, b, bl, cluster)
-	cfg.Sanitize = sanitize
-	clean, err := exec.Run(sched, cfg)
-	if err != nil {
-		fail(err)
-	}
-	cfg.Faults = fault.New(fplan, nil)
-	faulted, err := exec.Run(sched, cfg)
-	name := fplan.Name
-	if name == "" {
-		name = "faults"
-	}
-	switch {
-	case err == nil:
-		fmt.Printf("under fault plan %q: %.1f ms (+%.1f%% over the clean %.1f ms execution)\n",
-			name, faulted.IterTime*1e3, 100*(faulted.IterTime-clean.IterTime)/clean.IterTime, clean.IterTime*1e3)
-	case errors.Is(err, errdefs.ErrDeviceLost) || errors.Is(err, errdefs.ErrLinkDown):
-		fmt.Printf("under fault plan %q: plan does not survive (%v); the self-healing driver would checkpoint and replan over the survivors\n", name, err)
-	case errors.Is(err, errdefs.ErrTransient):
-		fmt.Printf("under fault plan %q: transient failure (%v); a retry would succeed\n", name, err)
-	default:
 		fail(err)
 	}
 }

@@ -3,19 +3,15 @@
 //
 // Usage:
 //
-//	experiments [-exp all|ID[,ID...]] [-timeout 10m] [-csv dir] [-faults plan.json]
+//	experiments [-exp all|ID[,ID...]] [-timeout 10m] [-csv dir]
 //
 // where each ID is one of table1, table2, fig9, fig10, fig11, table3,
 // table4, fig12, fig13, fig14a, fig14b, abl-granularity, abl-heuristic,
-// abl-slicing, abl-schedule, abl-interleaved, telemetry, or resilience
-// ("all" runs the 18 in that order).
+// abl-slicing, abl-schedule, abl-interleaved, or telemetry ("all" runs the
+// 17 in that order).
 //
 // Each plan search runs serially on one goroutine, so the plan does not
 // depend on the machine's core count.
-//
-// -faults adds a custom scenario to the resilience sweep: the given fault
-// plan is injected into the self-healing training driver alongside the
-// built-in clean/transient/straggler/crash scenarios.
 package main
 
 import (
@@ -34,7 +30,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id to run (comma-separated), or 'all'")
 	csvDir := flag.String("csv", "", "directory to also write per-experiment CSV files into")
 	pf := cliutil.RegisterPlanner(flag.CommandLine)
-	ff := cliutil.RegisterFaults(flag.CommandLine)
 	prof := cliutil.RegisterProfile(flag.CommandLine)
 	flag.Parse()
 
@@ -45,12 +40,6 @@ func main() {
 	}
 
 	env := experiments.DefaultEnv()
-	fplan, err := ff.Load()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	env.Faults = fplan
 	ctx, cancel := pf.Context()
 	defer cancel()
 	env.Ctx = ctx
@@ -74,11 +63,9 @@ func main() {
 		"abl-interleaved": func() (*tableio.Table, error) { _, t, err := env.AblationInterleaved(); return t, err },
 		// Planner/Slicer search telemetry (beyond the paper; DESIGN.md §7).
 		"telemetry": func() (*tableio.Table, error) { _, t, err := env.PlannerTelemetry(); return t, err },
-		// Self-healing driver under injected faults (DESIGN.md §10).
-		"resilience": func() (*tableio.Table, error) { _, t, err := env.Resilience(); return t, err },
 	}
 	order := []string{"table1", "table2", "fig9", "fig10", "fig11", "table3", "table4", "fig12", "fig13", "fig14a", "fig14b",
-		"abl-granularity", "abl-heuristic", "abl-slicing", "abl-schedule", "abl-interleaved", "telemetry", "resilience"}
+		"abl-granularity", "abl-heuristic", "abl-slicing", "abl-schedule", "abl-interleaved", "telemetry"}
 
 	var ids []string
 	if *exp == "all" {

@@ -6,22 +6,19 @@
 //
 //	pipesim -model gpt2-345m -stages 4 -mbs 4 -micro 8 \
 //	        [-schedule 1f1b|gpipe|sliced|interleaved] [-sliced N] [-gantt] \
-//	        [-timeout 30s] [-faults plan.json] \
+//	        [-timeout 30s] [-sanitize] \
 //	        [-metrics report.json] [-trace trace.json]
 //
 // Each plan search runs serially on one goroutine, so the plan does not
 // depend on the machine's core count.
 //
-// With -faults, the schedule executes under the injected fault plan: a
-// surviving run reports its slowdown against the clean baseline, while a
-// fatal fault (device crash, permanent link loss) is classified by its typed
-// error. See cmd/experiments -exp resilience for the self-healing driver
-// that recovers from fatal faults instead of stopping.
+// With -sanitize, every executed op and message is checked against the
+// schedule's dependency graph, the link model and the activation-memory
+// ledger; a violation aborts the run with an internal-error diagnosis.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,9 +28,7 @@ import (
 	"autopipe/internal/cliutil"
 	"autopipe/internal/config"
 	"autopipe/internal/cost"
-	"autopipe/internal/errdefs"
 	"autopipe/internal/exec"
-	"autopipe/internal/fault"
 	"autopipe/internal/memory"
 	"autopipe/internal/model"
 	"autopipe/internal/obs"
@@ -72,18 +67,12 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing) to this path")
 	critical := flag.Bool("critical", false, "print the executed critical path")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics report (bubbles, utilization, links, memory) to this path")
+	sanitize := flag.Bool("sanitize", false, "validate every executed op against the schedule dependency graph, link capacity, and memory ledger (fails with an internal-error diagnosis)")
 	pf := cliutil.RegisterPlanner(flag.CommandLine)
-	ff := cliutil.RegisterFaults(flag.CommandLine)
-	ef := cliutil.RegisterExec(flag.CommandLine)
 	prof := cliutil.RegisterProfile(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
-	if err != nil {
-		fail(err)
-	}
-
-	fplan, err := ff.Load()
 	if err != nil {
 		fail(err)
 	}
@@ -150,21 +139,10 @@ func main() {
 
 	reg := obs.NewRegistry()
 	cfg := plan.ExecConfig(virtF, virtB, bl, cluster)
-	cfg.Obs, cfg.Sanitize = reg, ef.Sanitize
-	var cleanIter float64
-	if fplan != nil {
-		// Baseline without injection so the faulted run's slowdown is
-		// attributable, then execute under the plan.
-		clean, err := exec.Run(s, cfg)
-		if err != nil {
-			fail(err)
-		}
-		cleanIter = clean.IterTime
-		cfg.Faults = fault.New(fplan, reg)
-	}
+	cfg.Obs, cfg.Sanitize = reg, *sanitize
 	r, err := exec.Run(s, cfg)
 	if err != nil {
-		failFault(err)
+		fail(err)
 	}
 
 	// Activation-memory ledger: available whenever virtual stages map 1:1 to
@@ -190,15 +168,6 @@ func main() {
 	fmt.Print(part.Describe(bl))
 	fmt.Printf("\niteration time:   %.1f ms\n", r.IterTime*1e3)
 	fmt.Printf("startup overhead: %.1f ms\n", r.Startup*1e3)
-	if fplan != nil {
-		name := fplan.Name
-		if name == "" {
-			name = ff.Path
-		}
-		injected := reg.Snapshot().Counters["fault.injected"]
-		fmt.Printf("fault plan %q: %d fault(s) declared, %.0f activated; survived with +%.1f%% iteration time (clean %.1f ms)\n",
-			name, len(fplan.Faults), injected, 100*(r.IterTime-cleanIter)/cleanIter, cleanIter*1e3)
-	}
 	for d, u := range r.Utilization() {
 		fmt.Printf("device %d utilization: %.1f%%\n", d, 100*u)
 	}
@@ -274,24 +243,5 @@ func main() {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "pipesim:", err)
-	os.Exit(1)
-}
-
-// failFault classifies a typed executor failure before exiting, pointing at
-// the recovery path for faults a bare schedule run cannot survive.
-func failFault(err error) {
-	switch {
-	case errors.Is(err, errdefs.ErrDeviceLost):
-		fmt.Fprintln(os.Stderr, "pipesim: fatal fault (device lost):", err)
-		fmt.Fprintln(os.Stderr, "pipesim: a bare schedule cannot survive device loss; the self-healing driver (cmd/experiments -exp resilience) checkpoints and replans over the survivors")
-	case errors.Is(err, errdefs.ErrLinkDown):
-		fmt.Fprintln(os.Stderr, "pipesim: fatal fault (link down):", err)
-	case errors.Is(err, errdefs.ErrOOM):
-		fmt.Fprintln(os.Stderr, "pipesim: fault (out of memory):", err)
-	case errors.Is(err, errdefs.ErrTransient):
-		fmt.Fprintln(os.Stderr, "pipesim: transient fault (retry would succeed):", err)
-	default:
-		fmt.Fprintln(os.Stderr, "pipesim:", err)
-	}
 	os.Exit(1)
 }

@@ -22,17 +22,9 @@ var (
 	// ErrDeadlock marks a structurally corrupted schedule whose stages wait
 	// on each other forever on the discrete-event executor.
 	ErrDeadlock = errdefs.ErrDeadlock
-	// ErrDeviceLost marks the permanent loss of a device during execution
-	// (a fault-plan crash); recovery is checkpoint → replan → resume.
-	ErrDeviceLost = errdefs.ErrDeviceLost
-	// ErrLinkDown marks a permanently failed interconnect link.
-	ErrLinkDown = errdefs.ErrLinkDown
-	// ErrTransient marks a retryable communication failure (a dropped
-	// message under fault injection).
-	ErrTransient = errdefs.ErrTransient
 	// ErrInternal marks a violated internal invariant — most prominently a
 	// runtime-sanitizer finding (an op that started before its schedule
 	// dependencies completed, an oversubscribed link, a negative activation
-	// ledger). Never retried: it is a bug, not a fault.
+	// ledger). Never retried: it is a bug, not bad input.
 	ErrInternal = errdefs.ErrInternal
 )

@@ -12,12 +12,11 @@ import (
 	"testing"
 
 	"autopipe"
-	"autopipe/internal/fault"
 	"autopipe/internal/schedule"
 )
 
 // The fixture manifest: every checked-in JSON artifact — the schedule goldens,
-// fault and chaos plans, trace goldens, and the negative fixtures under
+// chaos plans, trace goldens, and the negative fixtures under
 // testdata/reject — mapped to the parser that owns its format and the outcome
 // that parser must produce. A nil want means the file must be accepted;
 // otherwise the parser must reject it with an error matching want under
@@ -32,16 +31,11 @@ var fixtures = []struct {
 }{
 	{"internal/exec/testdata/trace_golden.json", parseTrace, nil},
 	{"testdata/chaos_basic.json", chaosJSON, nil},
-	{"testdata/faults_basic.json", parseFaultPlan, nil},
-	{"testdata/faults_concurrent.json", parseFaultPlan, nil},
 	{"testdata/schedules/1f1b_p4_m8.json", parseSchedule, nil},
 	{"testdata/schedules/interleaved_p4_m8_v2.json", parseSchedule, nil},
 	{"testdata/schedules/sliced_p4_m8_s2.json", parseSchedule, nil},
 
 	{"testdata/reject/chaos_bad_prob.json", chaosJSON, nil},
-	{"testdata/reject/faults_bad_kind.json", parseFaultPlan, autopipe.ErrBadConfig},
-	{"testdata/reject/faults_crash_duplicate.json", parseFaultPlan, errCrashDuplicate},
-	{"testdata/reject/faults_crash_unsorted.json", parseFaultPlan, errCrashUnsorted},
 	{"testdata/reject/sched_cycle.json", parseSchedule, autopipe.ErrDeadlock},
 	{"testdata/reject/sched_dup.json", parseSchedule, autopipe.ErrBadConfig},
 }
@@ -118,40 +112,6 @@ func parseSchedule(data []byte) error {
 		return err
 	}
 	return s.CheckDeadlock()
-}
-
-// A fault plan's same-instant device crashes replay in array order, so the
-// decoded slice is the injector's iteration order. A generator that passed
-// through a map keyed by device would emit a different order per run, and two
-// regenerations of one plan would replay differently. Checked-in plans
-// therefore emit each same-instant crash run sorted by device and without
-// duplicates. The parser itself accepts any order; the rule binds fixtures.
-var (
-	errCrashUnsorted  = errors.New("same-instant device crashes not sorted by device")
-	errCrashDuplicate = errors.New("duplicate same-instant device crash")
-)
-
-func parseFaultPlan(data []byte) error {
-	p, err := fault.Parse(data)
-	if err != nil {
-		return err
-	}
-	last := make(map[float64]int)
-	for _, f := range p.Faults {
-		if f.Kind != fault.DeviceCrash {
-			continue
-		}
-		if prev, seen := last[f.At]; seen {
-			switch {
-			case f.Device == prev:
-				return fmt.Errorf("%w: device %d at t=%v", errCrashDuplicate, f.Device, f.At)
-			case f.Device < prev:
-				return fmt.Errorf("%w: device %d after %d at t=%v", errCrashUnsorted, f.Device, prev, f.At)
-			}
-		}
-		last[f.At] = f.Device
-	}
-	return nil
 }
 
 // parseTrace checks a Chrome trace golden's envelope; exec's golden test

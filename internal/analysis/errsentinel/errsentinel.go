@@ -1,11 +1,11 @@
 // Package errsentinel enforces the repository's error discipline: every
-// error crossing a package boundary in internal/{core,exec,fault,train} must
-// wrap a typed errdefs sentinel (or an upstream error) so that callers — the
-// self-healing training driver above all — dispatch with errors.Is instead
-// of matching message strings. The fault-recovery paths (retry on
-// ErrTransient, re-plan on ErrDeviceLost, surface ErrOOM) are exactly as
-// reliable as this discipline; a single naked fmt.Errorf in the chain makes
-// a recoverable fault look unrecoverable.
+// error crossing a package boundary in internal/{core,exec,train} must wrap
+// a typed errdefs sentinel (or an upstream error) so that callers dispatch
+// with errors.Is instead of matching message strings. Two callers branch on
+// these sentinels: the daemon's status mapping (client.Encode: ErrBadConfig
+// → 400, ErrInfeasible and ErrOOM → 422) and Tables III/IV's OOM check
+// (internal/experiments). A single naked fmt.Errorf in the chain turns a
+// typed rejection into a 500 or a planning error into a missing OOM marker.
 //
 // Flagged (non-test files):
 //
@@ -38,7 +38,6 @@ import (
 var DefaultScope = []string{
 	"autopipe/internal/core",
 	"autopipe/internal/exec",
-	"autopipe/internal/fault",
 	"autopipe/internal/train",
 }
 

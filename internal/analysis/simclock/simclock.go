@@ -1,11 +1,11 @@
 // Package simclock enforces the reproduction's determinism invariant: the
-// planner, simulator, executor, fault engine, and training driver must be
-// pure functions of their inputs and seeds. The paper's simulator-vs-actual
-// agreement (Fig. 11) and the golden-pinned recovery trajectories are only
-// checkable because re-running them is bit-identical; one wall-clock read or
-// unseeded random draw inside those packages silently invalidates every
-// downstream comparison, because the planner is re-run thousands of times
-// inside enumeration loops.
+// planner, simulator, executor, plan evaluator, and training runtimes must
+// be pure functions of their inputs and seeds. The paper's
+// simulator-vs-actual agreement (Fig. 11) and the recorded search
+// trajectories are only checkable because re-running them is bit-identical;
+// one wall-clock read or unseeded random draw inside those packages silently
+// invalidates every downstream comparison, because the planner is re-run
+// thousands of times inside enumeration loops.
 //
 // Flagged inside the deterministic packages (non-test files):
 //
@@ -44,7 +44,6 @@ var DefaultScope = []string{
 	"autopipe/internal/core",
 	"autopipe/internal/exec",
 	"autopipe/internal/plan",
-	"autopipe/internal/fault",
 	"autopipe/internal/train",
 }
 

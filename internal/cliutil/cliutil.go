@@ -3,8 +3,8 @@
 // their common flags here, so -timeout and the profiling flags mean the
 // same thing everywhere. The daemon's flags (-addr, -store and the
 // -rate/-burst/-queue-wait admission controls) live here too; it has no
-// fault- or chaos-injection flag. The planner has no width flag: each search
-// is serial. Parsed values resolve into a planning context or daemon
+// chaos-injection flag. The planner has no width flag: each search is
+// serial. Parsed values resolve into a planning context or daemon
 // configuration.
 package cliutil
 
@@ -12,8 +12,6 @@ import (
 	"context"
 	"flag"
 	"time"
-
-	"autopipe/internal/fault"
 )
 
 // PlannerFlags holds the parsed values of the shared planner flags.
@@ -37,22 +35,6 @@ func (pf *PlannerFlags) Context() (context.Context, context.CancelFunc) {
 		return context.WithTimeout(context.Background(), pf.Timeout)
 	}
 	return context.WithCancel(context.Background())
-}
-
-// ExecFlags holds the parsed values of the shared executor flags.
-type ExecFlags struct {
-	// Sanitize enables the runtime schedule sanitizer: every executed op and
-	// message is checked against the schedule's dependency graph, the link
-	// model, and the activation-memory ledger; any violation aborts the run
-	// with errdefs.ErrInternal.
-	Sanitize bool
-}
-
-// RegisterExec installs the shared executor flags on fs (before fs.Parse).
-func RegisterExec(fs *flag.FlagSet) *ExecFlags {
-	ef := &ExecFlags{}
-	fs.BoolVar(&ef.Sanitize, "sanitize", false, "validate every executed op against the schedule dependency graph, link capacity, and memory ledger (fails with an internal-error diagnosis)")
-	return ef
 }
 
 // ServiceFlags holds the parsed values of the autopiped daemon's flags.
@@ -80,27 +62,4 @@ func RegisterService(fs *flag.FlagSet) *ServiceFlags {
 	fs.IntVar(&sf.Burst, "burst", 0, "admission burst size above -rate (0 = max(1, rate))")
 	fs.DurationVar(&sf.QueueWait, "queue-wait", 0, "how long a submit may wait for a queue slot before 503 + Retry-After (0 = shed immediately)")
 	return sf
-}
-
-// FaultFlags holds the parsed values of the shared fault-injection flags.
-type FaultFlags struct {
-	// Path is the fault-plan JSON file; empty means no injection.
-	Path string
-}
-
-// RegisterFaults installs the shared fault-injection flags on fs (before
-// fs.Parse).
-func RegisterFaults(fs *flag.FlagSet) *FaultFlags {
-	ff := &FaultFlags{}
-	fs.StringVar(&ff.Path, "faults", "", "fault-plan JSON file to inject during execution (empty = no faults)")
-	return ff
-}
-
-// Load parses the fault plan named by -faults. It returns (nil, nil) when no
-// plan was requested, so callers can pass the result straight through.
-func (ff *FaultFlags) Load() (*fault.Plan, error) {
-	if ff.Path == "" {
-		return nil, nil
-	}
-	return fault.Load(ff.Path)
 }

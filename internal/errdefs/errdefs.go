@@ -33,21 +33,6 @@ var (
 	// issuing a single operation while work remained.
 	ErrDeadlock = errors.New("schedule deadlock")
 
-	// ErrDeviceLost reports the permanent loss of a device (a crash fault or
-	// an unrecoverable hardware failure). Recovery requires checkpoint,
-	// re-partitioning over the survivors, and resume.
-	ErrDeviceLost = errors.New("device lost")
-
-	// ErrLinkDown reports a permanently failed interconnect link: a message
-	// needed the link and no recovery window exists. The self-healing driver
-	// treats the unreachable downstream device as lost.
-	ErrLinkDown = errors.New("link down")
-
-	// ErrTransient reports a transient communication failure (a dropped
-	// message). The operation is safe to retry; the self-healing driver does
-	// so with capped exponential backoff.
-	ErrTransient = errors.New("transient communication failure")
-
 	// ErrInternal reports a violated internal invariant: a replayed trace
 	// that leaks activation memory, an out-of-order pipeline message, a
 	// stage that finished without producing its loss. It always indicates a

@@ -7,21 +7,18 @@ import (
 	"testing"
 
 	"autopipe/internal/errdefs"
-	"autopipe/internal/fault"
 )
 
 // The errdefs contract: every sentinel survives arbitrary layers of %w
-// wrapping, so the self-healing driver's errors.Is dispatch works no matter
-// how deep in the stack the failure originated.
+// wrapping and matches no other sentinel, so a caller's errors.Is dispatch
+// (the daemon's HTTP status mapping, Tables III/IV's OOM check) works no
+// matter how deep in the stack the failure originated.
 func TestSentinelsSurviveWrapping(t *testing.T) {
 	sentinels := []error{
 		errdefs.ErrInfeasible,
 		errdefs.ErrOOM,
 		errdefs.ErrBadConfig,
 		errdefs.ErrDeadlock,
-		errdefs.ErrDeviceLost,
-		errdefs.ErrLinkDown,
-		errdefs.ErrTransient,
 		errdefs.ErrInternal,
 	}
 	for _, s := range sentinels {
@@ -37,38 +34,18 @@ func TestSentinelsSurviveWrapping(t *testing.T) {
 	}
 }
 
-// The fault package's typed errors must unwrap to their sentinels (coarse
-// dispatch via errors.Is) and back to themselves (site extraction via
-// errors.As), including through further wrapping by the executor and driver.
-func TestFaultTypedErrorsRoundTrip(t *testing.T) {
-	cases := []struct {
-		err      error
-		sentinel error
-	}{
-		{&fault.DeviceLostError{Device: 2, At: 1.5}, errdefs.ErrDeviceLost},
-		{&fault.LinkDownError{From: 0, To: 1, At: 0.25}, errdefs.ErrLinkDown},
-		{&fault.TransientError{From: 1, To: 2, At: 2.0}, errdefs.ErrTransient},
-		{&fault.OOMError{Device: 3, At: 0.75}, errdefs.ErrOOM},
-	}
-	for _, tc := range cases {
-		wrapped := fmt.Errorf("train: step 7: %w", fmt.Errorf("exec: %w", tc.err))
-		if !errors.Is(wrapped, tc.sentinel) {
-			t.Errorf("%T does not unwrap to %v through two layers", tc.err, tc.sentinel)
+// ErrInternal reports a bug, not something the caller can fix: it must match
+// none of the sentinels a caller answers by changing its input or re-planning
+// (the daemon's 400 and 422 statuses, Tables III/IV's OOM markers).
+func TestInternalIsNotRecoverable(t *testing.T) {
+	err := fmt.Errorf("%w: exec: device 0 leaked 128 bytes of activations", errdefs.ErrInternal)
+	for _, recoverable := range []error{errdefs.ErrBadConfig, errdefs.ErrInfeasible, errdefs.ErrOOM} {
+		if errors.Is(err, recoverable) {
+			t.Errorf("ErrInternal matches recoverable sentinel %v", recoverable)
 		}
 	}
-
-	var lost *fault.DeviceLostError
-	wrapped := fmt.Errorf("driver: %w", &fault.DeviceLostError{Device: 2, At: 1.5})
-	if !errors.As(wrapped, &lost) {
-		t.Fatal("errors.As failed to extract *fault.DeviceLostError")
-	}
-	if lost.Device != 2 || lost.At != 1.5 {
-		t.Errorf("extracted failure site = device %d at %v, want device 2 at 1.5", lost.Device, lost.At)
-	}
-
-	var oom *fault.OOMError
-	if errors.As(wrapped, &oom) {
-		t.Error("errors.As matched *fault.OOMError on a device-lost error")
+	if !errors.Is(err, errdefs.ErrInternal) {
+		t.Error("wrapped ErrInternal lost its identity")
 	}
 }
 
@@ -81,19 +58,5 @@ func TestContextErrorsStayDistinct(t *testing.T) {
 	}
 	if errors.Is(err, errdefs.ErrInfeasible) {
 		t.Error("context error spuriously matches ErrInfeasible")
-	}
-}
-
-// ErrInternal is the "bug in this repository" marker; it must stay disjoint
-// from the retryable/re-plannable sentinels so the driver never retries it.
-func TestInternalIsNotRecoverable(t *testing.T) {
-	err := fmt.Errorf("%w: exec: device 0 leaked 128 bytes of activations", errdefs.ErrInternal)
-	for _, recoverable := range []error{errdefs.ErrTransient, errdefs.ErrDeviceLost, errdefs.ErrLinkDown} {
-		if errors.Is(err, recoverable) {
-			t.Errorf("ErrInternal matches recoverable sentinel %v", recoverable)
-		}
-	}
-	if !errors.Is(err, errdefs.ErrInternal) {
-		t.Error("wrapped ErrInternal lost its identity")
 	}
 }

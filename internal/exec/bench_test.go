@@ -10,10 +10,10 @@ import (
 )
 
 // Event-loop micro-benchmarks: the executor is the inner loop of every
-// experiment regeneration and of the self-healing driver, so its ops/sec (the
-// sanitizer stays on — TestMain forces it for the whole package, exactly as
-// production -sanitize runs pay for it) is measured here. Its allocations are
-// pinned by TestSanitizedRunAllocsPinned.
+// experiment regeneration, so its ops/sec (the sanitizer stays on — TestMain
+// forces it for the whole package, exactly as production -sanitize runs pay
+// for it) is measured here. Its allocations are pinned by
+// TestSanitizedRunAllocsPinned.
 
 // benchCfg is a realistic non-degenerate configuration: distinct stage
 // times, a cross-stage payload, finite bandwidth, and a kernel overhead.

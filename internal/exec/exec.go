@@ -17,7 +17,6 @@ import (
 
 	"autopipe/internal/config"
 	"autopipe/internal/errdefs"
-	"autopipe/internal/fault"
 	"autopipe/internal/obs"
 	"autopipe/internal/schedule"
 )
@@ -41,30 +40,17 @@ type Config struct {
 	// Obs, if non-nil, receives execution counters (ops, messages, bytes)
 	// and a run span.
 	Obs *obs.Registry
-	// Faults, if non-nil, injects the fault plan's timed events into this
-	// execution: stragglers scale compute, degraded links lose bandwidth,
-	// flapped links defer messages, drops / crashes / injected OOM abort the
-	// run with typed errors (fault.TransientError, fault.DeviceLostError,
-	// fault.LinkDownError, fault.OOMError).
-	Faults *fault.Injector
-	// Start is the absolute simulated time at which this execution begins;
-	// fault windows are expressed on that absolute clock, so a driver running
-	// many iterations advances Start by each iteration's makespan.
-	Start float64
-	// DeviceMap maps schedule device indices to the physical device ids
-	// fault plans reference; nil means the identity mapping.
-	DeviceMap []int
 	// Sanitize threads the runtime happens-before checker (Sanitizer) through
 	// the event loop: every recorded op and transfer is validated against the
 	// schedule dependency model as it happens, and a violation aborts the run
-	// with an error wrapping errdefs.ErrInternal. Exposed as -sanitize on the
-	// CLIs; always on under the package's tests.
+	// with an error wrapping errdefs.ErrInternal. Exposed as pipesim's
+	// -sanitize; always on under the package's tests.
 	Sanitize bool
 }
 
 // Validate reports the first structural problem with the config: mismatched
 // or negative stage-time vectors, a non-positive link bandwidth, negative
-// latency, jitter, overhead, payload, or start time. Errors wrap
+// latency, jitter, overhead, or payload. Errors wrap
 // errdefs.ErrBadConfig, so a bad config fails up front instead of producing
 // NaN timings or panics deep inside the event loop.
 func (cfg Config) Validate() error {
@@ -91,9 +77,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Jitter < 0 || math.IsNaN(cfg.Jitter) {
 		return fmt.Errorf("%w: exec: negative jitter %g", errdefs.ErrBadConfig, cfg.Jitter)
-	}
-	if cfg.Start < 0 || math.IsNaN(cfg.Start) {
-		return fmt.Errorf("%w: exec: negative start time %g", errdefs.ErrBadConfig, cfg.Start)
 	}
 	return nil
 }
@@ -191,16 +174,6 @@ func opDuration(op schedule.Op, cfg Config, rng *jitterStream) float64 {
 		dur *= 1 + cfg.Jitter*rng.next()
 	}
 	return dur
-}
-
-// msgID folds a message's identity (kind, virtual stage, micro-batch, half)
-// into the stable key probabilistic drop decisions hash on.
-func msgID(m MsgTrace) uint64 {
-	k := uint64(1)
-	if m.Kind == schedule.Bwd {
-		k = 2
-	}
-	return k<<48 | uint64(m.Virt&0xFFFF)<<32 | uint64(m.Micro&0xFFFF)<<16 | uint64(m.Half+1)&0xFFFF
 }
 
 // jitterStream is a splitmix64-style deterministic noise source in [0,1).

@@ -89,6 +89,48 @@ func TestFullDuplexLinks(t *testing.T) {
 	}
 }
 
+// TestFaultStragglerSlowsIteration: a straggler — one device computing at
+// half speed — becomes the pipeline's bottleneck and stretches the makespan
+// well beyond the uniform run's.
+func TestFaultStragglerSlowsIteration(t *testing.T) {
+	s, _ := schedule.OneFOneB(2, 4)
+	cfg := uniformCfg(2, 1, 2)
+	clean, err := Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.VirtFwd[1] *= 2
+	cfg.VirtBwd[1] *= 2
+	slow, err := Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.IterTime <= clean.IterTime*1.5 {
+		t.Errorf("straggler barely slowed: %.3f vs clean %.3f", slow.IterTime, clean.IterTime)
+	}
+}
+
+// TestFaultLinkDegradeStretchesTransfers: halving link bandwidth doubles
+// serialization time for cross-stage messages.
+func TestFaultLinkDegradeStretchesTransfers(t *testing.T) {
+	s, _ := schedule.OneFOneB(2, 2)
+	cfg := uniformCfg(2, 0.001, 0.002)
+	cfg.CommBytes = 1e9
+	cfg.Network = config.Network{Bandwidth: 1e9, Latency: 0} // 1 s per transfer
+	clean, err := Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Network.Bandwidth = 0.5e9
+	slow, err := Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.IterTime < clean.IterTime+0.9 {
+		t.Errorf("degraded link: %.3f vs clean %.3f", slow.IterTime, clean.IterTime)
+	}
+}
+
 // TestStartupZeroForSingleDevice: a 1-stage pipeline has no startup overhead.
 func TestStartupZeroForSingleDevice(t *testing.T) {
 	s, _ := schedule.OneFOneB(1, 4)

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"autopipe/internal/config"
+	"autopipe/internal/errdefs"
 	"autopipe/internal/schedule"
 )
 
@@ -268,6 +270,36 @@ func TestUtilizationBounded(t *testing.T) {
 	for d, u := range r.Utilization() {
 		if u <= 0 || u > 1+1e-9 {
 			t.Errorf("device %d utilization %v out of (0,1]", d, u)
+		}
+	}
+}
+
+// TestConfigValidate: every structurally bad config is rejected up front
+// with ErrBadConfig, by Validate and by Run alike.
+func TestConfigValidate(t *testing.T) {
+	base := uniformCfg(2, 1, 2)
+	cases := map[string]func(*Config){
+		"mismatched vectors": func(c *Config) { c.VirtBwd = c.VirtBwd[:1] },
+		"negative stage":     func(c *Config) { c.VirtFwd[0] = -1 },
+		"NaN stage":          func(c *Config) { c.VirtBwd[1] = math.NaN() },
+		"negative payload":   func(c *Config) { c.CommBytes = -1 },
+		"zero bandwidth":     func(c *Config) { c.Network.Bandwidth = 0 },
+		"negative bandwidth": func(c *Config) { c.Network.Bandwidth = -5 },
+		"negative latency":   func(c *Config) { c.Network.Latency = -1 },
+		"negative overhead":  func(c *Config) { c.KernelOverhead = -1e-6 },
+		"negative jitter":    func(c *Config) { c.Jitter = -0.1 },
+	}
+	s, _ := schedule.OneFOneB(2, 2)
+	for name, mutate := range cases {
+		cfg := base
+		cfg.VirtFwd = append([]float64(nil), base.VirtFwd...)
+		cfg.VirtBwd = append([]float64(nil), base.VirtBwd...)
+		mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%s: Validate = %v, want ErrBadConfig", name, err)
+		}
+		if _, err := Run(s, cfg); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%s: Run = %v, want ErrBadConfig", name, err)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"autopipe/internal/errdefs"
-	"autopipe/internal/fault"
 	"autopipe/internal/obs"
 	"autopipe/internal/schedule"
 )
@@ -36,15 +35,6 @@ func Run(s *schedule.Schedule, cfg Config) (*Result, error) {
 	return r.exec(s, cfg)
 }
 
-// phys maps a schedule device index to the physical device id fault plans
-// reference.
-func (r *run) phys(d int) int {
-	if r.cfg.DeviceMap != nil {
-		return r.cfg.DeviceMap[d]
-	}
-	return d
-}
-
 // exec validates s and cfg, sets up r and runs the event loop.
 func (r *run) exec(s *schedule.Schedule, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -56,10 +46,6 @@ func (r *run) exec(s *schedule.Schedule, cfg Config) (*Result, error) {
 	if len(cfg.VirtFwd) != s.VirtStages || len(cfg.VirtBwd) != s.VirtStages {
 		return nil, fmt.Errorf("%w: exec: schedule has %d virtual stages, config has %d fwd / %d bwd times",
 			errdefs.ErrBadConfig, s.VirtStages, len(cfg.VirtFwd), len(cfg.VirtBwd))
-	}
-	if cfg.DeviceMap != nil && len(cfg.DeviceMap) != s.Devices {
-		return nil, fmt.Errorf("%w: exec: device map has %d entries, schedule has %d devices",
-			errdefs.ErrBadConfig, len(cfg.DeviceMap), s.Devices)
 	}
 	r.s, r.cfg = s, cfg
 	if cfg.Sanitize || testSanitize {
@@ -104,18 +90,6 @@ func (r *run) exec(s *schedule.Schedule, cfg Config) (*Result, error) {
 				}
 				start += cfg.KernelOverhead
 				dur := opDuration(op, cfg, &rng)
-				if cfg.Faults != nil {
-					pd, abs := r.phys(d), cfg.Start+start
-					if since, dead := cfg.Faults.Crashed(pd, abs); dead {
-						observeRun(cfg.Obs, sw)
-						return nil, &fault.DeviceLostError{Device: pd, At: since}
-					}
-					if cfg.Faults.OOMAt(pd, abs) {
-						observeRun(cfg.Obs, sw)
-						return nil, &fault.OOMError{Device: pd, At: abs}
-					}
-					dur *= cfg.Faults.ComputeScale(pd, abs)
-				}
 				end := start + dur
 				r.devFree[d] = end
 				res.Busy[d] += dur
@@ -189,7 +163,7 @@ func (r *run) exec(s *schedule.Schedule, cfg Config) (*Result, error) {
 }
 
 // transfer moves one cross-stage payload across its link, modeling queueing,
-// serialization, latency, and the active fault plan, and records the trace.
+// serialization and latency, and records the trace.
 func (r *run) transfer(m MsgTrace) (float64, error) {
 	cfg := &r.cfg
 	if m.From == m.To {
@@ -207,28 +181,7 @@ func (r *run) transfer(m MsgTrace) (float64, error) {
 	if r.linkFree[key] > m.Start {
 		m.Start = r.linkFree[key]
 	}
-	bw := cfg.Network.Bandwidth
-	if cfg.Faults != nil {
-		pf, pt := r.phys(m.From), r.phys(m.To)
-		abs := cfg.Start + m.Start
-		// A flapped link defers the message to the end of the flap; a
-		// permanent flap (no recovery window) is a dead link.
-		if until, blocked, permanent := cfg.Faults.LinkBlocked(pf, pt, abs); blocked {
-			if permanent {
-				return 0, &fault.LinkDownError{From: pf, To: pt, At: abs}
-			}
-			m.Start = until - cfg.Start
-			abs = until
-		}
-		// A dropped send surfaces as a retryable transient failure; the
-		// injector consumes the fault, so a re-executed iteration passes
-		// once the drop budget is spent.
-		if cfg.Faults.DropAttempt(pf, pt, abs, msgID(m)) {
-			return 0, &fault.TransientError{From: pf, To: pt, At: abs}
-		}
-		bw *= cfg.Faults.LinkFactor(pf, pt, abs)
-	}
-	m.Arrive = m.Start + cfg.Network.Latency + float64(m.Bytes)/bw
+	m.Arrive = m.Start + cfg.Network.Latency + float64(m.Bytes)/cfg.Network.Bandwidth
 	m.Free = m.Arrive - cfg.Network.Latency
 	r.linkFree[key] = m.Free
 	r.res.Msgs = append(r.res.Msgs, m)
@@ -241,8 +194,8 @@ func (r *run) transfer(m MsgTrace) (float64, error) {
 }
 
 // deliver schedules op's output transfer (if any) and deposits the arrival
-// times consumers wait on. A fault on the transfer (dropped message, dead
-// link) propagates as a typed error.
+// times consumers wait on. A sanitizer violation on the transfer propagates
+// as its error.
 func (r *run) deliver(op schedule.Op, end float64) error {
 	s, cfg := r.s, &r.cfg
 	var destVirt int

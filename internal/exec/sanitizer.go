@@ -21,14 +21,13 @@ import (
 //   - no op starts before every schedule dependency has completed;
 //   - each device's ops run in issue order on a monotone simulated clock;
 //   - link transfers respect per-direction (full-duplex) serialization and
-//     the latency lower bound, plus the bandwidth capacity floor when no
-//     fault plan is rescaling links;
+//     the latency lower bound and the bandwidth capacity floor;
 //   - the activation-stash ledger never goes negative and sums to zero at
 //     iteration end.
 //
 // Any violation is an executor invariant bug, not a user error, so it
 // surfaces as an error wrapping errdefs.ErrInternal naming the offending op
-// and its dependency chain. Enable it with Config.Sanitize (the CLIs'
+// and its dependency chain. Enable it with Config.Sanitize (pipesim's
 // -sanitize flag); the package's tests force it on for every execution.
 type Sanitizer struct {
 	s    *schedule.Schedule
@@ -37,10 +36,6 @@ type Sanitizer struct {
 	net      config.Network
 	overhead float64
 	fwd, bwd []float64
-	// faulty relaxes the compute and bandwidth floors: an active fault plan
-	// rescales both, so only fault-invariant bounds (ordering, latency,
-	// ledger balance) stay enforceable.
-	faulty bool
 
 	seen     []bool
 	doneAt   []sim.Time
@@ -74,7 +69,6 @@ func newSanitizer(s *schedule.Schedule, cfg Config) (*Sanitizer, error) {
 		overhead: cfg.KernelOverhead,
 		fwd:      cfg.VirtFwd,
 		bwd:      cfg.VirtBwd,
-		faulty:   cfg.Faults != nil,
 		seen:     make([]bool, g.NumOps()),
 		doneAt:   make([]sim.Time, g.NumOps()),
 		nextIdx:  make([]int, s.Devices),
@@ -167,17 +161,15 @@ func (z *Sanitizer) checkOp(tr OpTrace) error {
 			return z.violation("%s starts at %g before its input arrives at %g", z.opName(id), tr.Start, tr.InputArrive)
 		}
 	}
-	if !z.faulty {
-		base := z.fwd[tr.Op.Virt]
-		if tr.Op.Kind == schedule.Bwd {
-			base = z.bwd[tr.Op.Virt]
-		}
-		if tr.Op.Half >= 0 {
-			base /= 2
-		}
-		if timeLess(end-start, sim.Time(base)) {
-			return z.violation("%s ran for %g s, below its %g s compute floor", z.opName(id), tr.End-tr.Start, base)
-		}
+	base := z.fwd[tr.Op.Virt]
+	if tr.Op.Kind == schedule.Bwd {
+		base = z.bwd[tr.Op.Virt]
+	}
+	if tr.Op.Half >= 0 {
+		base /= 2
+	}
+	if timeLess(end-start, sim.Time(base)) {
+		return z.violation("%s ran for %g s, below its %g s compute floor", z.opName(id), tr.End-tr.Start, base)
 	}
 	v := tr.Op.Virt
 	if tr.Op.Kind == schedule.Fwd {
@@ -210,8 +202,8 @@ func msgName(m MsgTrace) string {
 }
 
 // checkMsg validates one recorded transfer: payload readiness, per-direction
-// (full-duplex) link serialization, the latency floor, and — outside fault
-// plans — the bandwidth capacity floor.
+// (full-duplex) link serialization, the latency floor, and the bandwidth
+// capacity floor.
 func (z *Sanitizer) checkMsg(m MsgTrace) error {
 	ready, start, free, arrive := sim.Time(m.Ready), sim.Time(m.Start), sim.Time(m.Free), sim.Time(m.Arrive)
 	if timeLess(arrive, ready) {
@@ -231,12 +223,10 @@ func (z *Sanitizer) checkMsg(m MsgTrace) error {
 	if timeLess(arrive-free, sim.Time(z.net.Latency)) {
 		return z.violation("%s beat the %g s latency floor (free %g, arrive %g)", msgName(m), z.net.Latency, m.Free, m.Arrive)
 	}
-	if !z.faulty && z.net.Bandwidth > 0 {
-		floor := sim.Time(float64(sim.Bytes(m.Bytes).Int64()) / z.net.Bandwidth)
-		if timeLess(free-start, floor) {
-			return z.violation("%s serialized %d bytes in %g s, below the %g s capacity floor",
-				msgName(m), m.Bytes, m.Free-m.Start, floor.Seconds())
-		}
+	floor := sim.Time(float64(sim.Bytes(m.Bytes).Int64()) / z.net.Bandwidth)
+	if timeLess(free-start, floor) {
+		return z.violation("%s serialized %d bytes in %g s, below the %g s capacity floor",
+			msgName(m), m.Bytes, m.Free-m.Start, floor.Seconds())
 	}
 	if z.linkFree[key] < free {
 		z.linkFree[key] = free

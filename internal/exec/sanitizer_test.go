@@ -8,7 +8,6 @@ import (
 
 	"autopipe/internal/config"
 	"autopipe/internal/errdefs"
-	"autopipe/internal/fault"
 	"autopipe/internal/schedule"
 )
 
@@ -159,6 +158,72 @@ func TestSanitizeResultForgedLatency(t *testing.T) {
 	}
 }
 
+// TestSanitizeResultForgedFloors: an op that finishes faster than its stage
+// time, or a transfer that serializes its payload faster than the link
+// bandwidth allows, beats a physical floor and must be rejected.
+func TestSanitizeResultForgedFloors(t *testing.T) {
+	for _, tc := range []struct {
+		name, floor string
+		forge       func(r *Result)
+	}{
+		{"op below compute floor", "compute floor", func(r *Result) {
+			tr := &r.Traces[0][0]
+			tr.End = tr.Start + (tr.End-tr.Start)/2
+		}},
+		{"transfer below capacity floor", "capacity floor", func(r *Result) {
+			for i := range r.Msgs {
+				if m := &r.Msgs[i]; m.From != m.To {
+					m.Free = m.Start // zero serialization time
+					return
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := schedule.OneFOneB(2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sanCfg(2)
+			r, err := Run(s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.forge(r)
+			err = sanitizeResult(s, cfg, r)
+			if !errors.Is(err, errdefs.ErrInternal) {
+				t.Fatalf("err = %v, want errdefs.ErrInternal", err)
+			}
+			if !strings.Contains(err.Error(), tc.floor) {
+				t.Errorf("violation %q does not name the %s", err, tc.floor)
+			}
+		})
+	}
+}
+
+// TestSanitizerActiveUnderFaults: a straggler device (three times the stage
+// time) and a degraded link (a quarter of the bandwidth) stretch ops and
+// transfers well past the uniform case; the sanitizer's compute and capacity
+// floors, which always apply, must accept the slow run live and on replay.
+func TestSanitizerActiveUnderFaults(t *testing.T) {
+	s, err := schedule.Sliced(4, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sanCfg(4)
+	cfg.Sanitize = true
+	cfg.VirtFwd[2] *= 3
+	cfg.VirtBwd[2] *= 3
+	cfg.Network.Bandwidth *= 0.25
+	r, err := Run(s, cfg)
+	if err != nil {
+		t.Fatalf("sanitized run with a straggler and a degraded link: %v", err)
+	}
+	if err := sanitizeResult(s, cfg, r); err != nil {
+		t.Fatalf("replay of the same run: %v", err)
+	}
+}
+
 // TestSanitizeResultForgedIssueOrder: a trace whose device executes ops in a
 // different order than the schedule issues them is rejected.
 func TestSanitizeResultForgedIssueOrder(t *testing.T) {
@@ -196,25 +261,6 @@ func TestSanitizeResultTruncatedTrace(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, "never executed") && !strings.Contains(msg, "never completes") {
 		t.Errorf("violation %q does not report the missing op", msg)
-	}
-}
-
-// TestSanitizerActiveUnderFaults: fault plans rescale compute and bandwidth,
-// so runs under an injector stay sanitizer-clean (ordering and latency bounds
-// still enforced, capacity floors relaxed).
-func TestSanitizerActiveUnderFaults(t *testing.T) {
-	s, err := schedule.Sliced(4, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sanCfg(4)
-	cfg.Sanitize = true
-	cfg.Faults = fault.New(&fault.Plan{Faults: []fault.Fault{
-		{Kind: fault.Straggler, At: 0, Device: 2, Factor: 3},
-		{Kind: fault.LinkDegrade, At: 0, From: 0, To: 1, Factor: 0.25},
-	}}, nil)
-	if _, err := Run(s, cfg); err != nil {
-		t.Fatalf("sanitized faulty run: %v", err)
 	}
 }
 

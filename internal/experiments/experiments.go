@@ -17,7 +17,6 @@ import (
 	"autopipe/internal/core"
 	"autopipe/internal/cost"
 	"autopipe/internal/exec"
-	"autopipe/internal/fault"
 	"autopipe/internal/memory"
 	"autopipe/internal/model"
 	"autopipe/internal/partition"
@@ -35,9 +34,6 @@ type Env struct {
 	Seed uint64
 	// Ctx bounds every planning call; nil means context.Background().
 	Ctx context.Context
-	// Faults, when non-nil, is appended to the Resilience sweep as an extra
-	// custom scenario (cmd/experiments -faults).
-	Faults *fault.Plan
 }
 
 // DefaultEnv returns the paper's testbed: 16 RTX 3090s over 100 Gb/s IB.

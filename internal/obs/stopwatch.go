@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // Stopwatch is the sanctioned wall-clock measurement primitive for the
-// deterministic packages (sim, core, exec, plan, fault, train). Those
+// deterministic packages (sim, core, exec, plan, train). Those
 // packages are forbidden from calling time.Now / time.Since directly — the
 // simclock analyzer in internal/analysis enforces it — because a wall-clock
 // read that leaks into a planning or simulation decision silently breaks the

@@ -195,8 +195,8 @@ func Evaluate(s *Spec, bl *model.Blocks, run config.Run, cluster config.Cluster)
 // simulated testbed: the per-virtual-stage forward/backward times f and b,
 // the cross-stage payload (the first block's output activation, which every
 // stage boundary of a transformer carries), and the cluster's link and
-// kernel-launch costs. Callers add their own fields (jitter, faults, the
-// sanitizer, a device map) to the returned value.
+// kernel-launch costs. Callers add their own fields (jitter, the
+// sanitizer, a metrics registry) to the returned value.
 func ExecConfig(f, b []float64, bl *model.Blocks, cluster config.Cluster) exec.Config {
 	return exec.Config{
 		VirtFwd:        f,

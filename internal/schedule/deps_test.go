@@ -123,9 +123,9 @@ func TestDepGraphEdges(t *testing.T) {
 
 // TestCheckDeadlockGoldenRedirects exercises the static deadlock check
 // against the checked-in interleaved and sliced goldens under mutated
-// NoSend/AggSend redirects — the schedule surface the fault-plan recovery
-// paths rewrite. Each mutation must be classified with a typed error, never
-// accepted and never an untyped failure.
+// NoSend/AggSend redirects — the schedule surface slicing rewrites. Each
+// mutation must be classified with a typed error, never accepted and never
+// an untyped failure.
 func TestCheckDeadlockGoldenRedirects(t *testing.T) {
 	t.Run("sliced/orphan-nosend", func(t *testing.T) {
 		// Stripping AggSend from the sibling leaves the NoSend half's payload

@@ -8,9 +8,8 @@ import (
 )
 
 // FuzzParseSchedule drives the schedule-JSON parser (the document format of
-// the checked-in schedule goldens) with arbitrary bytes, mirroring
-// internal/fault's FuzzParsePlan: it must never panic, every rejection must
-// wrap errdefs.ErrBadConfig, and every accepted schedule must re-validate,
+// the checked-in schedule goldens) with arbitrary bytes: it must never
+// panic, every rejection must wrap errdefs.ErrBadConfig, and every accepted schedule must re-validate,
 // survive a static deadlock check without panicking, and round-trip through
 // the encoder to an equally-accepted document. A checked-in seed corpus
 // lives under testdata/fuzz/FuzzParseSchedule. Run with

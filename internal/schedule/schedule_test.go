@@ -196,8 +196,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestValidateTruncationAndDuplication: the corruption modes a fault-injected
-// executor can feed back — dropped trailing ops and replayed ops — are caught
+// TestValidateTruncationAndDuplication: the corruption modes a damaged
+// schedule can carry — dropped trailing ops and replayed ops — are caught
 // by credit accounting, including the case where a duplicate exactly masks a
 // truncation in op count.
 func TestValidateTruncationAndDuplication(t *testing.T) {

@@ -15,10 +15,9 @@ import (
 	"autopipe/internal/obs"
 )
 
-// This file is the service-layer sibling of the internal/fault DSL: a
-// seedable chaos plan injecting HTTP-level failures (latency, 5xx errors,
-// connection resets, truncated responses) in front of the daemon, so the
-// client's resilience machinery — retries, backoff, Retry-After, circuit
+// This file holds a seedable chaos plan injecting HTTP-level failures
+// (latency, 5xx errors, connection resets, truncated responses) in front of
+// the daemon, so the client's resilience machinery — retries, backoff, Retry-After, circuit
 // breaker — is exercised against the exact failure modes a flaky network
 // produces, deterministically. A plan plus its seed fully determines every
 // injection decision: probabilistic rules are resolved by a splitmix64 hash
@@ -136,8 +135,7 @@ func (c *ChaosRule) applies(r *http.Request, seed, rule, n uint64) bool {
 }
 
 // ChaosPlan is a complete, seedable chaos plan. The JSON form uses the
-// top-level key "chaos" (not "faults") so plan files classify distinctly
-// from internal/fault plans in tooling.
+// top-level key "chaos".
 type ChaosPlan struct {
 	// Name labels the plan in logs and reports.
 	Name string `json:"name,omitempty"`
@@ -298,9 +296,9 @@ func (b *bufferedResponse) Header() http.Header         { return b.header }
 func (b *bufferedResponse) Write(p []byte) (int, error) { return b.buf.Write(p) }
 func (b *bufferedResponse) WriteHeader(status int)      { b.status = status }
 
-// chaosMix and chaosUnit mirror the internal/fault hash: a splitmix64-style
-// finalizer over (seed, rule, n) into [0,1), the deterministic substitute
-// for a shared random stream, immune to request-interleaving effects.
+// chaosMix and chaosUnit are a splitmix64-style finalizer over (seed, rule,
+// n) into [0,1), the deterministic substitute for a shared random stream,
+// immune to request-interleaving effects.
 func chaosMix(a, b uint64) uint64 {
 	x := a*0x9E3779B97F4A7C15 + b
 	x ^= x >> 29

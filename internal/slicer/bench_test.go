@@ -7,8 +7,7 @@ import (
 	"autopipe/internal/sim"
 )
 
-// Algorithm 2 runs once per planned configuration (and once per driver
-// re-plan after a fault), so its cost at realistic depths is measured here
+// Algorithm 2 runs once per planned configuration, so its cost at realistic depths is measured here
 // and its allocations are pinned by TestSolveProfileAllocs.
 
 // benchProfile builds a mildly unbalanced profile: slicing is only

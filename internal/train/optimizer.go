@@ -9,10 +9,8 @@
 package train
 
 import (
-	"fmt"
 	"math"
 
-	"autopipe/internal/errdefs"
 	"autopipe/internal/nn"
 	"autopipe/internal/tensor"
 )
@@ -31,45 +29,6 @@ type Adam struct {
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
 		m: map[*nn.Param]*tensor.Tensor{}, v: map[*nn.Param]*tensor.Tensor{}}
-}
-
-// Moments exports the optimizer state for checkpointing: the bias-correction
-// step count and, per parameter in params order, deep copies of the first and
-// second moment tensors (nil entries for parameters the optimizer has not
-// stepped yet).
-func (a *Adam) Moments(params []*nn.Param) (t int, m, v []*tensor.Tensor) {
-	m = make([]*tensor.Tensor, len(params))
-	v = make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		if mt, ok := a.m[p]; ok {
-			m[i] = mt.Clone()
-			v[i] = a.v[p].Clone()
-		}
-	}
-	return a.t, m, v
-}
-
-// SetMoments restores state captured by Moments onto params, matched by
-// position — the restore half of a checkpoint. Parameters with a nil entry
-// start cold, exactly as they were at snapshot time.
-func (a *Adam) SetMoments(params []*nn.Param, t int, m, v []*tensor.Tensor) error {
-	if len(m) != len(params) || len(v) != len(params) {
-		return fmt.Errorf("%w: train: moment count %d/%d does not match %d params", errdefs.ErrBadConfig, len(m), len(v), len(params))
-	}
-	a.t = t
-	a.m = map[*nn.Param]*tensor.Tensor{}
-	a.v = map[*nn.Param]*tensor.Tensor{}
-	for i, p := range params {
-		if m[i] == nil {
-			continue
-		}
-		if m[i].Size() != p.W.Size() || v[i] == nil || v[i].Size() != p.W.Size() {
-			return fmt.Errorf("%w: train: moment %d shape does not match param %s", errdefs.ErrBadConfig, i, p.Name)
-		}
-		a.m[p] = m[i].Clone()
-		a.v[p] = v[i].Clone()
-	}
-	return nil
 }
 
 // Step updates params from their accumulated gradients.

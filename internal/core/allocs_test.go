@@ -13,7 +13,7 @@ import (
 // planSearchAllocs is the allocation count of one full plan search for
 // GPT-2 345M on 8 GPUs with an observer registry, measured with go1.24 on
 // linux/amd64.
-const planSearchAllocs = 214
+const planSearchAllocs = 183
 
 // TestPlanSearchAllocsPinned pins the allocations of the paper's Fig. 12
 // workload: one PlanClusterOpts call (Algorithm 1 seed, master-stage moves,
@@ -41,5 +41,33 @@ func TestPlanSearchAllocsPinned(t *testing.T) {
 	t.Logf("plan search gpt2-345m g8: %v allocs/op", n)
 	if n > planSearchAllocs {
 		t.Errorf("plan search gpt2-345m g8: %v allocs/op, pinned at %d", n, planSearchAllocs)
+	}
+}
+
+// TestEvalCacheHitAllocationFree pins a candidate-map hit at zero
+// allocations: the lookup key is built on the stack, and the hit hands on
+// the stored key string.
+func TestEvalCacheHitAllocationFree(t *testing.T) {
+	bl := buildSub(t, config.GPT2_762M(), 4)
+	e := newEngine(bl, Options{})
+	d := newDepthState(16, 1, 128)
+	part, err := partitionOf(bl.Len(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.eval(d, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c, err := e.eval(d, part)
+		if err != nil || c.sum != first.sum {
+			t.Fatalf("hit = (%+v, %v), want the first summary %+v", c.sum, err, first.sum)
+		}
+	}); n != 0 {
+		t.Errorf("engine.eval on a hit: %v allocs/op, want 0", n)
+	}
+	if e.misses != 1 {
+		t.Errorf("misses = %d, want 1", e.misses)
 	}
 }

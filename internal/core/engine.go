@@ -18,8 +18,10 @@ import (
 )
 
 // This file implements the plan-space search engine behind the Planner API.
-// One call searches every pipeline depth of a plan serially, with a memoized
-// simulation cache and a shared best-so-far bound for cross-depth pruning.
+// One call searches every pipeline depth of a plan serially, with one
+// candidate map per depth — every partition that depth has simulated, so
+// none is simulated twice — and a shared best-so-far bound for cross-depth
+// pruning.
 // Concurrency comes from the callers, not the engine: each call builds its
 // own engine, so concurrent calls share nothing.
 //
@@ -48,9 +50,9 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// scored is the engine's form of a candidate: a partition, its Key (the
-// visited-set and cache identity, computed once), and the simulator summary
-// the search decides on. The full sim.Result is materialized only for the
+// scored is the engine's form of a candidate: a partition, its Key (its
+// identity in the depth's candidate map), and the simulator summary the
+// search decides on. The full sim.Result is materialized only for the
 // candidates a PlanResult returns.
 type scored struct {
 	part partition.Partition
@@ -77,11 +79,16 @@ func (w *worker) summarize(bl *model.Blocks, part partition.Partition, m int) (s
 	return w.sim.Summarize(sim.StageProfile{Fwd: f, Bwd: b, Comm: bl.Comm, Micro: m})
 }
 
-// cacheKey identifies one simulator evaluation: the partition bounds plus the
-// micro-batch count (different depths plan with different counts).
-type cacheKey struct {
-	part  string
-	micro int
+// candidate is one entry of a depth's candidate map: a partition the depth
+// has simulated, under its Key.
+type candidate struct {
+	// key is the map key itself, kept so a hit hands it on without
+	// building a new string.
+	key string
+	sum sim.Summary
+	// recorded is set once the merge has counted the candidate (record);
+	// until then it is only cached.
+	recorded bool
 }
 
 // depthState is one fixed-depth search progressing through global waves.
@@ -92,12 +99,16 @@ type depthState struct {
 	// shared best-so-far bound.
 	lowerBound float64
 
-	seen map[string]bool
-	tel  Telemetry
-	best scored
-	seed scored
-	wave []scored
-	next []scored
+	// cands holds every partition of this depth the search has simulated.
+	// Partitions of different depths never share a key (their bounds differ
+	// in length) and a depth plans with one micro-batch count, so the key
+	// alone identifies a simulation.
+	cands map[string]candidate
+	tel   Telemetry
+	best  scored
+	seed  scored
+	wave  []scored
+	next  []scored
 
 	done bool
 	// pruned marks a depth abandoned because lowerBound proved it cannot
@@ -114,13 +125,19 @@ type depthState struct {
 	score    float64
 }
 
+func newDepthState(p, dp, m int) *depthState {
+	return &depthState{p: p, dp: dp, m: m, cands: make(map[string]candidate)}
+}
+
 // record accounts one evaluated candidate in merge order and reports
 // whether it is new to this depth's search.
 func (d *depthState) record(c scored) bool {
-	if d.seen[c.key] {
+	ent := d.cands[c.key]
+	if ent.recorded {
 		return false
 	}
-	d.seen[c.key] = true
+	ent.recorded = true
+	d.cands[c.key] = ent
 	d.tel.Candidates++
 	if d.tel.Candidates == 1 || candidateLess(c, d.best) {
 		d.best = c
@@ -187,8 +204,7 @@ type engine struct {
 	table *partition.Table
 	w     worker
 
-	// cache memoizes simulator evaluations across waves and depths.
-	cache        map[cacheKey]sim.Summary
+	// hits and misses count candidate-map lookups across all depths.
 	hits, misses int
 
 	// exps is the wave's expansion arena, truncated and refilled every wave
@@ -197,27 +213,27 @@ type engine struct {
 }
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
-	return &engine{opts: opts, bl: bl, w: newWorker(bl), cache: make(map[cacheKey]sim.Summary)}
+	return &engine{opts: opts, bl: bl, w: newWorker(bl)}
 }
 
-// eval returns the summary of part with m micro-batches, simulating it only
-// if the search has not before.
-func (e *engine) eval(part partition.Partition, m int) (scored, error) {
-	c := scored{part: part, key: part.Key()}
-	k := cacheKey{part: c.key, micro: m}
-	if sum, ok := e.cache[k]; ok {
+// eval returns the summary of part at depth d, simulating it only if d has
+// not before. The lookup key is built on the stack; only a miss allocates
+// its string.
+func (e *engine) eval(d *depthState, part partition.Partition) (scored, error) {
+	var buf [64]byte
+	k := part.AppendKey(buf[:0])
+	if ent, ok := d.cands[string(k)]; ok {
 		e.hits++
-		c.sum = sum
-		return c, nil
+		return scored{part: part, key: ent.key, sum: ent.sum}, nil
 	}
 	e.misses++
-	sum, err := e.w.summarize(e.bl, part, m)
+	sum, err := e.w.summarize(e.bl, part, d.m)
 	if err != nil {
-		return c, err
+		return scored{part: part}, err
 	}
-	e.cache[k] = sum
-	c.sum = sum
-	return c, nil
+	key := string(k)
+	d.cands[key] = candidate{key: key, sum: sum}
+	return scored{part: part, key: key, sum: sum}, nil
 }
 
 // adjust runs the step-2 cooldown adjustment for one wave item (paper
@@ -227,7 +243,7 @@ func (e *engine) adjust(x *expansion) {
 	cur := x.item
 	x.cur, x.master = cur, cur.sum.Master
 	if adj, changed := adjustAfterMaster(e.bl, cur.part, x.master); changed {
-		c, err := e.eval(adj, x.d.m)
+		c, err := e.eval(x.d, adj)
 		if err != nil {
 			x.err = err
 			return
@@ -282,7 +298,7 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 			d.err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
 			continue
 		}
-		d.seed, d.err = e.eval(part, d.m)
+		d.seed, d.err = e.eval(d, part)
 	}
 	seedDur := seedSW.Elapsed()
 	for _, d := range ds {
@@ -357,7 +373,7 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				x.moveCand[j], x.moveErr[j] = e.eval(mv, x.d.m)
+				x.moveCand[j], x.moveErr[j] = e.eval(x.d, mv)
 			}
 		}
 		moveDur := moveSW.Elapsed()
@@ -500,11 +516,9 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 		}
 		dp := g / p
 		m := run.MicroBatches(dp)
-		ds = append(ds, &depthState{
-			p: p, dp: dp, m: m,
-			lowerBound: depthLowerBound(bl, p, m),
-			seen:       make(map[string]bool),
-		})
+		d := newDepthState(p, dp, m)
+		d.lowerBound = depthLowerBound(bl, p, m)
+		ds = append(ds, d)
 	}
 
 	// Shared best-so-far bound across depths, updated in deterministic merge
@@ -603,7 +617,7 @@ func PlanDepthOpts(ctx context.Context, bl *model.Blocks, p, m int, opts Options
 		return nil, fmt.Errorf("%w: core: micro-batch count must be positive, got %d", errdefs.ErrBadConfig, m)
 	}
 	e := newEngine(bl, opts)
-	d := &depthState{p: p, m: m, seen: make(map[string]bool)}
+	d := newDepthState(p, 0, m)
 	if err := e.run(ctx, []*depthState{d}, nil, nil); err != nil {
 		return nil, fmt.Errorf("core: plan depth %d: %w", p, err)
 	}

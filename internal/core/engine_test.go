@@ -209,7 +209,7 @@ func TestEngineStopsMidSearchOnCancel(t *testing.T) {
 	// The same sweep on the engine directly: no evaluation runs unchecked.
 	for k := 0; ; k++ {
 		e := newEngine(bl, Options{})
-		d := &depthState{p: 4, m: 16, seen: make(map[string]bool)}
+		d := newDepthState(4, 0, 16)
 		err := e.run(newFlipCtx(k), []*depthState{d}, nil, nil)
 		if err == nil {
 			break
@@ -340,16 +340,17 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestSimCacheDedup checks the memoization layer: repeated evaluations of
-// the same partition simulate once and return the same summary.
+// TestSimCacheDedup checks the depth's candidate map: repeated evaluations
+// of the same partition simulate once and return the same summary.
 func TestSimCacheDedup(t *testing.T) {
 	bl := buildSub(t, config.GPT2_345M(), 4)
 	e := newEngine(bl, Options{})
+	d := newDepthState(4, 0, 8)
 	part, err := partitionOf(bl.Len(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.eval(part, 8)
+	first, err := e.eval(d, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestSimCacheDedup(t *testing.T) {
 		t.Fatalf("cached summary %+v, want a positive iteration time", first.sum)
 	}
 	for i := 1; i < 16; i++ {
-		c, err := e.eval(part, 8)
+		c, err := e.eval(d, part)
 		if err != nil {
 			t.Fatal(err)
 		}

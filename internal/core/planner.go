@@ -75,7 +75,7 @@ type PlanResult struct {
 }
 
 // evaluate simulates one partition into a full Candidate, without the
-// engine's cache: the materialization of the candidates a PlanResult
+// engine's candidate map: the materialization of the candidates a PlanResult
 // returns, and one-off evaluations in tests.
 func evaluate(bl *model.Blocks, part partition.Partition, m int) (Candidate, error) {
 	r, err := sim.SimulateProfile(part.Profile(bl, m))

@@ -82,7 +82,11 @@ func Build(m config.Model, g cost.Geometry, dev config.Device, net config.Networ
 	if g.SeqLen == 0 {
 		g.SeqLen = m.SeqLen
 	}
-	bl := &Blocks{Model: m, Geom: g, Device: dev, Network: net}
+	perLayer := 2
+	if gran == Layer {
+		perLayer = 1
+	}
+	bl := &Blocks{Model: m, Geom: g, Device: dev, Network: net, List: make([]Block, 0, perLayer*m.Layers+2)}
 	add := func(c cost.BlockCost) {
 		bl.List = append(bl.List, Block{
 			BlockCost: c,

@@ -30,12 +30,12 @@ func Balance(weights []float64, p int) (Partition, error) {
 //	time[i][j] = min over k<i of max(time[k][j-1], prefix[i]-prefix[k])
 //
 // is the best max-stage weight of the first i blocks in j stages, and
-// from[i][j] the k that attains it (the smallest such k: the scan keeps the
-// first strict improvement). time[i][j] depends only on weights[:i] and on
-// column j-1, so the one table holds the exact answer of Balance(weights[:i],
-// j) for every i and every j up to the maximum — the full-array seed of
-// every depth and every prefix BalancePrefix re-balances are backtracks from
-// a different cell, O(depth) each instead of a fresh O(n²·depth) program.
+// from[i][j] the k that attains it (the smallest such k). time[i][j]
+// depends only on weights[:i] and on column j-1, so the one table holds the
+// exact answer of Balance(weights[:i], j) for every i and every j up to the
+// maximum — the full-array seed of every depth and every prefix
+// BalancePrefix re-balances are backtracks from a different cell, O(depth)
+// each instead of a fresh program.
 type Table struct {
 	n, p int
 	// time and from are (n+1)×(p+1), row-major: cell (i, j) at i*(p+1)+j.
@@ -47,8 +47,22 @@ type Table struct {
 const unreached = math.MaxFloat64
 
 // NewTable fills Algorithm 1's table for the weights and every depth up to
-// maxStages. Errors wrap errdefs.ErrBadConfig: a depth outside [1, len(weights)],
-// or a weight that is negative, NaN, or infinite.
+// maxStages, in O(n·p·log n). Errors wrap errdefs.ErrBadConfig: a depth
+// outside [1, len(weights)], a weight that is negative, NaN, or infinite, or
+// weights whose total overflows.
+//
+// Within one cell (i, j ≥ 2) the candidates k range over [j-1, i-1], all
+// reachable. There T(k) = time[k][j-1] is nondecreasing in k: dropping the
+// last block of a partition of k+1 blocks (and splitting a stage if that
+// empties the last one) never raises a stage weight. D(k) = prefix[i] -
+// prefix[k] is nonincreasing: prefix is a running sum of non-negative
+// weights, and rounded addition and subtraction are monotone in each
+// argument. So max(T(k), D(k)) is D up to the first k where T(k) >= D(k)
+// and T from there on: it falls, then rises. Two binary searches find the
+// smallest k attaining the minimum — the crossing point c, then, when the
+// value just left of it is smaller than T(c) or ties it, the left edge of
+// D's plateau at that value — which is the k a left-to-right scan that
+// keeps the first strict improvement picks.
 func NewTable(weights []float64, maxStages int) (*Table, error) {
 	n, p := len(weights), maxStages
 	if p <= 0 {
@@ -64,6 +78,9 @@ func NewTable(weights []float64, maxStages int) (*Table, error) {
 		}
 		prefix[i+1] = prefix[i] + w
 	}
+	if !(prefix[n] < unreached) {
+		return nil, fmt.Errorf("%w: partition: total block weight overflows", errdefs.ErrBadConfig)
+	}
 
 	w := p + 1
 	t := &Table{n: n, p: p, time: make([]float64, (n+1)*w), from: make([]int32, (n+1)*w)}
@@ -72,23 +89,42 @@ func NewTable(weights []float64, maxStages int) (*Table, error) {
 	}
 	t.time[0] = 0
 	for i := 1; i <= n; i++ {
-		for j := 1; j <= min(p, i); j++ {
+		// One stage holds every block: k = 0.
+		t.time[i*w+1], t.from[i*w+1] = prefix[i], 0
+	}
+	for j := 2; j <= p; j++ {
+		for i := j; i <= n; i++ {
 			// k is the end of the previous stage; stage j holds (k, i].
-			best, arg := t.time[i*w+j], t.from[i*w+j]
-			for k := j - 1; k < i; k++ {
-				prev := t.time[k*w+j-1]
-				if prev == unreached {
-					continue
-				}
-				cand := prefix[i] - prefix[k]
-				if prev > cand {
-					cand = prev
-				}
-				if cand < best {
-					best, arg = cand, int32(k)
+			// c: the smallest k in [j-1, i] with T(k) >= D(k), i when none.
+			lo, c := j-1, i
+			for a := lo; a < c; {
+				k := (a + c) / 2
+				if t.time[k*w+j-1] >= prefix[i]-prefix[k] {
+					c = k
+				} else {
+					a = k + 1
 				}
 			}
-			t.time[i*w+j], t.from[i*w+j] = best, arg
+			best, arg := unreached, -1
+			if c < i {
+				best, arg = t.time[c*w+j-1], c
+			}
+			if c > lo {
+				// The left edge of D's plateau at D(c-1).
+				if v := prefix[i] - prefix[c-1]; v <= best {
+					a, e := lo, c-1
+					for a < e {
+						k := (a + e) / 2
+						if prefix[i]-prefix[k] <= v {
+							e = k
+						} else {
+							a = k + 1
+						}
+					}
+					best, arg = v, e
+				}
+			}
+			t.time[i*w+j], t.from[i*w+j] = best, int32(arg)
 		}
 	}
 	return t, nil

@@ -64,17 +64,15 @@ func (p Partition) Equal(q Partition) bool {
 	return true
 }
 
-// Key returns a compact string key for visited-set bookkeeping: the bounds
-// in decimal, each followed by a comma. It is built in a stack buffer, so
-// the returned string is its only allocation.
-func (p Partition) Key() string {
-	var buf [64]byte
-	b := buf[:0]
+// AppendKey appends a compact key for visited-set bookkeeping to dst: the
+// bounds in decimal, each followed by a comma. Built into a stack buffer, it
+// lets a caller look the key up in a map without allocating its string.
+func (p Partition) AppendKey(dst []byte) []byte {
 	for _, x := range p.Bounds {
-		b = strconv.AppendInt(b, int64(x), 10)
-		b = append(b, ',')
+		dst = strconv.AppendInt(dst, int64(x), 10)
+		dst = append(dst, ',')
 	}
-	return string(b)
+	return dst
 }
 
 // StageTimes returns the per-stage forward and backward times (the paper's
@@ -87,14 +85,17 @@ func (p Partition) StageTimes(bl *model.Blocks) (f, b []float64) {
 }
 
 // StageTimesInto is StageTimes writing into caller-owned f and b, each of
-// length Stages().
+// length Stages(). It indexes the blocks rather than ranging over copies of
+// them: a model.Block is large, and this is the search's per-candidate loop.
 func (p Partition) StageTimesInto(bl *model.Blocks, f, b []float64) {
+	list := bl.List
 	for i := range f {
-		f[i], b[i] = 0, 0
-		for _, blk := range bl.List[p.Bounds[i]:p.Bounds[i+1]] {
-			f[i] += blk.Fwd
-			b[i] += blk.Bwd
+		var fi, bi float64
+		for k := p.Bounds[i]; k < p.Bounds[i+1]; k++ {
+			fi += list[k].Fwd
+			bi += list[k].Bwd
 		}
+		f[i], b[i] = fi, bi
 	}
 }
 

@@ -278,7 +278,7 @@ func TestStdDev(t *testing.T) {
 func TestCloneEqualKey(t *testing.T) {
 	p, _ := New([]int{0, 3, 7}, 7)
 	q := p.Clone()
-	if !p.Equal(q) || p.Key() != q.Key() {
+	if !p.Equal(q) || string(p.AppendKey(nil)) != string(q.AppendKey(nil)) {
 		t.Error("clone not equal to original")
 	}
 	q.Bounds[1] = 4
@@ -290,12 +290,13 @@ func TestCloneEqualKey(t *testing.T) {
 	}
 }
 
-// TestKeyFormat pins Key's encoding — each bound in decimal followed by a
-// comma — including keys longer than its stack buffer.
+// TestKeyFormat pins AppendKey's encoding — each bound in decimal followed
+// by a comma — including keys longer than the caller's stack buffer.
 func TestKeyFormat(t *testing.T) {
+	var buf [64]byte
 	p, _ := New([]int{0, 3, 17, 120}, 120)
-	if got := p.Key(); got != "0,3,17,120," {
-		t.Errorf("Key = %q, want %q", got, "0,3,17,120,")
+	if got := string(p.AppendKey(buf[:0])); got != "0,3,17,120," {
+		t.Errorf("key = %q, want %q", got, "0,3,17,120,")
 	}
 	bounds := make([]int, 41)
 	want := ""
@@ -303,7 +304,7 @@ func TestKeyFormat(t *testing.T) {
 		bounds[i] = 1000 * i
 		want += fmt.Sprintf("%d,", bounds[i])
 	}
-	if got := (Partition{Bounds: bounds}).Key(); got != want {
-		t.Errorf("long Key = %q, want %q", got, want)
+	if got := string((Partition{Bounds: bounds}).AppendKey(buf[:0])); got != want {
+		t.Errorf("long key = %q, want %q", got, want)
 	}
 }

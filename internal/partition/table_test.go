@@ -10,17 +10,17 @@ import (
 	"autopipe/internal/errdefs"
 )
 
-// refBalance is the straightforward per-call form of Algorithm 1 — a fresh
-// two-dimensional program for exactly these weights and this depth — kept
-// as the oracle for Table.
-func refBalance(weights []float64, p int) []int {
+// refTable is the straightforward O(n²·p) form of Algorithm 1's program —
+// every cell scans every split point k left to right and keeps the first
+// strict improvement — kept as the oracle for Table's log-time fill.
+func refTable(weights []float64, p int) (time [][]float64, from [][]int) {
 	n := len(weights)
 	prefix := make([]float64, n+1)
 	for i, w := range weights {
 		prefix[i+1] = prefix[i] + w
 	}
-	time := make([][]float64, n+1)
-	from := make([][]int, n+1)
+	time = make([][]float64, n+1)
+	from = make([][]int, n+1)
 	for i := range time {
 		time[i] = make([]float64, p+1)
 		from[i] = make([]int, p+1)
@@ -42,9 +42,16 @@ func refBalance(weights []float64, p int) []int {
 			}
 		}
 	}
+	return time, from
+}
+
+// refBalance is the per-call form of Algorithm 1 — a fresh program for
+// exactly these weights and this depth, backtracked from its last cell.
+func refBalance(weights []float64, p int) []int {
+	_, from := refTable(weights, p)
 	bounds := make([]int, p+1)
-	bounds[p] = n
-	for j, i := p, n; j > 0; j-- {
+	bounds[p] = len(weights)
+	for j, i := p, len(weights); j > 0; j-- {
 		i = from[i][j]
 		bounds[j-1] = i
 	}
@@ -104,6 +111,64 @@ func TestTableMatchesPerCallBalance(t *testing.T) {
 	}
 }
 
+// TestTableMatchesQuadraticProgram compares every cell of NewTable — time
+// bit for bit, and from — with refTable's full scan, on seeded weight
+// families chosen to stress the float argument the log-time fill rests on
+// (see NewTable): runs of zeros (long plateaus of prefix[i]-prefix[k], where
+// the smallest-k rule decides), all-equal weights (exact ties between the
+// two sides of the crossing), decimal tenths (sums equal only up to
+// rounding), and magnitudes from 1e-15 to 1e15 in one array (differences
+// that absorb the small weights entirely). The fill is exact only because
+// rounded addition and subtraction are monotone in each argument:
+// prefix[i]-prefix[k] is then nonincreasing in k even when it rounds, and
+// time[k][j-1] is nondecreasing in k, so max of the two falls then rises
+// in k and two binary searches find the smallest argmin.
+func TestTableMatchesQuadraticProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rng.Intn(80)
+		weights := make([]float64, n)
+		family := trial % 5
+		equal := []float64{3, 0.7, 0.1}[rng.Intn(3)]
+		for i := range weights {
+			switch family {
+			case 0:
+				// Runs of zeros: a zero continues a run with probability
+				// 3/4 and starts one with probability 1/3.
+				inRun := i > 0 && weights[i-1] == 0
+				if inRun && rng.Intn(4) != 0 || !inRun && rng.Intn(3) == 0 {
+					weights[i] = 0
+				} else {
+					weights[i] = float64(1 + rng.Intn(3))
+				}
+			case 1:
+				weights[i] = equal
+			case 2:
+				weights[i] = float64(1+rng.Intn(9)) / 10
+			case 3:
+				weights[i] = math.Pow(10, float64(rng.Intn(31)-15)) * (1 + rng.Float64())
+			default:
+				weights[i] = float64(rng.Intn(5))
+			}
+		}
+		p := 1 + rng.Intn(min(n, 20))
+		tab, err := NewTable(weights, p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		wantTime, wantFrom := refTable(weights, p)
+		for i := 0; i <= n; i++ {
+			for j := 0; j <= p; j++ {
+				c := i*(p+1) + j
+				if math.Float64bits(tab.time[c]) != math.Float64bits(wantTime[i][j]) || int(tab.from[c]) != wantFrom[i][j] {
+					t.Fatalf("trial %d (family %d, %v): cell (%d, %d) = (%v, %d), quadratic program (%v, %d)",
+						trial, family, weights, i, j, tab.time[c], tab.from[c], wantTime[i][j], wantFrom[i][j])
+				}
+			}
+		}
+	}
+}
+
 // TestTableBoundsAllocationFree pins the planner's prefix re-balance at
 // zero allocations: a backtrack into a caller-owned buffer.
 func TestTableBoundsAllocationFree(t *testing.T) {
@@ -127,7 +192,8 @@ func TestTableBoundsAllocationFree(t *testing.T) {
 
 // TestBalanceRejectsNonFinite: a NaN weight passes a plain negative check
 // (NaN < 0 is false) and an infinite one poisons every cell; both are
-// configuration errors, as are the shape errors.
+// configuration errors, as are finite weights whose total overflows and the
+// shape errors.
 func TestBalanceRejectsNonFinite(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -138,6 +204,7 @@ func TestBalanceRejectsNonFinite(t *testing.T) {
 		{"+Inf", []float64{1, 2, math.Inf(1)}, 2},
 		{"-Inf", []float64{math.Inf(-1), 2, 3}, 2},
 		{"negative", []float64{1, -2, 3}, 2},
+		{"overflowing total", []float64{math.MaxFloat64, math.MaxFloat64, 1}, 2},
 		{"zero depth", []float64{1, 2}, 0},
 		{"too deep", []float64{1, 2}, 3},
 	} {

@@ -47,64 +47,76 @@ func randProfile(rng *rand.Rand) StageProfile {
 }
 
 // TestScratchMatchesReference is the flat recurrence's randomized oracle:
-// on 3000 seeded profiles, Scratch.Summarize (through one reused Scratch)
-// and SimulateProfile must agree bit for bit with the pointer-graph
-// reference on the summary, every op, the critical path, the phase windows,
-// and the bubble.
+// on 3000 seeded profiles, then 300 more at the plan-cold zoo's scale (up to
+// 16 stages and 128 micro-batches, where randProfile stops at 36),
+// Scratch.Summarize (through one reused Scratch) and SimulateProfile must
+// agree bit for bit with the pointer-graph reference on the summary, every
+// op, the critical path, the phase windows, and the bubble.
 func TestScratchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var s Scratch
 	for trial := 0; trial < 3000; trial++ {
+		checkAgainstReference(t, &s, trial, randProfile(rng))
+	}
+	for trial := 3000; trial < 3300; trial++ {
 		p := randProfile(rng)
-		want, err := refSimulate(p)
-		if err != nil {
-			t.Fatalf("trial %d: reference: %v", trial, err)
+		p.Micro = 1 + rng.Intn(128)
+		checkAgainstReference(t, &s, trial, p)
+	}
+}
+
+// checkAgainstReference compares s and SimulateProfile on p with the
+// reference simulator.
+func checkAgainstReference(t *testing.T, s *Scratch, trial int, p StageProfile) {
+	t.Helper()
+	want, err := refSimulate(p)
+	if err != nil {
+		t.Fatalf("trial %d: reference: %v", trial, err)
+	}
+	sum, err := s.Summarize(p)
+	if err != nil {
+		t.Fatalf("trial %d: Summarize: %v", trial, err)
+	}
+	if sum != (Summary{IterTime: want.IterTime, Startup: want.Startup, Master: want.Master}) {
+		t.Fatalf("trial %d (%+v): summary %+v, reference {%v %v %d}",
+			trial, p, sum, want.IterTime, want.Startup, want.Master)
+	}
+	got, err := SimulateProfile(p)
+	if err != nil {
+		t.Fatalf("trial %d: SimulateProfile: %v", trial, err)
+	}
+	if got.IterTime != want.IterTime || got.Startup != want.Startup || got.Master != want.Master {
+		t.Fatalf("trial %d: SimulateProfile summary {%v %v %d}, reference {%v %v %d}", trial,
+			got.IterTime, got.Startup, got.Master, want.IterTime, want.Startup, want.Master)
+	}
+	for x := range want.Ops {
+		if len(got.Ops[x]) != len(want.Ops[x]) {
+			t.Fatalf("trial %d stage %d: %d ops, reference %d", trial, x, len(got.Ops[x]), len(want.Ops[x]))
 		}
-		sum, err := s.Summarize(p)
-		if err != nil {
-			t.Fatalf("trial %d: Summarize: %v", trial, err)
-		}
-		if sum != (Summary{IterTime: want.IterTime, Startup: want.Startup, Master: want.Master}) {
-			t.Fatalf("trial %d (%+v): summary %+v, reference {%v %v %d}",
-				trial, p, sum, want.IterTime, want.Startup, want.Master)
-		}
-		got, err := SimulateProfile(p)
-		if err != nil {
-			t.Fatalf("trial %d: SimulateProfile: %v", trial, err)
-		}
-		if got.IterTime != want.IterTime || got.Startup != want.Startup || got.Master != want.Master {
-			t.Fatalf("trial %d: SimulateProfile summary {%v %v %d}, reference {%v %v %d}", trial,
-				got.IterTime, got.Startup, got.Master, want.IterTime, want.Startup, want.Master)
-		}
-		for x := range want.Ops {
-			if len(got.Ops[x]) != len(want.Ops[x]) {
-				t.Fatalf("trial %d stage %d: %d ops, reference %d", trial, x, len(got.Ops[x]), len(want.Ops[x]))
-			}
-			for i := range want.Ops[x] {
-				if *got.Ops[x][i] != *want.Ops[x][i] {
-					t.Fatalf("trial %d stage %d op %d: %+v, reference %+v", trial, x, i, *got.Ops[x][i], *want.Ops[x][i])
-				}
-			}
-		}
-		if len(got.Critical) != len(want.Critical) {
-			t.Fatalf("trial %d: critical path of %d ops, reference %d", trial, len(got.Critical), len(want.Critical))
-		}
-		for i := range want.Critical {
-			g, w := got.Critical[i], want.Critical[i]
-			if g.Stage != w.Stage || g.Micro != w.Micro || g.Kind != w.Kind || g.Phase != w.Phase {
-				t.Fatalf("trial %d: critical op %d is %v%d@%d (%v), reference %v%d@%d (%v)", trial, i,
-					g.Kind, g.Micro, g.Stage, g.Phase, w.Kind, w.Micro, w.Stage, w.Phase)
+		for i := range want.Ops[x] {
+			if *got.Ops[x][i] != *want.Ops[x][i] {
+				t.Fatalf("trial %d stage %d op %d: %+v, reference %+v", trial, x, i, *got.Ops[x][i], *want.Ops[x][i])
 			}
 		}
-		if !reflect.DeepEqual(got.PhaseWindows(), want.PhaseWindows()) {
-			t.Fatalf("trial %d: phase windows %v, reference %v", trial, got.PhaseWindows(), want.PhaseWindows())
+	}
+	if len(got.Critical) != len(want.Critical) {
+		t.Fatalf("trial %d: critical path of %d ops, reference %d", trial, len(got.Critical), len(want.Critical))
+	}
+	for i := range want.Critical {
+		g, w := got.Critical[i], want.Critical[i]
+		if g.Stage != w.Stage || g.Micro != w.Micro || g.Kind != w.Kind || g.Phase != w.Phase {
+			t.Fatalf("trial %d: critical op %d is %v%d@%d (%v), reference %v%d@%d (%v)", trial, i,
+				g.Kind, g.Micro, g.Stage, g.Phase, w.Kind, w.Micro, w.Stage, w.Phase)
 		}
-		if got.Bubble() != want.Bubble() {
-			t.Fatalf("trial %d: bubble %v, reference %v", trial, got.Bubble(), want.Bubble())
-		}
-		if !reflect.DeepEqual(got.F, want.F) || !reflect.DeepEqual(got.B, want.B) || got.Comm != want.Comm || got.Micro != want.Micro {
-			t.Fatalf("trial %d: profile echo differs", trial)
-		}
+	}
+	if !reflect.DeepEqual(got.PhaseWindows(), want.PhaseWindows()) {
+		t.Fatalf("trial %d: phase windows %v, reference %v", trial, got.PhaseWindows(), want.PhaseWindows())
+	}
+	if got.Bubble() != want.Bubble() {
+		t.Fatalf("trial %d: bubble %v, reference %v", trial, got.Bubble(), want.Bubble())
+	}
+	if !reflect.DeepEqual(got.F, want.F) || !reflect.DeepEqual(got.B, want.B) || got.Comm != want.Comm || got.Micro != want.Micro {
+		t.Fatalf("trial %d: profile echo differs", trial)
 	}
 }
 

@@ -12,12 +12,14 @@ import (
 	"testing"
 
 	"autopipe"
+	"autopipe/client"
 	"autopipe/internal/schedule"
 )
 
 // The fixture manifest: every checked-in JSON artifact — the schedule goldens,
 // chaos plans, trace goldens, and the negative fixtures under
-// testdata/reject — mapped to the parser that owns its format and the outcome
+// testdata/reject, daemon submit bodies among them — mapped to the parser
+// that owns its format and the outcome
 // that parser must produce. A nil want means the file must be accepted;
 // otherwise the parser must reject it with an error matching want under
 // errors.Is. The chaos plans are the exception: their parser is test code in
@@ -38,6 +40,8 @@ var fixtures = []struct {
 	{"testdata/reject/chaos_bad_prob.json", chaosJSON, nil},
 	{"testdata/reject/sched_cycle.json", parseSchedule, autopipe.ErrDeadlock},
 	{"testdata/reject/sched_dup.json", parseSchedule, autopipe.ErrBadConfig},
+	{"testdata/reject/submit_plan_huge_batch.json", parseSubmit, autopipe.ErrBadConfig},
+	{"testdata/reject/submit_sim_huge_micro.json", parseSubmit, autopipe.ErrBadConfig},
 }
 
 // TestCheckedInFixtures sends every manifest entry to its parser and checks
@@ -112,6 +116,20 @@ func parseSchedule(data []byte) error {
 		return err
 	}
 	return s.CheckDeadlock()
+}
+
+// parseSubmit decodes a POST /v1/jobs body the way the daemon does — unknown
+// fields rejected — and validates it, so a rejected fixture is one the daemon
+// answers 400 at submit. internal/service's TestOversizedSubmitRejected posts
+// the two oversized bodies to a live daemon.
+func parseSubmit(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var req client.SubmitRequest
+	if err := dec.Decode(&req); err != nil {
+		return err
+	}
+	return req.Validate()
 }
 
 // parseTrace checks a Chrome trace golden's envelope; exec's golden test

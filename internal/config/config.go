@@ -125,11 +125,20 @@ func (r Run) MicroBatches(dataParallel int) int {
 	return m
 }
 
+// maxMicroBatches caps the micro-batches per iteration a run may ask for:
+// 16 times the largest global batch in the repository (4096), so every
+// in-repo run fits even at micro-batch 1. The simulator allocates per
+// micro-batch, so an unbounded count would let one request allocate without
+// limit or overflow its index arithmetic; at the cap a 16-stage candidate
+// stays within the simulator's own operation cap.
+const maxMicroBatches = 1 << 16
+
 // Validate reports the first structural problem with the run config: a
-// non-positive micro-batch, a negative global batch, a missing batch spec, or
-// a global batch the micro-batch does not divide. Errors wrap
-// errdefs.ErrBadConfig, so planners reject invalid runs up front instead of
-// failing deep inside the partitioner.
+// non-positive micro-batch, a negative global batch, a missing batch spec, a
+// global batch the micro-batch does not divide, or more than maxMicroBatches
+// micro-batches per iteration. Errors wrap errdefs.ErrBadConfig, so planners
+// reject invalid runs up front instead of failing deep inside the
+// partitioner.
 func (r Run) Validate() error {
 	if r.MicroBatch <= 0 {
 		return fmt.Errorf("%w: run: micro_batch must be positive, got %d", errdefs.ErrBadConfig, r.MicroBatch)
@@ -143,6 +152,11 @@ func (r Run) Validate() error {
 	if r.GlobalBatch != 0 && r.GlobalBatch%r.MicroBatch != 0 {
 		return fmt.Errorf("%w: run: global_batch %d not divisible by micro_batch %d",
 			errdefs.ErrBadConfig, r.GlobalBatch, r.MicroBatch)
+	}
+	// Without data parallelism a run has the most micro-batches.
+	if m := r.MicroBatches(1); m > maxMicroBatches {
+		return fmt.Errorf("%w: run: %d micro-batches per iteration exceed the cap of %d",
+			errdefs.ErrBadConfig, m, maxMicroBatches)
 	}
 	return nil
 }

@@ -3,9 +3,12 @@ package config
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"autopipe/internal/errdefs"
 )
 
 func TestZooValidatesAndMatchesTable1(t *testing.T) {
@@ -97,6 +100,32 @@ func TestRunValidate(t *testing.T) {
 	}
 	if err := (Run{MicroBatch: 3, GlobalBatch: 128}).Validate(); err == nil {
 		t.Error("want error for indivisible global batch")
+	}
+}
+
+// TestRunValidateCapsMicroBatches: the micro-batch count is capped so an
+// untrusted run cannot make the simulator overflow its index arithmetic or
+// allocate without limit; the cap is inclusive and holds for both ways of
+// giving the count.
+func TestRunValidateCapsMicroBatches(t *testing.T) {
+	for _, r := range []Run{
+		{MicroBatch: 1, GlobalBatch: maxMicroBatches},
+		{MicroBatch: 16, GlobalBatch: 16 * maxMicroBatches},
+		{MicroBatch: 1, NumMicro: maxMicroBatches},
+	} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%+v at the cap: %v", r, err)
+		}
+	}
+	for _, r := range []Run{
+		{MicroBatch: 1, GlobalBatch: maxMicroBatches + 1},
+		{MicroBatch: 1, GlobalBatch: 1 << 60},
+		{MicroBatch: 1, NumMicro: maxMicroBatches + 1},
+		{MicroBatch: 4, NumMicro: 1 << 61},
+	} {
+		if err := r.Validate(); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%+v over the cap: got %v, want ErrBadConfig", r, err)
+		}
 	}
 }
 

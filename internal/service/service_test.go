@@ -242,6 +242,38 @@ func TestJobNotFound(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmitRejected posts the checked-in oversized submit bodies —
+// a simulate profile with 2^61 micro-batches and a plan run with a 2^60
+// global batch at micro-batch 1 — to a daemon running the real engine. Both
+// would panic inside the simulator on a queue worker and take the process
+// down; validation must answer 400 ErrBadConfig at submit instead, and the
+// daemon must go on serving the next request.
+func TestOversizedSubmitRejected(t *testing.T) {
+	_, hs := newTestServer(t, Config{}, nil) // nil = real engine
+	for _, name := range []string{"submit_sim_huge_micro.json", "submit_plan_huge_batch.json"} {
+		body, err := os.ReadFile(filepath.Join("..", "..", "testdata", "reject", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := post(t, hs.URL, body, true)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", name, resp.StatusCode, data)
+		}
+		if we := decodeWireError(t, data); !errors.Is(we, errdefs.ErrBadConfig) {
+			t.Errorf("%s: decoded error %v, want ErrBadConfig", name, we)
+		}
+	}
+	resp, data := submit(t, hs.URL, client.SubmitRequest{Kind: client.KindSimulate,
+		Profile: &autopipe.StageProfile{Fwd: []float64{1, 2}, Bwd: []float64{2, 4}, Comm: 0.1, Micro: 4}}, true)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d, want 200: %s", resp.StatusCode, data)
+	}
+	var job client.Job
+	if err := json.Unmarshal(data, &job); err != nil || job.State != client.StateDone {
+		t.Fatalf("next request: job %s (%v), want done", data, err)
+	}
+}
+
 // TestCacheHitOnResubmit is the acceptance check: two back-to-back identical
 // plan requests cost exactly one engine search, the cached answer is the
 // computed one byte for byte, and the daemon's counters say so.

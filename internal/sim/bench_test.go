@@ -33,9 +33,11 @@ func zooProfile(tb testing.TB, p, m int) StageProfile {
 
 // BenchmarkSummarize measures the planner's per-candidate simulation on a
 // warmed Scratch at the shapes the plan-cold zoo search reaches: 4 stages
-// with 32 micro-batches, and 16 stages with 128.
+// with 32 micro-batches, and 16 stages with 128. The degenerate 16 stages
+// with 8 micro-batches (m < n) leaves half the stages without a 1F1B phase,
+// so it times the sweep where warmup runs straight into cooldown.
 func BenchmarkSummarize(b *testing.B) {
-	for _, tc := range []struct{ p, m int }{{4, 32}, {16, 128}} {
+	for _, tc := range []struct{ p, m int }{{4, 32}, {16, 128}, {16, 8}} {
 		b.Run(fmt.Sprintf("p%d_m%d", tc.p, tc.m), func(b *testing.B) {
 			prof := zooProfile(b, tc.p, tc.m)
 			var s Scratch

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"autopipe/internal/errdefs"
@@ -63,6 +64,133 @@ func TestScratchMatchesReference(t *testing.T) {
 		p.Micro = 1 + rng.Intn(128)
 		checkAgainstReference(t, &s, trial, p)
 	}
+}
+
+// TestKernelBoundarySweep runs the phase-structured kernel over every depth
+// 1–16 at the micro-batch counts where the phase layout changes shape — m
+// below, at and just above n-1 (empty, single-op and one-block 1F1B
+// phases), 2n and 128 — with tie-heavy integer stage times (zero-time
+// stages included) and Comm 0 and 1, each checked bit for bit against the
+// reference. It also requires the sweep to reach every crit code and a
+// critical path that starts off stage 0, and every critical path to have a
+// 1F1B op: Summarize takes the master from the 1F1B dwell alone, with no
+// fallback for a path outside that phase (see the argument there).
+func TestKernelBoundarySweep(t *testing.T) {
+	var (
+		s       Scratch
+		seen    [critDown + 1]bool
+		offZero bool
+	)
+	trial := 0
+	for n := 1; n <= 16; n++ {
+		var done []int
+		for _, m := range []int{1, n - 2, n - 1, n, n + 1, 2 * n, 128} {
+			if m < 1 || slices.Contains(done, m) {
+				continue
+			}
+			done = append(done, m)
+			for _, comm := range []float64{0, 1} {
+				for family := 0; family < 4; family++ {
+					p := StageProfile{Fwd: make([]float64, n), Bwd: make([]float64, n), Comm: comm, Micro: m}
+					for x := 0; x < n; x++ {
+						switch family {
+						case 0: // uniform: every path ties
+							p.Fwd[x], p.Bwd[x] = 1, 2
+						case 1: // small integers, zero-time stages included
+							p.Fwd[x], p.Bwd[x] = float64((x*7+n+m)%3), float64((x*5+m)%4)
+						case 2: // one heavy stage, the rest tied
+							p.Fwd[x], p.Bwd[x] = 1, 2
+							if x == (n+m)%n {
+								p.Fwd[x], p.Bwd[x] = 3, 6
+							}
+						default: // all work on stage 0, the closest a path
+							// comes to staying outside every 1F1B phase
+							if x == 0 {
+								p.Fwd[x], p.Bwd[x] = 1, 2
+							}
+						}
+					}
+					checkAgainstReference(t, &s, trial, p)
+					trial++
+					for _, c := range s.crit {
+						seen[c] = true
+					}
+					r := checkSteadyOnPath(t, trial, p)
+					if r.Critical[0].Stage != 0 {
+						offZero = true
+					}
+				}
+			}
+		}
+	}
+	for c, ok := range seen {
+		if !ok {
+			t.Errorf("crit code %d never occurs in the sweep", c)
+		}
+	}
+	if !offZero {
+		t.Error("no swept critical path starts off stage 0")
+	}
+}
+
+// checkSteadyOnPath fails unless the reference critical path of p has a
+// 1F1B op, and returns the reference result.
+func checkSteadyOnPath(t *testing.T, trial int, p StageProfile) *Result {
+	t.Helper()
+	r, err := refSimulate(p)
+	if err != nil {
+		t.Fatalf("trial %d: reference: %v", trial, err)
+	}
+	if !slices.ContainsFunc(r.Critical, func(op *Op) bool { return op.Phase == OneFOneB }) {
+		t.Fatalf("trial %d (%+v): critical path has no 1F1B op", trial, p)
+	}
+	return r
+}
+
+// FuzzSummarize decodes arbitrary bytes into a bounded profile — up to 16
+// stages and 64 micro-batches, stage times and Comm either small integers
+// (ties everywhere) or tenths (ties only up to rounding) — and checks
+// Scratch.Summarize and SimulateProfile bit for bit against the reference,
+// and that the critical path has a 1F1B op.
+// The kernel indexes its flat arrays by raw offset arithmetic, and the
+// daemon feeds it untrusted profiles. The Scratch is first warmed on a
+// larger profile, so every input also runs over stale, oversized backing.
+// Run with `go test -run='^$' -fuzz=FuzzSummarize ./internal/sim`.
+func FuzzSummarize(f *testing.F) {
+	f.Add([]byte{3, 7, 0, 1, 2, 1, 2, 1, 2})
+	f.Add([]byte{15, 63, 1})
+	f.Add([]byte{7, 2, 130, 0, 0, 3, 200, 1, 5})
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		// dur decodes a byte into an integer 0–7 or a tenth 0.0–12.7.
+		dur := func(b byte) float64 {
+			if b < 128 {
+				return float64(b % 8)
+			}
+			return float64(b-128) / 10
+		}
+		n, m := 1+int(at(0))%16, 1+int(at(1))%64
+		p := StageProfile{Fwd: make([]float64, n), Bwd: make([]float64, n), Comm: dur(at(2)), Micro: m}
+		for x := 0; x < n; x++ {
+			p.Fwd[x], p.Bwd[x] = dur(at(3+2*x)), dur(at(4+2*x))
+		}
+		var s Scratch
+		warm := StageProfile{Fwd: make([]float64, 16), Bwd: make([]float64, 16), Comm: 1, Micro: 64}
+		for x := range warm.Fwd {
+			warm.Fwd[x], warm.Bwd[x] = 1, 2
+		}
+		if _, err := s.Summarize(warm); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstReference(t, &s, 0, p)
+		checkSteadyOnPath(t, 0, p)
+	})
 }
 
 // checkAgainstReference compares s and SimulateProfile on p with the
@@ -167,6 +295,38 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		var s Scratch
 		if sum, err := s.Summarize(tc.p); !errors.Is(err, errdefs.ErrBadConfig) {
 			t.Errorf("%s: Summarize = (%+v, %v), want ErrBadConfig", tc.name, sum, err)
+		}
+	}
+}
+
+// TestValidateCapsOps: a profile whose op count 2·n·m exceeds maxOps is a
+// configuration error, decided without computing 2·n·m (which overflows for
+// the largest counts), so Summarize and SimulateProfile reject it instead of
+// indexing out of range or allocating without limit. The cap is inclusive.
+func TestValidateCapsOps(t *testing.T) {
+	prof := func(n, m int) StageProfile {
+		return StageProfile{Fwd: make([]float64, n), Bwd: make([]float64, n), Micro: m}
+	}
+	if err := prof(16, maxOps/32).Validate(); err != nil {
+		t.Errorf("16 stages x %d micro-batches, exactly at the cap: %v", maxOps/32, err)
+	}
+	for _, tc := range []struct{ n, m int }{
+		{16, maxOps/32 + 1},
+		{1, maxOps/2 + 1},
+		{maxOps/2 + 1, 1},
+		{2, 1 << 61},
+		{1, math.MaxInt},
+	} {
+		p := prof(tc.n, tc.m)
+		if err := p.Validate(); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("%d stages x %d micro-batches: got %v, want ErrBadConfig", tc.n, tc.m, err)
+		}
+		var s Scratch
+		if _, err := s.Summarize(p); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("Summarize %d stages x %d micro-batches: got %v, want ErrBadConfig", tc.n, tc.m, err)
+		}
+		if _, err := SimulateProfile(p); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("SimulateProfile %d stages x %d micro-batches: got %v, want ErrBadConfig", tc.n, tc.m, err)
 		}
 	}
 }

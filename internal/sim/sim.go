@@ -10,7 +10,11 @@
 // same-stage op end) + Comm. They are evaluated once, over flat per-op
 // arrays in a reusable Scratch (Scratch.Summarize, allocation-free once
 // warmed); SimulateProfile materializes the op-level Result from the same
-// arrays. The paper estimates the Warmup phase with the
+// arrays. Summarize never decodes an op: each stage's order is
+// phase-structured by its warmup count, so every op's kind, phase and
+// cross-stage dependency follow from its position by comparisons alone, and
+// the dependency that determined its start is recorded as a fixed slot
+// offset (the crit codes). The paper estimates the Warmup phase with the
 // total forward time of one micro-batch because a balanced partition keeps
 // the first micro-batch from choking; this implementation evaluates Warmup
 // with the same recurrences, which coincides with the estimate whenever that
@@ -44,8 +48,19 @@ type StageProfile struct {
 // Stages returns the pipeline depth of the profile.
 func (p StageProfile) Stages() int { return len(p.Fwd) }
 
-// Validate reports the first structural problem with the profile. Errors wrap
-// errdefs.ErrBadConfig.
+// maxOps caps a profile's operation count 2·n·m, the size of the arrays a
+// simulation allocates (about 17 bytes per op in a Scratch, 64 more per op
+// when SimulateProfile materializes the Result). It admits 16 stages at the
+// run's micro-batch cap (config.Run.Validate, 65536) and is 256 times the
+// largest profile the repository plans (16 stages, 256 micro-batches), but
+// stops an untrusted profile from indexing out of range or allocating
+// gigabytes.
+const maxOps = 1 << 21
+
+// Validate reports the first structural problem with the profile: stage time
+// slices that are empty or of different lengths, a non-positive micro-batch
+// count, more than maxOps operations, or a negative or non-finite time.
+// Errors wrap errdefs.ErrBadConfig.
 func (p StageProfile) Validate() error {
 	n := len(p.Fwd)
 	if n == 0 || len(p.Bwd) != n {
@@ -54,6 +69,11 @@ func (p StageProfile) Validate() error {
 	}
 	if p.Micro <= 0 {
 		return fmt.Errorf("%w: sim: micro-batch count must be positive, got %d", errdefs.ErrBadConfig, p.Micro)
+	}
+	// Compared by division: 2·n·m itself can overflow.
+	if p.Micro > maxOps/(2*n) {
+		return fmt.Errorf("%w: sim: %d stages with %d micro-batches exceed the cap of %d operations (2 per stage and micro-batch)",
+			errdefs.ErrBadConfig, n, p.Micro, maxOps)
 	}
 	for i := 0; i < n; i++ {
 		if !finiteNonNeg(p.Fwd[i]) || !finiteNonNeg(p.Bwd[i]) {
@@ -165,13 +185,38 @@ type Summary struct {
 type Scratch struct {
 	n, m       int
 	start, end []float64
-	// crit encodes which dependency determined each op's start: -1 none, 0
-	// the same-stage predecessor, 1 the cross-stage predecessor.
+	// crit encodes which dependency determined each op's start as the
+	// dependency's fixed offset from the op (see the crit* codes), so the
+	// critical-path walk is a switch over constant slot deltas.
 	crit []int8
 	// path holds the critical path's slots, last op first.
 	path  []int32
 	dwell []float64
 }
+
+// The crit codes. Stage x's execution order is phase-structured by its
+// warmup count w = min(n-1-x, m): forwards at positions [0, w), alternating
+// F/B at [w, 2m-w), backwards after. Adjacent stages' warmup counts differ
+// by one (or are both m), so an op's cross-stage dependency sits at a fixed
+// (stage, position) offset from the op itself:
+//
+//	warmup forward, first 1F1B forward   (x-1, pos)    critUp
+//	later 1F1B forward                   (x-1, pos-1)  critUpPrev
+//	1F1B backward                        (x+1, pos-1)  critDownPrev
+//	cooldown backward                    (x+1, pos)    critDown
+//
+// The same-stage predecessor is (x, pos-1), critSame. critNone marks a
+// stage's first forward when no dependency binds it: always on stage 0, and
+// on a later stage when its upstream forward ends at time 0 (the forward tie
+// rule keeps the absent same-stage predecessor).
+const (
+	critNone int8 = iota
+	critSame
+	critUp
+	critUpPrev
+	critDownPrev
+	critDown
+)
 
 // Summarize runs the 1F1B recurrence for the profile and returns its
 // iteration time, startup overhead, and master stage. Errors wrap
@@ -182,6 +227,9 @@ func (s *Scratch) Summarize(p StageProfile) (Summary, error) {
 	}
 	n, m := len(p.Fwd), p.Micro
 	s.reset(n, m)
+	fwd, bwd, comm := p.Fwd, p.Bwd, p.Comm
+	start, end, crit := s.start, s.end, s.crit
+	row := 2 * m
 
 	// Every cross-stage dependency points to an op at the same or an earlier
 	// position of its own stage (a forward's upstream forward sits at or
@@ -190,63 +238,124 @@ func (s *Scratch) Summarize(p StageProfile) (Summary, error) {
 	// in order — forwards by ascending stage, then backwards by descending
 	// stage — evaluates every op after all of its dependencies. The values
 	// are the unique longest-path times, whatever the evaluation order.
-	for pos := 0; pos < 2*m; pos++ {
-		for x := 0; x < n; x++ {
-			if k, µ := opAt(n, m, x, pos); k == Fwd {
-				s.step(p, x, pos, k, µ)
+	//
+	// For a non-first stage a forward starts at max(upstream forward end,
+	// previous same-stage op end) + Comm; for a non-last stage a backward
+	// starts at max(downstream backward end, previous same-stage op end) +
+	// Comm. Ties break toward the path "closest to the last pipeline stage"
+	// (paper Fig. 4): a backward's cross dependency comes from a higher
+	// stage, so it wins ties (>=); a forward's comes from a lower stage, so
+	// the same-stage predecessor keeps them (>). The paper charges Comm on
+	// every cross-stage op regardless of which dependency dominated (the
+	// receive occupies the stream).
+	for pos := 0; pos < row; pos++ {
+		for x, i := 0, pos; x < n; x, i = x+1, i+row {
+			w := min(n-1-x, m) // stage x's warmup count
+			if pos >= w && (pos >= row-w || (pos-w)&1 == 1) {
+				continue // a backward
 			}
+			t, c := 0.0, critNone
+			if pos > 0 {
+				t, c = end[i-1], critSame
+			}
+			if x > 0 {
+				// A warmup or first 1F1B forward reads (x-1, pos); a later
+				// 1F1B forward reads (x-1, pos-1).
+				j, cc := i-row, critUp
+				if pos > w {
+					j, cc = j-1, critUpPrev
+				}
+				if e := end[j]; e > t {
+					t, c = e, cc
+				}
+				t += comm
+			}
+			start[i], crit[i], end[i] = t, c, t+fwd[x]
 		}
-		for x := n - 1; x >= 0; x-- {
-			if k, µ := opAt(n, m, x, pos); k == Bwd {
-				s.step(p, x, pos, k, µ)
+		for x, i := n-1, (n-1)*row+pos; x >= 0; x, i = x-1, i-row {
+			w := min(n-1-x, m)
+			if pos < w || (pos < row-w && (pos-w)&1 == 0) {
+				continue // a forward
 			}
+			// Position 0 always holds a forward, so a backward always has
+			// a same-stage predecessor.
+			t, c := end[i-1], critSame
+			if x < n-1 {
+				// A 1F1B backward reads (x+1, pos-1); a cooldown backward
+				// reads (x+1, pos).
+				j, cc := i+row, critDown
+				if pos < row-w {
+					j, cc = j-1, critDownPrev
+				}
+				if e := end[j]; e >= t {
+					t, c = e, cc
+				}
+				t += comm
+			}
+			start[i], crit[i], end[i] = t, c, t+bwd[x]
 		}
 	}
 
 	// The iteration ends with stage 0's last backward; the last stage starts
 	// computing with its first op.
-	last := 2*m - 1
-	sum := Summary{IterTime: s.end[last], Startup: s.start[(n-1)*2*m]}
+	last := row - 1
+	sum := Summary{IterTime: end[last], Startup: start[(n-1)*row]}
 
-	// Walk the critical path back from the final op.
+	// Walk the critical path back from the final op to a critNone op, the
+	// first forward of some stage.
 	s.path = s.path[:0]
-	for i := last; i >= 0; {
+walk:
+	for i := last; ; {
 		s.path = append(s.path, int32(i))
-		switch s.crit[i] {
-		case 0:
+		switch crit[i] {
+		case critSame:
 			i--
-		case 1:
-			x, pos := i/(2*m), i%(2*m)
-			k, µ := opAt(n, m, x, pos)
-			if k == Fwd {
-				i = s.slot(x-1, posFwd(n, m, x-1, µ))
-			} else {
-				i = s.slot(x+1, posBwd(n, m, x+1, µ))
-			}
+		case critUp:
+			i -= row
+		case critUpPrev:
+			i -= row + 1
+		case critDownPrev:
+			i += row - 1
+		case critDown:
+			i += row
 		default:
-			i = -1
+			break walk
 		}
 	}
 
 	// The master stage dominates the critical path in the 1F1B phase: the
 	// stage with the heaviest load, which drives succeeding stages through
 	// its forwards and preceding stages through its backwards. Dwell sums
-	// in chronological order (the path is stored last op first).
-	anySteady := false
-	for j := len(s.path) - 1; j >= 0; j-- {
-		i := int(s.path[j])
-		x, pos := i/(2*m), i%(2*m)
-		if phaseAt(n, m, x, pos) == OneFOneB {
-			s.dwell[x] += s.end[i] - s.start[i]
-			anySteady = true
+	// in chronological order (the path is stored last op first), tracking
+	// each op's stage and position from the path's first op, a forward at
+	// position 0, through the crit codes of the ops after it.
+	//
+	// Every critical path has a 1F1B op, even when m < n leaves some
+	// stages without a 1F1B phase. The path must step from a backward to
+	// its same-stage forward predecessor somewhere. Outside a 1F1B phase
+	// that backward can only be B0 of a stage x with no 1F1B phase (w = m),
+	// whose predecessor is F(m-1); but its downstream dependency B0 on
+	// stage x+1 runs after F(m-1) there, so it ends no earlier than F(m-1)
+	// on stage x and wins the backward tie rule. The descent ends at a
+	// stage with a 1F1B phase at the latest on the last stage (w = 0).
+	first := len(s.path) - 1
+	x, pos := int(s.path[first])/row, 0
+	for j := first; j >= 0; j-- {
+		i := s.path[j]
+		switch crit[i] {
+		case critSame:
+			pos++
+		case critUp:
+			x++
+		case critUpPrev:
+			x, pos = x+1, pos+1
+		case critDownPrev:
+			x, pos = x-1, pos+1
+		case critDown:
+			x--
 		}
-	}
-	if !anySteady {
-		// Degenerate pipelines (m < n) may have an empty 1F1B phase; fall
-		// back to the heaviest critical-path stage overall.
-		for j := len(s.path) - 1; j >= 0; j-- {
-			i := int(s.path[j])
-			s.dwell[i/(2*m)] += s.end[i] - s.start[i]
+		if w := min(n-1-x, m); pos >= w && pos < row-w {
+			s.dwell[x] += end[i] - start[i]
 		}
 	}
 	bestT := math.Inf(-1)
@@ -280,49 +389,12 @@ func (s *Scratch) reset(n, m int) {
 
 func (s *Scratch) slot(x, pos int) int { return x*2*s.m + pos }
 
-// step evaluates the op at position pos of stage x — kind k, micro-batch µ —
-// from its already evaluated dependencies. For a non-first stage a forward
-// starts at max(upstream forward end, previous same-stage op end) + Comm;
-// for a non-last stage a backward starts at max(downstream backward end,
-// previous same-stage op end) + Comm.
-func (s *Scratch) step(p StageProfile, x, pos int, k OpKind, µ int) {
-	n, m := s.n, s.m
-	i := s.slot(x, pos)
-	start, crit := 0.0, int8(-1)
-	if pos > 0 {
-		start, crit = s.end[i-1], 0
-	}
-	cross := -1
-	if k == Fwd && x > 0 {
-		cross = s.slot(x-1, posFwd(n, m, x-1, µ))
-	} else if k == Bwd && x < n-1 {
-		cross = s.slot(x+1, posBwd(n, m, x+1, µ))
-	}
-	if cross >= 0 {
-		// Tie-break toward the path "closest to the last pipeline stage"
-		// (paper Fig. 4): a backward's cross dependency comes from a higher
-		// stage, so it wins ties; a forward's comes from a lower stage, so
-		// the same-stage predecessor keeps ties.
-		if e := s.end[cross]; e > start || (e == start && k == Bwd) {
-			start, crit = e, 1
-		}
-		// The paper charges Comm on every cross-stage op regardless of
-		// which dependency dominated (the receive occupies the stream).
-		start += p.Comm
-	}
-	s.start[i], s.crit[i] = start, crit
-	if k == Fwd {
-		s.end[i] = start + p.Fwd[x]
-	} else {
-		s.end[i] = start + p.Bwd[x]
-	}
-}
-
 // The 1F1B execution order (paper Fig. 5/6): stage x warms up with
 // min(n-1-x, m) forwards, alternates forward/backward blocks in the 1F1B
 // phase — block y pairs F(warm+y) with B(y) — and cools down with the
-// remaining backwards. opAt, posFwd, posBwd, and phaseAt are the closed
-// forms of that order.
+// remaining backwards. opAt and phaseAt are the closed forms of that order;
+// Summarize walks the same order phase by phase (see the crit codes), and
+// result uses them to label each op.
 
 func warmup(n, m, x int) int { return min(n-1-x, m) }
 
@@ -342,22 +414,6 @@ func opAt(n, m, x, pos int) (OpKind, int) {
 	default:
 		return Bwd, pos - m
 	}
-}
-
-// posFwd returns the position of stage x's forward of micro-batch µ.
-func posFwd(n, m, x, µ int) int {
-	if warm := warmup(n, m, x); µ >= warm {
-		return 2*µ - warm
-	}
-	return µ
-}
-
-// posBwd returns the position of stage x's backward of micro-batch µ.
-func posBwd(n, m, x, µ int) int {
-	if warm := warmup(n, m, x); µ < m-warm {
-		return warm + 2*µ + 1
-	}
-	return m + µ
 }
 
 // phaseAt returns the phase of the op at position pos of stage x.

@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseChaos -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzParseDeadline -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzSummarize -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzParseDone -fuzztime=$(FUZZTIME) ./client
 
 # -short skips the Fig. 12 wall-clock-ordering test, whose relative search
 # times the race detector's instrumentation distorts (it fails under -race

@@ -23,12 +23,19 @@ import (
 // safe for concurrent use; its only mutable state is the circuit breaker's
 // failure count, which is internally synchronized.
 type Client struct {
-	base       string
-	hc         *http.Client
-	retries    int
-	backoff    time.Duration
-	maxBackoff time.Duration
-	budget     int
+	base string
+	hc   *http.Client
+	// timeout is WithTimeout's per-attempt bound, applied to a copy of hc
+	// after every option has run when timeoutSet.
+	timeout    time.Duration
+	timeoutSet bool
+	// deadlineHdr is the deadline header for calls whose context has no
+	// deadline: hc's timeout in milliseconds, or nil when it has none.
+	deadlineHdr []string
+	retries     int
+	backoff     time.Duration
+	maxBackoff  time.Duration
+	budget      int
 	// sleep is swapped out by tests so retry/backoff runs instantly.
 	sleep func(ctx context.Context, d time.Duration) error
 	// jitter returns a uniform sample in [0,1); tests pin it.
@@ -52,9 +59,15 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the underlying *http.Client (connection pools,
-// TLS, proxies). The default is a client with a 60s overall timeout.
+// TLS, proxies). The default is a client with a 60s overall timeout; nil
+// keeps it. The Client never modifies hc: WithTimeout, in either order,
+// applies to a copy.
 func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.hc = hc }
+	return func(c *Client) {
+		if hc != nil {
+			c.hc = hc
+		}
+	}
 }
 
 // WithRetries sets how many times a failed request is retried (default 2,
@@ -109,13 +122,11 @@ func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
 }
 
 // WithTimeout bounds each HTTP attempt (not the whole retry loop — bound
-// that with the caller's context). It replaces the http.Client timeout.
+// that with the caller's context). It replaces the http.Client timeout,
+// whichever client WithHTTPClient supplies and in whatever order the two
+// options come.
 func WithTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		hc := *c.hc
-		hc.Timeout = d
-		c.hc = &hc
-	}
+	return func(c *Client) { c.timeout, c.timeoutSet = d, true }
 }
 
 // WithSearchBudget caps the candidate partitions the daemon's search may
@@ -150,6 +161,14 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	}
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.timeoutSet {
+		hc := *c.hc
+		hc.Timeout = c.timeout
+		c.hc = &hc
+	}
+	if c.hc.Timeout > 0 {
+		c.deadlineHdr = []string{strconv.FormatInt(c.hc.Timeout.Milliseconds(), 10)}
 	}
 	return c, nil
 }
@@ -310,10 +329,19 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(respBody, out); err != nil {
+	if err := decode(respBody, out); err != nil {
 		return fmt.Errorf("%w: client: undecodable response from %s: %v", autopipe.ErrInternal, path, err)
 	}
 	return nil
+}
+
+// decode decodes a response body into out. A done job in the daemon's own
+// form skips the reflective decode; anything else takes encoding/json.
+func decode(data []byte, out any) error {
+	if j, ok := out.(*Job); ok && parseDone(data, j) {
+		return nil
+	}
+	return json.Unmarshal(data, out)
 }
 
 // roundTrip sends the request, retrying transport errors and retryable
@@ -411,8 +439,10 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte) ([]
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%w: client: build request: %v", autopipe.ErrBadConfig, err)
 	}
+	// The header values are shared by every request and only read, so the
+	// keys, canonical already, are assigned without Header.Set's copies.
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonContentType
 	}
 	// Propagate the caller's remaining budget so the daemon can stop work
 	// (and yield its search worker) the moment this caller would give up.
@@ -420,8 +450,8 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte) ([]
 		if ms := time.Until(deadline).Milliseconds(); ms > 0 {
 			req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
 		}
-	} else if c.hc.Timeout > 0 {
-		req.Header.Set(DeadlineHeader, strconv.FormatInt(c.hc.Timeout.Milliseconds(), 10))
+	} else if c.deadlineHdr != nil {
+		req.Header[DeadlineHeader] = c.deadlineHdr
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -431,7 +461,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte) ([]
 	}
 	defer resp.Body.Close()
 	retryAfter := parseRetryAfter(resp.Header.Get("Retry-After"))
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, resp.StatusCode, retryAfter, fmt.Errorf("client: read response: %w: %v", ErrUnavailable, err)
 	}
@@ -439,6 +469,26 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte) ([]
 		return data, resp.StatusCode, 0, nil
 	}
 	return nil, resp.StatusCode, retryAfter, decodeError(data, resp.StatusCode)
+}
+
+// jsonContentType is the Content-Type of every request body.
+var jsonContentType = []string{"application/json"}
+
+// maxResponseBytes bounds a response body.
+const maxResponseBytes = 64 << 20
+
+// readBody reads a response body of at most maxResponseBytes. A body whose
+// length is declared is read into one buffer of that size, instead of the
+// growing ones io.ReadAll makes.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxResponseBytes {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 }
 
 // parseRetryAfter reads the delay-seconds form of a Retry-After header (the

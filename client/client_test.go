@@ -503,3 +503,56 @@ func TestClientValidatesBeforeSending(t *testing.T) {
 		t.Errorf("invalid request reached the daemon")
 	}
 }
+
+// TestTimeoutOptionOrder proves WithTimeout applies whichever side of
+// WithHTTPClient it comes on, never modifies the caller's http.Client, and
+// sets the deadline header the client stamps; a nil WithHTTPClient keeps
+// the default client.
+func TestTimeoutOptionOrder(t *testing.T) {
+	var header atomic.Value
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		header.Store(r.Header.Get(DeadlineHeader))
+		_ = json.NewEncoder(w).Encode(&Job{
+			ID: "job-00000001", Kind: KindSimulate, State: StateDone,
+			Result: json.RawMessage(`{"iterTime": 1.5, "startup": 0.25, "master": 0}`),
+		})
+	})
+	hs := httptest.NewServer(h)
+	t.Cleanup(hs.Close)
+	for _, tc := range []struct {
+		name string
+		opts func(hc *http.Client) []Option
+	}{
+		{"timeout first", func(hc *http.Client) []Option { return []Option{WithTimeout(5 * time.Second), WithHTTPClient(hc)} }},
+		{"client first", func(hc *http.Client) []Option { return []Option{WithHTTPClient(hc), WithTimeout(5 * time.Second)} }},
+	} {
+		hc := &http.Client{Timeout: 90 * time.Second}
+		c, err := New(hs.URL, tc.opts(hc)...)
+		if err != nil {
+			t.Fatalf("%s: New: %v", tc.name, err)
+		}
+		if c.hc.Timeout != 5*time.Second {
+			t.Errorf("%s: timeout %v, want 5s", tc.name, c.hc.Timeout)
+		}
+		if hc.Timeout != 90*time.Second {
+			t.Errorf("%s: the caller's http.Client timeout became %v", tc.name, hc.Timeout)
+		}
+		if _, err := c.Simulate(context.Background(), *simReq().Profile); err != nil {
+			t.Fatalf("%s: Simulate: %v", tc.name, err)
+		}
+		if got := header.Load(); got != "5000" {
+			t.Errorf("%s: deadline header %q, want 5000", tc.name, got)
+		}
+	}
+
+	c, err := New(hs.URL, WithHTTPClient(nil))
+	if err != nil {
+		t.Fatalf("New with a nil client: %v", err)
+	}
+	if _, err := c.Simulate(context.Background(), *simReq().Profile); err != nil {
+		t.Fatalf("Simulate with a nil client: %v", err)
+	}
+	if got := header.Load(); got != "60000" {
+		t.Errorf("nil client: deadline header %q, want the default 60000", got)
+	}
+}

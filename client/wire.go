@@ -15,11 +15,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
+	"unicode/utf8"
 
 	"autopipe"
 )
@@ -27,7 +30,7 @@ import (
 // Job kinds accepted by POST /v1/jobs.
 const (
 	// KindPlan runs the full cluster plan: depth choice, balanced
-	// partitioning, and micro-batch slicing on the parallel engine.
+	// partitioning, and micro-batch slicing in one serial search.
 	KindPlan = "plan"
 	// KindSimulate runs the analytic 1F1B simulator on a stage profile.
 	KindSimulate = "simulate"
@@ -170,6 +173,126 @@ func (j *Job) Err() error {
 		return fmt.Errorf("%w: job %s failed with no error document", autopipe.ErrInternal, j.ID)
 	}
 	return j.Error
+}
+
+// DoneEnd closes a done job's document and ends the line, as
+// json.Encoder.Encode does.
+const DoneEnd = "}\n"
+
+// AppendDonePrefix appends the bytes json.NewEncoder(w).Encode(j) writes for
+// a done job before its result: id, kind, state, then key, cacheHit and
+// shared when set, then `,"result":` when j has a result. It is the serving
+// half of the done-document format. The prefix, the result in the form
+// encoding/json gives a RawMessage (compact and HTML-escaped), then DoneEnd
+// are byte for byte what the encoder writes for the whole job, and the form
+// the client reads without reflection.
+func AppendDonePrefix(dst []byte, j *Job) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = appendJSONString(dst, j.ID)
+	dst = append(dst, `,"kind":`...)
+	dst = appendJSONString(dst, j.Kind)
+	dst = append(dst, `,"state":`...)
+	dst = appendJSONString(dst, j.State)
+	if j.Key != "" {
+		dst = append(dst, `,"key":`...)
+		dst = appendJSONString(dst, j.Key)
+	}
+	if j.CacheHit {
+		dst = append(dst, `,"cacheHit":true`...)
+	}
+	if j.Shared {
+		dst = append(dst, `,"shared":true`...)
+	}
+	if len(j.Result) > 0 {
+		dst = append(dst, `,"result":`...)
+	}
+	return dst
+}
+
+// appendJSONString appends s as encoding/json encodes a string. Printable
+// ASCII that HTML escaping leaves alone, which covers every ID, kind, state
+// and key the daemon makes, goes between quotes as is; anything else takes
+// the encoder.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s) // a string always encodes
+			return append(dst, enc...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// parseDone decodes a done job document in the exact form the daemon writes
+// (AppendDonePrefix, an object result, DoneEnd) into *j, and reports whether
+// it did. It accepts only the fixed key order, strings of printable ASCII
+// with no escapes, state "done", an object result that json.Valid accepts,
+// and a closing "}" with at most a trailing newline. On false *j is
+// untouched and the caller decodes with encoding/json, so any other
+// document, a malformed one included, decodes and fails exactly as before.
+// An accepted document decodes to what json.Unmarshal gives into a zero Job;
+// the Result aliases data.
+func parseDone(data []byte, j *Job) bool {
+	end := len(data)
+	if end > 0 && data[end-1] == '\n' {
+		end--
+	}
+	if end == 0 || data[end-1] != '}' {
+		return false
+	}
+	body := data[:end-1]
+	// The header strings are cut from one conversion of the fields before
+	// the result.
+	res := bytes.Index(body, []byte(`,"result":{`))
+	if res < 0 {
+		return false
+	}
+	var id, kind, key string
+	var ok, hit, shared bool
+	rest := string(body[:res])
+	if id, rest, ok = cutStringField(rest, `{"id":`); !ok {
+		return false
+	}
+	if kind, rest, ok = cutStringField(rest, `,"kind":`); !ok {
+		return false
+	}
+	if rest, ok = strings.CutPrefix(rest, `,"state":"done"`); !ok {
+		return false
+	}
+	if k, r, ok := cutStringField(rest, `,"key":`); ok {
+		key, rest = k, r
+	}
+	rest, hit = strings.CutPrefix(rest, `,"cacheHit":true`)
+	rest, shared = strings.CutPrefix(rest, `,"shared":true`)
+	if rest != "" {
+		return false
+	}
+	result := body[res+len(`,"result":`):]
+	if result[len(result)-1] != '}' || !json.Valid(result) {
+		return false
+	}
+	*j = Job{ID: id, Kind: kind, State: StateDone, Key: key, CacheHit: hit, Shared: shared, Result: result}
+	return true
+}
+
+// cutStringField cuts name and the quoted string after it from the front of
+// s. The string must be printable ASCII with no escapes.
+func cutStringField(s, name string) (val, rest string, ok bool) {
+	s, ok = strings.CutPrefix(s, name)
+	if !ok || len(s) == 0 || s[0] != '"' {
+		return "", "", false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"':
+			return s[1:i], s[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return "", "", false
+		}
+	}
+	return "", "", false
 }
 
 // Error codes carried on the wire. Each code corresponds to exactly one

@@ -16,7 +16,7 @@ import (
 // cacheHitAllocs is the allocation count of one cache-hit submit through
 // the handler, eviction included, measured with go1.24 on linux/amd64.
 // The recorder and request the test builds count too.
-const cacheHitAllocs = 33
+const cacheHitAllocs = 29
 
 // TestCacheHitAllocsPinned pins the allocations of the daemon's hot path: a
 // waited submit of a body the submit memo holds, whose key is cached, served

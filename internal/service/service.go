@@ -22,12 +22,14 @@
 // document only; the plan cache still serves its result, and a store
 // keeps its file on disk.
 //
-// A repeated cache hit makes no reflective JSON pass. Submit bodies are
-// memoized by their sha256, so a byte-identical body skips the decode,
-// validation and keying; the memo holds as many bodies as the plan cache
-// holds results. A done job's document is written from bytes: a short
-// prefix, then the cached result, which the cache stores in the form
-// encoding/json would write it.
+// A repeated cache hit makes no reflective JSON pass on either side of the
+// wire. Submit bodies are memoized by their sha256, so a byte-identical body
+// skips the decode, validation and keying; the memo holds as many bodies as
+// the plan cache holds results. A done job's document is written from
+// bytes: the prefix client.AppendDonePrefix writes, then the cached result,
+// which the cache stores in the form encoding/json would write it, then
+// client.DoneEnd. The client package owns that format and its Client reads
+// such a document back without encoding/json.
 package service
 
 import (
@@ -46,7 +48,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"autopipe"
 	"autopipe/client"
@@ -147,6 +148,10 @@ type Server struct {
 	// gate or count executions; production servers always use runEngine.
 	engine func(ctx context.Context, req client.SubmitRequest) (json.RawMessage, error)
 
+	// The counters every cache hit moves, resolved once so the hit path
+	// takes no registry lock.
+	httpRequests, jobsSubmitted, cacheHits, jobsCompleted *obs.Counter
+
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -199,6 +204,11 @@ func newServer(cfg Config, maxFinished int) (*Server, error) {
 		nextID:  1,
 
 		maxFinished: maxFinished,
+
+		httpRequests:  reg.Counter("service.http.requests"),
+		jobsSubmitted: reg.Counter("service.jobs.submitted"),
+		cacheHits:     reg.Counter("service.cache.hits"),
+		jobsCompleted: reg.Counter("service.jobs.completed"),
 	}
 	s.engine = s.runEngine
 	if err := s.replay(); err != nil {
@@ -299,7 +309,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("service.http.requests").Inc()
+		s.httpRequests.Inc()
 		s.mux.ServeHTTP(w, r)
 	})
 }
@@ -371,12 +381,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobs[id] = j
 	s.mu.Unlock()
-	s.reg.Counter("service.jobs.submitted").Inc()
+	s.jobsSubmitted.Inc()
 
 	// Cache fast path: an identical finished request never touches the
 	// queue — the daemon's whole reason to exist.
 	if val, ok := s.cache.Get(key); ok {
-		s.reg.Counter("service.cache.hits").Inc()
+		s.cacheHits.Inc()
 		s.finish(j, val, true, false)
 		s.respondJob(w, r, j)
 		return
@@ -465,7 +475,7 @@ func (s *Server) enqueue(ctx context.Context, j *job) bool {
 // terminal state; a failed job's HTTP status comes from its typed error so
 // the sentinel → status contract holds end to end.
 func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *job) {
-	if r.URL.Query().Get("wait") == "" {
+	if !waitRequested(r) {
 		snap := j.snapshot()
 		status := http.StatusAccepted
 		if snap.Terminal() {
@@ -474,11 +484,18 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *job) {
 		writeJob(w, status, snap)
 		return
 	}
+	// A finished job, every cache hit among them, is answered without
+	// asking the request context for its done channel, which it makes on
+	// first use.
 	select {
-	case <-r.Context().Done():
-		s.writeError(w, fmt.Errorf("service: wait aborted: %w", r.Context().Err()))
-		return
 	case <-j.done:
+	default:
+		select {
+		case <-r.Context().Done():
+			s.writeError(w, fmt.Errorf("service: wait aborted: %w", r.Context().Err()))
+			return
+		case <-j.done:
+		}
 	}
 	snap := j.snapshot()
 	if snap.State == client.StateFailed && snap.Error != nil {
@@ -492,6 +509,13 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *job) {
 	writeJob(w, http.StatusOK, snap)
 }
 
+// waitRequested reports whether the request asks to wait for a terminal
+// state: a non-empty wait parameter. The query the client sends, exactly
+// "wait=1", is recognized without parsing.
+func waitRequested(r *http.Request) bool {
+	return r.URL.RawQuery == "wait=1" || r.URL.Query().Get("wait") != ""
+}
+
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -501,7 +525,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("service: job %q: %w", id, client.ErrNotFound))
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
+	if waitRequested(r) {
 		s.respondJob(w, r, j)
 		return
 	}
@@ -541,7 +565,7 @@ func (s *Server) runJob(j *job) {
 	}
 
 	if val, ok := s.cache.Get(key); ok {
-		s.reg.Counter("service.cache.hits").Inc()
+		s.cacheHits.Inc()
 		s.finish(j, val, true, false)
 		return
 	}
@@ -575,7 +599,7 @@ func (s *Server) runJob(j *job) {
 		// this check is guaranteed to see it. The engine runs at most once
 		// per key per cache lifetime, no matter the interleaving.
 		if val, ok := s.cache.Get(key); ok {
-			s.reg.Counter("service.cache.hits").Inc()
+			s.cacheHits.Inc()
 			return val, nil
 		}
 		s.reg.Counter("service.engine.searches").Inc()
@@ -621,7 +645,7 @@ func (s *Server) finish(j *job, val json.RawMessage, cacheHit, shared bool) {
 	wire := j.wire
 	j.mu.Unlock()
 	_ = s.store.Put(&wire, j.req)
-	s.reg.Counter("service.jobs.completed").Inc()
+	s.jobsCompleted.Inc()
 	s.retire(wire.ID)
 	close(j.done)
 }
@@ -743,59 +767,25 @@ func writeJob(w http.ResponseWriter, status int, j client.Job) {
 	writeDone(w, status, j)
 }
 
-// docEnd closes a done job's document and ends the line as Encode does.
-var docEnd = []byte("}\n")
+// jsonContentType is the Content-Type value of every JSON response. It is
+// shared and only read.
+var jsonContentType = []string{"application/json"}
 
 // writeDone writes the bytes json.NewEncoder(w).Encode(j) would write for a
-// done job without the reflective pass: a prefix of the fields before the
-// result, the result bytes verbatim, then docEnd. That is exact because
-// every done job's result is in the plan cache's form (planCache.Put), the
-// form the encoder gives a RawMessage.
+// done job without the reflective pass: client.AppendDonePrefix, the result
+// bytes verbatim, then client.DoneEnd. That is exact because every done
+// job's result is in the plan cache's form (planCache.Put), the form the
+// encoder gives a RawMessage.
 func writeDone(w http.ResponseWriter, status int, j client.Job) {
-	buf := make([]byte, 0, 96+len(j.ID)+len(j.Kind)+len(j.State)+len(j.Key))
-	buf = append(buf, `{"id":`...)
-	buf = appendJSONString(buf, j.ID)
-	buf = append(buf, `,"kind":`...)
-	buf = appendJSONString(buf, j.Kind)
-	buf = append(buf, `,"state":`...)
-	buf = appendJSONString(buf, j.State)
-	if j.Key != "" {
-		buf = append(buf, `,"key":`...)
-		buf = appendJSONString(buf, j.Key)
-	}
-	if j.CacheHit {
-		buf = append(buf, `,"cacheHit":true`...)
-	}
-	if j.Shared {
-		buf = append(buf, `,"shared":true`...)
-	}
-	if len(j.Result) > 0 {
-		buf = append(buf, `,"result":`...)
-	}
+	buf := client.AppendDonePrefix(make([]byte, 0, 96+len(j.ID)+len(j.Kind)+len(j.State)+len(j.Key)), &j)
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(buf)+len(j.Result)+len(docEnd)))
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(buf) + len(j.Result) + len(client.DoneEnd))}
 	w.WriteHeader(status)
 	// Write errors mean the client went away; there is nobody to tell.
 	_, _ = w.Write(buf)
 	_, _ = w.Write(j.Result)
-	_, _ = w.Write(docEnd)
-}
-
-// appendJSONString appends s as encoding/json encodes a string. Printable
-// ASCII that HTML escaping leaves alone, which covers every ID, kind, state
-// and key the daemon makes, goes between quotes as is; anything else takes
-// the encoder.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, _ := json.Marshal(s) // a string always encodes
-			return append(dst, enc...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	_, _ = io.WriteString(w, client.DoneEnd)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -60,7 +60,10 @@ func checkDoneResponse(t *testing.T, what string, header http.Header, body []byt
 
 // TestWriteDoneMatchesEncoder holds writeDone to the encoder byte for byte
 // over every kind, every cacheHit/shared combination, an omitted key and
-// result, and strings that need escaping.
+// result, and strings that need escaping. The client's
+// TestDoneDocumentRoundTrip and TestDaemonDoneDocumentsParseDirectly hold
+// the same shapes, and this file's handler and store-replay ones, to the
+// client's direct parse.
 func TestWriteDoneMatchesEncoder(t *testing.T) {
 	cache := newPlanCache(0)
 	raw := oddResult("x")

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-waivers sanitize fuzz-smoke race race-core race-wide race-all bench-smoke perfbench-test experiments-smoke fmt-check tier1 verify clean
+.PHONY: all build test vet sanitize fuzz-smoke race race-core race-wide race-all bench-smoke perfbench-test experiments-smoke fmt-check tier1 verify clean
 
 all: build
 
@@ -12,26 +12,6 @@ test:
 
 vet:
 	$(GO) vet ./...
-
-# lint builds autopipelint and runs it as a go vet -vettool over every
-# package: simclock and errsentinel, the determinism and typed-error
-# invariants (DESIGN.md §11). Unused //lint:allow waivers fail the run. The
-# invariants the retired analyzers covered are executable checks: mutex
-# copies in `make vet` (copylocks), lock pairing and mid-search
-# cancellation in `make test` and the race targets, hot-path allocations in
-# the per-package testing.AllocsPerRun pins, and the checked-in JSON fixtures
-# in the root TestCheckedInFixtures (DESIGN.md §11.6).
-lint:
-	$(GO) build -o bin/autopipelint ./cmd/autopipelint
-	$(GO) vet -vettool=$(abspath bin/autopipelint) ./...
-
-# lint-waivers lists every live //lint:allow suppression (file:line, analyzer,
-# justification) outside fixture trees — the repository's complete waiver
-# budget in one listing, for review. Stale waivers are caught by `make lint`
-# itself: an //lint:allow that suppresses nothing is a reported finding.
-lint-waivers:
-	$(GO) build -o bin/autopipelint ./cmd/autopipelint
-	./bin/autopipelint -waivers ./internal ./cmd
 
 # sanitize executes the README quickstart schedules with the runtime
 # happens-before sanitizer on: every op is checked against the dependency
@@ -113,18 +93,17 @@ fmt-check:
 # tier1 is the repository's baseline gate (ROADMAP.md).
 tier1: build test
 
-# verify runs everything CI would: formatting, static analysis (go vet plus
-# autopipelint's simclock and errsentinel), the full test suite under the race
-# detector, the deep race pass over the planner engine and the whole
-# service/observability surface (race-all), a one-shot benchmark
-# smoke, the sanitized executions, the
-# experiments command smoke, the tier-1 gate, and the repository benchmark's
-# own tests. The daemon's end-to-end, restart-resume and crash-recovery soak
-# checks, and the soak behind the test-only chaos middleware, are tier-1
-# tests in internal/service. (CI
-# additionally runs fuzz-smoke, kept out of verify so the local gate stays
-# fast.)
-verify: fmt-check vet lint tier1 perfbench-test race race-all bench-smoke sanitize experiments-smoke
+# verify runs everything CI would: formatting, go vet, the full test suite
+# under the race detector, the deep race pass over the planner engine and
+# the whole service/observability surface (race-all), a one-shot benchmark
+# smoke, the sanitized executions, the experiments command smoke, the tier-1
+# gate, and the repository benchmark's own tests. The determinism and
+# typed-error invariants are the root TestSimclock and TestErrsentinel
+# (DESIGN.md §11). The daemon's end-to-end, restart-resume and
+# crash-recovery soak checks, and the soak behind the test-only chaos
+# middleware, are tier-1 tests in internal/service. (CI additionally runs
+# fuzz-smoke, kept out of verify so the local gate stays fast.)
+verify: fmt-check vet tier1 perfbench-test race race-all bench-smoke sanitize experiments-smoke
 
 clean:
 	$(GO) clean ./...

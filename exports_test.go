@@ -1,6 +1,7 @@
 package autopipe_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,8 +28,6 @@ var testOnlyExports = map[string]string{
 	"schedule.ParseJSON":              "parses the schedule goldens for the root fixture manifest and the schedule tests",
 	"schedule.EncodeJSON":             "writes the schedule golden format for the JSON round-trip tests and FuzzParseSchedule",
 	"schedule.Schedule.CheckDeadlock": "the static deadlock check (DESIGN.md §11.3) the root fixture manifest runs over every schedule golden; the exec sanitizer is its dynamic half",
-	"analysis/analysistest.Run":       "the analyzer fixture harness; only the analyzers' tests run it",
-	"analysis/analysistest.Load":      "the analyzer fixture harness; only the analyzers' tests run it",
 }
 
 // TestNoTestOnlyExports fails when an exported package-level func or type, or
@@ -46,46 +46,8 @@ var testOnlyExports = map[string]string{
 // fmt.Stringer or the nn module interface; those are called through the
 // interface, where no use names the concrete method.
 func TestNoTestOnlyExports(t *testing.T) {
-	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil),
-		files: map[string][]*ast.File{},
-		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
-	}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		bp, err := build.ImportDir(p, 0)
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil
-		} else if err != nil {
-			return err
-		}
-		var files []*ast.File
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			files = append(files, f)
-		}
-		imp.files[path.Join("autopipe", filepath.ToSlash(p))] = files
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walk module: %v", err)
-	}
-	for pkg := range imp.files {
-		if _, err := imp.Import(pkg); err != nil {
-			t.Fatalf("type-check %s: %v", pkg, err)
-		}
-	}
+	imp := loadModule(t)
+	fset := imp.fset
 
 	// A use in a method's receiver list names the type the method belongs
 	// to, not a caller of it.
@@ -178,8 +140,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // moduleImporter type-checks the module's packages from their parsed
-// non-test files, recording every package's uses in one shared types.Info,
-// and hands standard-library imports to std.
+// non-test files, recording every package's definitions, uses and expression
+// types in one shared types.Info, and hands standard-library imports to std.
 type moduleImporter struct {
 	fset  *token.FileSet
 	std   types.Importer
@@ -204,6 +166,68 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	m.pkgs[path] = pkg
 	return pkg, nil
 }
+
+// loadModule returns the module's non-test Go files, parsed and type-checked
+// once per test binary with the standard library checked from source, for
+// every test that reads the module's code: TestNoTestOnlyExports and the
+// invariant checks in invariants_test.go. Nested testdata and dot
+// directories are skipped; the perfbench module is loaded too.
+func loadModule(t *testing.T) *moduleImporter {
+	t.Helper()
+	imp, err := sharedModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imp
+}
+
+var sharedModule = sync.OnceValues(func() (*moduleImporter, error) {
+	fset := token.NewFileSet()
+	imp := &moduleImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(p, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+		}
+		imp.files[path.Join("autopipe", filepath.ToSlash(p))] = files
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("walk module: %w", err)
+	}
+	for pkg := range imp.files {
+		if _, err := imp.Import(pkg); err != nil {
+			return nil, fmt.Errorf("type-check %s: %w", pkg, err)
+		}
+	}
+	return imp, nil
+})
 
 // nameableInterfaces indexes by method name the interfaces non-test code can
 // name: error and the protocols package errors asserts inline, every

@@ -5,7 +5,7 @@ import "time"
 // Stopwatch is the sanctioned wall-clock measurement primitive for the
 // deterministic packages (sim, core, exec, plan, train). Those
 // packages are forbidden from calling time.Now / time.Since directly — the
-// simclock analyzer in internal/analysis enforces it — because a wall-clock
+// root TestSimclock enforces it — because a wall-clock
 // read that leaks into a planning or simulation decision silently breaks the
 // bit-for-bit reproducibility the paper's results rest on. Elapsed wall time
 // is still a legitimate *output* (plan.Spec.SearchTime, the per-depth

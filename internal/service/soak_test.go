@@ -79,14 +79,39 @@ func (r *SoakReport) Format(w io.Writer) {
 type soakDaemon struct {
 	srv *Server
 	hs  *http.Server
+	h   http.Handler
+	// mu is held shared by every running handler; kill takes it exclusively
+	// to wait them out and sets dead, which turns away any handler that
+	// starts later.
+	mu   sync.RWMutex
+	dead bool
+}
+
+func (d *soakDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.dead {
+		panic(http.ErrAbortHandler)
+	}
+	d.h.ServeHTTP(w, r)
 }
 
 // kill severs every client connection first (the crash the clients see),
 // then stops the workers. In-flight engine runs are canceled and their jobs
 // revert to pending on disk — exactly the state a real crash leaves behind.
+// Last it waits for the handlers still running, whose requests the closed
+// connections cancel: a dead process writes nothing, so no store write of
+// this incarnation may land while the next one loads the store. Safe on a
+// nil daemon.
 func (d *soakDaemon) kill() {
+	if d == nil {
+		return
+	}
 	_ = d.hs.Close()
 	d.srv.Close()
+	d.mu.Lock()
+	d.dead = true
+	d.mu.Unlock()
 }
 
 // Soak is the crash-recovery acceptance harness behind TestSoak and
@@ -202,9 +227,10 @@ func Soak(ctx context.Context, opts SoakOptions) (*SoakReport, error) {
 			srv.Close()
 			return nil, "", err
 		}
-		hs := &http.Server{Handler: Chaos(srv.Handler(), opts.Chaos, srv.Registry())}
-		go func() { _ = hs.Serve(ln) }()
-		return &soakDaemon{srv: srv, hs: hs}, ln.Addr().String(), nil
+		d := &soakDaemon{srv: srv, h: Chaos(srv.Handler(), opts.Chaos, srv.Registry())}
+		d.hs = &http.Server{Handler: d}
+		go func() { _ = d.hs.Serve(ln) }()
+		return d, ln.Addr().String(), nil
 	}
 
 	// Grab a loopback port once and keep the address stable across every
@@ -275,7 +301,7 @@ func Soak(ctx context.Context, opts SoakOptions) (*SoakReport, error) {
 			return rep, derr
 		}
 		if d, _, err = boot(addr); err != nil {
-			return rep, err
+			return rep, fmt.Errorf("service: soak reboot after cycle %d: %w", cycle, err)
 		}
 		// Drain the batch against the reborn daemon before the next kill.
 		wg.Wait()

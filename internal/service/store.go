@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -80,7 +82,9 @@ func (s *diskStore) Delete(id string) error {
 // vanish: each is quarantined in place by renaming it to <name>.corrupt and
 // reported in the second return value, so every intact job (in particular
 // every finished result) still loads and the operator can inspect the
-// damage. Safe to call on a nil store (returns nothing).
+// damage. A file that vanishes after the listing, such as a .tmp renamed
+// into place or a document deleted by a shed, is gone and is skipped. Safe
+// to call on a nil store (returns nothing).
 func (s *diskStore) Load() ([]storedJob, []string, error) {
 	if s == nil {
 		return nil, nil, nil
@@ -89,11 +93,18 @@ func (s *diskStore) Load() ([]storedJob, []string, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: read store: %w", err)
 	}
+	return s.load(entries)
+}
+
+// load is Load over a given listing of the store directory.
+func (s *diskStore) load(entries []os.DirEntry) ([]storedJob, []string, error) {
 	var jobs []storedJob
 	var quarantined []string
 	quarantine := func(name string) error {
 		from := filepath.Join(s.dir, name)
-		if err := os.Rename(from, from+".corrupt"); err != nil {
+		if err := os.Rename(from, from+".corrupt"); errors.Is(err, fs.ErrNotExist) {
+			return nil
+		} else if err != nil {
 			return fmt.Errorf("service: quarantine %s: %w", name, err)
 		}
 		quarantined = append(quarantined, name)
@@ -117,7 +128,9 @@ func (s *diskStore) Load() ([]storedJob, []string, error) {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
 			return nil, nil, fmt.Errorf("service: read stored job %s: %w", name, err)
 		}
 		var sj storedJob

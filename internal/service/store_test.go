@@ -182,6 +182,44 @@ func TestStoreQuarantinesTempFiles(t *testing.T) {
 	}
 }
 
+// TestStoreLoadSkipsVanishedFiles proves a file that disappears between the
+// directory listing and its read or quarantine does not fail the load: a
+// killed daemon's last write renames its .tmp into place, and a shed job's
+// document is deleted, while a reborn daemon is loading the store.
+func TestStoreLoadSkipsVanishedFiles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("openStore: %v", err)
+	}
+	for i := 1; i <= 2; i++ {
+		if err := st.Put(&client.Job{ID: jobID(i), Kind: client.KindPlan, State: client.StatePending}, testPlanBody(i)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	tmp := filepath.Join(dir, jobID(3)+".json.tmp")
+	if err := os.WriteFile(tmp, []byte("in flight"), 0o644); err != nil {
+		t.Fatalf("write temp file: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("ReadDir: %v", err)
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatalf("remove temp file: %v", err)
+	}
+	if err := st.Delete(jobID(2)); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	jobs, quarantined, err := st.load(entries)
+	if err != nil {
+		t.Fatalf("load over a listing with vanished files: %v", err)
+	}
+	if len(jobs) != 1 || jobs[0].Job.ID != jobID(1) || len(quarantined) != 0 {
+		t.Errorf("load = %d jobs, quarantined %v; want only %s, none quarantined", len(jobs), quarantined, jobID(1))
+	}
+}
+
 // TestStoreDelete proves Delete removes the document, tolerates missing
 // files, and is safe on a nil store.
 func TestStoreDelete(t *testing.T) {

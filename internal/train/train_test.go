@@ -1,11 +1,13 @@
 package train
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"autopipe/internal/errdefs"
 	"autopipe/internal/nn"
 	"autopipe/internal/obs"
 	"autopipe/internal/tensor"
@@ -271,11 +273,13 @@ func TestDatasetDeterministic(t *testing.T) {
 	}
 }
 
+// TestNewPipelineRejectsBadBounds: every malformed bounds list is a typed
+// ErrBadConfig, so a caller can dispatch on it with errors.Is.
 func TestNewPipelineRejectsBadBounds(t *testing.T) {
 	mods := nn.BuildGPT(nn.TinyGPT())
 	for _, bounds := range [][]int{{}, {0}, {1, 6}, {0, 5}, {0, 3, 3, 6}, {0, 6, 3}} {
-		if _, err := NewPipeline(mods, bounds); err == nil {
-			t.Errorf("bounds %v accepted", bounds)
+		if _, err := NewPipeline(mods, bounds); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("bounds %v: err = %v, want ErrBadConfig", bounds, err)
 		}
 	}
 }

@@ -51,7 +51,7 @@ race-core:
 
 # race-wide covers the remaining concurrent surface at full depth — the
 # autopiped service path (worker pool, cache, singleflight, the
-# crash-recovery soak tests, the soak behind the test-only chaos middleware)
+# kill/restart soak tests, the soak behind the test-only chaos middleware)
 # and the observability registry. The race detector is the repository's data-race check;
 # race-all is both halves, and CI's race matrix runs them as separate jobs.
 race-wide:
@@ -99,10 +99,10 @@ tier1: build test
 # smoke, the sanitized executions, the experiments command smoke, the tier-1
 # gate, and the repository benchmark's own tests. The determinism and
 # typed-error invariants are the root TestSimclock and TestErrsentinel
-# (DESIGN.md §11). The daemon's end-to-end, restart-resume and
-# crash-recovery soak checks, and the soak behind the test-only chaos
-# middleware, are tier-1 tests in internal/service. (CI additionally runs
-# fuzz-smoke, kept out of verify so the local gate stays fast.)
+# (DESIGN.md §11). The daemon's end-to-end and kill/restart soak checks,
+# and the soak behind the test-only chaos middleware, are tier-1 tests in
+# internal/service. (CI additionally runs fuzz-smoke, kept out of verify so
+# the local gate stays fast.)
 verify: fmt-check vet tier1 perfbench-test race race-all bench-smoke sanitize experiments-smoke
 
 clean:

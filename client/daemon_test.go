@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -18,11 +16,11 @@ import (
 
 // TestDaemonDoneDocumentsParseDirectly drives a real daemon through every
 // way it answers with a done job: the waited miss, the waited and unwaited
-// cache hits, GET and GET ?wait=1 for each kind, and a plan replayed from an
-// indented store file whose result holds raw <, & and U+2028. The client
-// must read each answer without reflection, to the job encoding/json
-// decodes, so a change to the daemon's writer cannot quietly send the
-// client back to json.Unmarshal.
+// cache hits, GET and GET ?wait=1 for each kind. The client must read each
+// answer without reflection, to the job encoding/json decodes, so a change
+// to the daemon's writer cannot quietly send the client back to
+// json.Unmarshal. Results holding escaped characters are covered by
+// done_test.go's planResult and FuzzParseDone.
 func TestDaemonDoneDocumentsParseDirectly(t *testing.T) {
 	cluster := autopipe.DefaultCluster()
 	cluster.NumGPUs = 4
@@ -34,29 +32,7 @@ func TestDaemonDoneDocumentsParseDirectly(t *testing.T) {
 		}}
 	}
 
-	dir := t.TempDir()
-	stored := plan(128)
-	key, err := service.Key(stored)
-	if err != nil {
-		t.Fatalf("Key: %v", err)
-	}
-	const storedID = "job-00000007"
-	var file bytes.Buffer
-	enc := json.NewEncoder(&file)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(map[string]any{
-		"job": client.Job{ID: storedID, Kind: client.KindPlan, State: client.StateDone, Key: key,
-			Result: json.RawMessage("{\"note\": \"<b>stored</b> & \u2028 done\", \"n\": [1, 2]}")},
-		"request": stored,
-	}); err != nil {
-		t.Fatalf("encode stored job: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, storedID+".json"), file.Bytes(), 0o644); err != nil {
-		t.Fatalf("write store: %v", err)
-	}
-
-	srv, err := service.New(service.Config{StoreDir: dir})
+	srv, err := service.New(service.Config{})
 	if err != nil {
 		t.Fatalf("service.New: %v", err)
 	}
@@ -123,17 +99,5 @@ func TestDaemonDoneDocumentsParseDirectly(t *testing.T) {
 		check(req.Kind+" unwaited hit", fetch(http.MethodPost, "/v1/jobs", &req))
 		check(req.Kind+" GET", fetch(http.MethodGet, "/v1/jobs/"+miss.ID, nil))
 		check(req.Kind+" GET ?wait=1", fetch(http.MethodGet, "/v1/jobs/"+miss.ID+"?wait=1", nil))
-	}
-
-	check("stored GET", fetch(http.MethodGet, "/v1/jobs/"+storedID, nil))
-	check("stored GET ?wait=1", fetch(http.MethodGet, "/v1/jobs/"+storedID+"?wait=1", nil))
-	hit := check("stored hit", fetch(http.MethodPost, "/v1/jobs?wait=1", &stored))
-	if !hit.CacheHit {
-		t.Errorf("submit of the stored request was not a cache hit")
-	}
-	for _, raw := range []string{"<", "&", "\u2028"} {
-		if bytes.Contains(hit.Result, []byte(raw)) {
-			t.Errorf("stored result still holds a raw %q: %s", raw, hit.Result)
-		}
 	}
 }

@@ -1,21 +1,22 @@
 // Command autopiped runs the planner-as-a-service daemon: an HTTP/JSON API
 // over the AutoPipe planning engine with a bounded worker pool, a
-// content-addressed plan cache with singleflight dedup, and an optional
-// restart-resumable on-disk job store.
+// content-addressed plan cache with singleflight dedup. Jobs live in memory:
+// a restart forgets them, and the first request for each configuration after
+// it runs one search again.
 //
 // Usage:
 //
-//	autopiped [-addr 127.0.0.1:7180] [-store DIR] [-workers N] \
+//	autopiped [-addr 127.0.0.1:7180] [-workers N] \
 //	          [-rate N] [-burst N] [-queue-wait 2s] \
 //	          [-timeout 30s] [-cpuprofile p] [-memprofile p]
 //
 // Each plan search runs serially inside one queue worker; the plan, and so
 // the cache key, does not depend on the machine's core count.
 //
-// It serves until SIGINT/SIGTERM, then drains: unfinished persisted jobs
-// revert to pending so the next start re-runs them. The service's checks
-// (cache, singleflight, restart-resume, the crash-recovery soak with and
-// without seeded HTTP chaos) are tests in internal/service.
+// It serves until SIGINT/SIGTERM, then drains: it stops accepting
+// connections, lets running requests finish for up to 10 s, and stops the
+// workers. The service's checks (cache, singleflight, the kill/restart soak
+// with and without seeded HTTP chaos) are tests in internal/service.
 package main
 
 import (
@@ -65,7 +66,6 @@ func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDep
 		Workers:      workers,
 		QueueDepth:   queueDepth,
 		CacheEntries: cacheEntries,
-		StoreDir:     sf.Store,
 		JobTimeout:   pf.Timeout,
 		RateLimit:    sf.Rate,
 		RateBurst:    sf.Burst,
@@ -84,8 +84,7 @@ func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDep
 	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
-	fmt.Printf("autopiped: serving on http://%s (store=%s, workers=%d)\n",
-		ln.Addr(), storeLabel(sf.Store), workers)
+	fmt.Printf("autopiped: serving on http://%s (workers=%d)\n", ln.Addr(), workers)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
@@ -103,13 +102,6 @@ func serve(pf *cliutil.PlannerFlags, sf *cliutil.ServiceFlags, workers, queueDep
 	}
 	srv.Close()
 	return nil
-}
-
-func storeLabel(dir string) string {
-	if dir == "" {
-		return "memory"
-	}
-	return dir
 }
 
 func fail(err error) {

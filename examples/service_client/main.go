@@ -1,8 +1,8 @@
 // Service client: planning through the autopiped daemon. The example boots a
 // daemon in-process (in real deployments it runs standalone: `autopiped -addr
-// host:port -store dir`), then plans through the HTTP client twice — the
-// second request is served from the content-addressed plan cache without a
-// search — and shows a typed rejection crossing the wire intact.
+// host:port`), then plans through the HTTP client twice — the second request
+// is served from the content-addressed plan cache without a search — and
+// shows a typed rejection crossing the wire intact.
 //
 //	go run ./examples/service_client
 package main

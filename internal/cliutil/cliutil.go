@@ -1,7 +1,7 @@
 // Package cliutil provides the flag handling shared by the repository's
 // commands: autopipe, pipesim, experiments, and autopiped all register
 // their common flags here, so -timeout and the profiling flags mean the
-// same thing everywhere. The daemon's flags (-addr, -store and the
+// same thing everywhere. The daemon's flags (-addr and the
 // -rate/-burst/-queue-wait admission controls) live here too; it has no
 // chaos-injection flag. The planner has no width flag: each search is
 // serial. Parsed values resolve into a planning context or daemon
@@ -41,8 +41,6 @@ func (pf *PlannerFlags) Context() (context.Context, context.CancelFunc) {
 type ServiceFlags struct {
 	// Addr is the listen (or target) address for the HTTP API.
 	Addr string
-	// Store is the job-store directory; empty runs memory-only.
-	Store string
 	// Rate is the steady-state admission rate in submits/sec; 0 disables the
 	// rate limiter.
 	Rate float64
@@ -57,7 +55,6 @@ type ServiceFlags struct {
 func RegisterService(fs *flag.FlagSet) *ServiceFlags {
 	sf := &ServiceFlags{}
 	fs.StringVar(&sf.Addr, "addr", "127.0.0.1:7180", "HTTP listen address for the planning API")
-	fs.StringVar(&sf.Store, "store", "", "job-store directory for restart-resumable jobs (empty = memory only)")
 	fs.Float64Var(&sf.Rate, "rate", 0, "admission rate limit in submits/sec, rejected with 429 + Retry-After (0 = unlimited)")
 	fs.IntVar(&sf.Burst, "burst", 0, "admission burst size above -rate (0 = max(1, rate))")
 	fs.DurationVar(&sf.QueueWait, "queue-wait", 0, "how long a submit may wait for a queue slot before 503 + Retry-After (0 = shed immediately)")

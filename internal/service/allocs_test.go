@@ -16,7 +16,7 @@ import (
 // cacheHitAllocs is the allocation count of one cache-hit submit through
 // the handler, eviction included, measured with go1.24 on linux/amd64.
 // The recorder and request the test builds count too.
-const cacheHitAllocs = 29
+const cacheHitAllocs = 28
 
 // TestCacheHitAllocsPinned pins the allocations of the daemon's hot path: a
 // waited submit of a body the submit memo holds, whose key is cached, served
@@ -26,10 +26,7 @@ const cacheHitAllocs = 29
 // fails it. (The race detector's instrumentation changes allocation counts,
 // so -race skips this file.)
 func TestCacheHitAllocsPinned(t *testing.T) {
-	srv, err := newServer(Config{}, 8)
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
+	srv := newServer(Config{}, 8)
 	srv.engine = func(context.Context, client.SubmitRequest) (json.RawMessage, error) { return stubResult(), nil }
 	srv.Start()
 	defer srv.Close()

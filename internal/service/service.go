@@ -1,10 +1,11 @@
 // Package service implements autopiped, the planner-as-a-service daemon: a
 // job queue with a bounded worker pool over the serial planning engine, a
 // content-addressed plan cache with singleflight dedup (a million
-// near-identical plan requests cost one search), a JSON-on-disk job store
-// that survives restarts, and an HTTP/JSON API whose typed wire errors
-// round-trip the errdefs sentinels (client-side errors.Is sees exactly what
-// in-process callers see).
+// near-identical plan requests cost one search), and an HTTP/JSON API whose
+// typed wire errors round-trip the errdefs sentinels (client-side errors.Is
+// sees exactly what in-process callers see). Jobs live in memory only: a
+// restarted daemon recomputes a plan on its first request, which costs one
+// search per distinct configuration.
 //
 // Endpoints:
 //
@@ -19,8 +20,7 @@
 // job in memory but only the newest 4096 finished ones: older finished
 // jobs are evicted in the order they finished, after which
 // GET /v1/jobs/{id} answers 404 not_found. Eviction forgets the job
-// document only; the plan cache still serves its result, and a store
-// keeps its file on disk.
+// document only; the plan cache still serves its result.
 //
 // A repeated cache hit makes no reflective JSON pass on either side of the
 // wire. Submit bodies are memoized by their sha256, so a byte-identical body
@@ -56,7 +56,7 @@ import (
 )
 
 // Config parameterizes a Server. The zero value serves with four queue
-// workers, a 256-deep queue, a 1024-entry cache, and no persistence.
+// workers, a 256-deep queue and a 1024-entry cache.
 type Config struct {
 	// Workers is the number of queue workers executing jobs concurrently;
 	// <= 0 means 4. Each plan search inside a job is serial, so Workers
@@ -70,10 +70,6 @@ type Config struct {
 	// of validated submit bodies at the same count; <= 0 means 1024.
 	// Eviction is FIFO in both.
 	CacheEntries int
-	// StoreDir, when non-empty, persists every job (request + state) as
-	// JSON under this directory. On restart, finished jobs are served from
-	// the store and unfinished ones are re-enqueued.
-	StoreDir string
 	// JobTimeout bounds each job's engine run (0 = no limit).
 	JobTimeout time.Duration
 	// RateLimit, when positive, caps admitted submissions at this many
@@ -101,8 +97,8 @@ const maxBodyBytes = 8 << 20
 // submission is a validated submit body: its decoded request and cache key.
 // The memo hands one *submission to every job built from the same body
 // bytes, and those jobs share the request's payloads, so nothing may modify
-// a submission or what its request points to: jobs, the engine and the
-// store only read them.
+// a submission or what its request points to: jobs and the engine only read
+// them.
 type submission struct {
 	req client.SubmitRequest
 	key string
@@ -118,9 +114,7 @@ type job struct {
 	req  client.SubmitRequest
 	done chan struct{}
 	// deadline is the submitting caller's give-up time, derived from the
-	// client's deadline header; zero means no caller deadline. In-memory
-	// only: a job replayed after a restart runs without one (its original
-	// caller's budget is unknowable by then).
+	// client's deadline header; zero means no caller deadline.
 	deadline time.Time
 }
 
@@ -137,7 +131,6 @@ func (j *job) snapshot() client.Job {
 type Server struct {
 	cfg     Config
 	reg     *obs.Registry
-	store   *diskStore
 	cache   *planCache
 	memo    *fifo[[sha256.Size]byte, *submission]
 	sf      *singleflight
@@ -167,13 +160,13 @@ type Server struct {
 	closed      bool
 }
 
-// New builds a Server: it opens (and replays) the job store but does not
-// start workers — call Start.
-func New(cfg Config) (*Server, error) { return newServer(cfg, finishedJobCap) }
+// New builds a Server but does not start workers — call Start. It returns
+// no error for any Config.
+func New(cfg Config) (*Server, error) { return newServer(cfg, finishedJobCap), nil }
 
 // newServer is New with the finished-job cap as a parameter, so tests can
-// drive eviction, replay included, with a handful of jobs.
-func newServer(cfg Config, maxFinished int) (*Server, error) {
+// drive eviction with a handful of jobs.
+func newServer(cfg Config, maxFinished int) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -184,15 +177,10 @@ func newServer(cfg Config, maxFinished int) (*Server, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	store, err := openStore(cfg.StoreDir)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		store:   store,
 		cache:   newPlanCache(cfg.CacheEntries),
 		memo:    newFIFO[[sha256.Size]byte, *submission](cfg.CacheEntries),
 		sf:      newSingleflight(),
@@ -211,66 +199,8 @@ func newServer(cfg Config, maxFinished int) (*Server, error) {
 		jobsCompleted: reg.Counter("service.jobs.completed"),
 	}
 	s.engine = s.runEngine
-	if err := s.replay(); err != nil {
-		cancel()
-		return nil, err
-	}
 	s.buildMux()
-	return s, nil
-}
-
-// replay loads the persisted jobs: terminal ones become servable history
-// (their results re-seed the cache, and the table keeps the newest
-// maxFinished of them), unfinished ones are re-enqueued.
-// Damaged store files were quarantined by Load, not fatal: the count is
-// surfaced on service.store.quarantined so a monitoring rule can notice a
-// crash that tore the store.
-func (s *Server) replay() error {
-	stored, quarantined, err := s.store.Load()
-	if err != nil {
-		return err
-	}
-	if n := len(quarantined); n > 0 {
-		s.reg.Counter("service.store.quarantined").Add(float64(n))
-	}
-	for _, sj := range stored {
-		j := &job{wire: *sj.Job, req: sj.Request, done: make(chan struct{})}
-		if n, ok := parseID(sj.Job.ID); ok && n >= s.nextID {
-			s.nextID = n + 1
-		}
-		s.jobs[j.wire.ID] = j
-		if j.wire.Terminal() {
-			close(j.done)
-			// Stored results are indented; a done job is served in the
-			// cache's form (writeDone), keyed or not.
-			if j.wire.State == client.StateDone && len(j.wire.Result) > 0 {
-				if j.wire.Key != "" {
-					j.wire.Result, err = s.cache.Put(j.wire.Key, j.wire.Result)
-				} else {
-					j.wire.Result, err = marshalResult(j.wire.Result)
-				}
-				if err != nil {
-					return fmt.Errorf("service: replay job %s: %w", j.wire.ID, err)
-				}
-			}
-			s.retire(j.wire.ID)
-			continue
-		}
-		// Interrupted mid-run or mid-queue: back to pending, run again.
-		j.wire.State = client.StatePending
-		if err := s.store.Put(&j.wire, j.req); err != nil {
-			return err
-		}
-		select {
-		case s.queue <- j:
-			s.reg.Counter("service.jobs.resumed").Inc()
-		default:
-			return fmt.Errorf("%w: service: store replays more unfinished jobs than the queue holds (%d)",
-				errdefs.ErrBadConfig, s.cfg.QueueDepth)
-		}
-	}
-	s.reg.Gauge("service.cache.entries").Set(float64(s.cache.Len()))
-	return nil
+	return s
 }
 
 // Start launches the worker pool. Call once.
@@ -292,8 +222,9 @@ func (s *Server) Start() {
 }
 
 // Close stops accepting jobs, cancels in-flight engine runs, and waits for
-// the workers. Unfinished persisted jobs revert to pending on disk, so a
-// restarted daemon picks them back up.
+// the workers. A job whose search Close interrupts fails with
+// client.ErrUnavailable, so its waiters get a retryable 503 instead of
+// blocking.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -392,19 +323,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if err := s.store.Put(&j.wire, req); err != nil {
-		s.failJob(j, fmt.Errorf("%w: service: persist: %v", errdefs.ErrInternal, err))
-		s.respondJob(w, r, j)
-		return
-	}
 	if !s.enqueue(r.Context(), j) {
-		// Shed: the job must vanish completely — from the table and the disk
-		// store — or a restart would resurrect work the caller was told to
-		// retry elsewhere.
+		// Shed: the job must vanish from the table, so no listing or GET
+		// shows work the caller was told to retry.
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
-		_ = s.store.Delete(id)
 		s.reg.Counter("service.admission.shed").Inc()
 		s.writeErrorRetry(w, retryAfterSeconds(len(s.queue), s.cfg.Workers),
 			fmt.Errorf("service: job queue full (%d deep): %w", s.cfg.QueueDepth, client.ErrUnavailable))
@@ -557,12 +481,7 @@ func (s *Server) runJob(j *job) {
 	key := j.wire.Key
 	deadline := j.deadline
 	j.wire.State = client.StateRunning
-	wire := j.wire
 	j.mu.Unlock()
-	if err := s.store.Put(&wire, j.req); err != nil {
-		s.failJob(j, fmt.Errorf("%w: service: persist: %v", errdefs.ErrInternal, err))
-		return
-	}
 
 	if val, ok := s.cache.Get(key); ok {
 		s.cacheHits.Inc()
@@ -622,14 +541,10 @@ func (s *Server) runJob(j *job) {
 	case err == nil:
 		s.finish(j, val, false, shared)
 	case s.ctx.Err() != nil:
-		// Shutdown, not failure: revert to pending on disk so a restarted
-		// daemon re-runs the job. Waiters are released by their own request
-		// contexts when the listener closes.
-		j.mu.Lock()
-		j.wire.State = client.StatePending
-		wire := j.wire
-		j.mu.Unlock()
-		_ = s.store.Put(&wire, j.req)
+		// Shutdown interrupted the search: fail the job retryably, so its
+		// waiters hear 503 unavailable and a retrying client resubmits to
+		// the next daemon.
+		s.failJob(j, fmt.Errorf("service: shut down mid-search: %w", client.ErrUnavailable))
 	default:
 		s.failJob(j, err)
 	}
@@ -642,11 +557,10 @@ func (s *Server) finish(j *job, val json.RawMessage, cacheHit, shared bool) {
 	j.wire.Result = val
 	j.wire.CacheHit = cacheHit
 	j.wire.Shared = shared
-	wire := j.wire
+	id := j.wire.ID
 	j.mu.Unlock()
-	_ = s.store.Put(&wire, j.req)
 	s.jobsCompleted.Inc()
-	s.retire(wire.ID)
+	s.retire(id)
 	close(j.done)
 }
 
@@ -656,11 +570,10 @@ func (s *Server) failJob(j *job, err error) {
 	j.mu.Lock()
 	j.wire.State = client.StateFailed
 	j.wire.Error = wireErr
-	wire := j.wire
+	id := j.wire.ID
 	j.mu.Unlock()
-	_ = s.store.Put(&wire, j.req)
 	s.reg.Counter("service.jobs.failed").Inc()
-	s.retire(wire.ID)
+	s.retire(id)
 	close(j.done)
 }
 
@@ -795,25 +708,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// parseID extracts the sequence number from a "job-%08d" ID.
-func parseID(id string) (int, bool) {
-	num, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// compareIDs orders job IDs by sequence number, so submission order holds
-// past the eight zero-padded digits; IDs that do not parse sort first.
+// compareIDs orders job IDs in submission order. Every ID is "job-%08d",
+// so a longer ID has the larger sequence number, including past the eight
+// zero-padded digits where lexical order alone breaks.
 func compareIDs(a, b string) int {
-	na, _ := parseID(a)
-	nb, _ := parseID(b)
-	if c := cmp.Compare(na, nb); c != 0 {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
 		return c
 	}
 	return strings.Compare(a, b)

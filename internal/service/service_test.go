@@ -443,6 +443,69 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesInterruptedWaiter proves a waiter whose search Close
+// interrupts is answered 503 unavailable, the code the retrying client
+// resubmits, instead of blocking until its own deadline.
+func TestCloseReleasesInterruptedWaiter(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	srv, hs := newTestServer(t, Config{Workers: 1}, func(ctx context.Context, _ client.SubmitRequest) (json.RawMessage, error) {
+		entered <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	body, err := json.Marshal(testPlanBody(0))
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	// The waiter gives up on its own after 5 s, so a stranded one fails the
+	// test instead of hanging the server's cleanup.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/jobs?wait=1", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("NewRequest: %v", err)
+	}
+	type answer struct {
+		status int
+		data   []byte
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		answered <- answer{resp.StatusCode, data, err}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job never reached the engine")
+	}
+	srv.Close()
+	a := <-answered
+	if a.err != nil {
+		t.Fatalf("waiter whose search Close interrupted: %v", a.err)
+	}
+	if a.status != http.StatusServiceUnavailable {
+		t.Fatalf("waiter status %d, want 503: %s", a.status, a.data)
+	}
+	if we := decodeWireError(t, a.data); we.Code != client.CodeUnavailable {
+		t.Errorf("code = %q, want %q", we.Code, client.CodeUnavailable)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for id, j := range srv.jobs {
+		if state := j.snapshot().State; state != client.StateFailed {
+			t.Errorf("%s is %s after Close, want failed", id, state)
+		}
+	}
+}
+
 // submitWithDeadline posts a job with the client deadline header set.
 func submitWithDeadline(t *testing.T, base string, req client.SubmitRequest, deadlineMs string, wait bool) (*http.Response, []byte) {
 	t.Helper()
@@ -521,13 +584,12 @@ func TestRateLimitAdmission(t *testing.T) {
 
 // TestQueueFullShedsWithRetryAfter proves the overload path end to end: a
 // shed submission gets 503 + Retry-After derived from queue depth, the shed
-// job vanishes from the store (no resurrection on restart) and the listing,
-// and the shed/admitted counters surface on /metrics.
+// job vanishes from the job table, and the shed/admitted counters surface
+// on /metrics.
 func TestQueueFullShedsWithRetryAfter(t *testing.T) {
-	dir := t.TempDir()
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	srv, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1, StoreDir: dir}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
+	srv, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
 		entered <- struct{}{}
 		<-release
 		return stubResult(), nil
@@ -560,14 +622,20 @@ func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 		t.Errorf("shed error is not ErrUnavailable")
 	}
 
-	// The shed job must not linger anywhere: not fetchable, not on disk.
+	// The shed job must not linger: not fetchable, not listed.
 	if resp, _ := http.Get(hs.URL + "/v1/jobs/job-00000003"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("shed job still fetchable: status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
 	}
-	if _, err := os.Stat(filepath.Join(dir, "job-00000003.json")); !os.IsNotExist(err) {
-		t.Errorf("shed job still on disk: %v", err)
+	lresp, err := http.Get(hs.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("GET /v1/jobs: %v", err)
+	}
+	ldata, _ := io.ReadAll(lresp.Body)
+	lresp.Body.Close()
+	if strings.Contains(string(ldata), "job-00000003") {
+		t.Errorf("shed job still listed: %s", ldata)
 	}
 
 	if v := srv.Registry().Counter("service.admission.shed").Value(); v != 1 {
@@ -817,188 +885,41 @@ func TestDeadlinePropagation(t *testing.T) {
 	})
 }
 
-// TestBootWithDamagedStore proves the truncated-store-file boot: a daemon
-// restarted over a store holding one intact finished job and two damaged
-// files quarantines the damage, still re-seeds the cache from the intact
-// result, and reports the quarantine count on its registry.
-func TestBootWithDamagedStore(t *testing.T) {
-	dir := t.TempDir()
-	srv1, err := New(Config{StoreDir: dir})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	srv1.engine = func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-		return stubResult(), nil
-	}
-	srv1.Start()
-	hs1 := httptest.NewServer(srv1.Handler())
-	if resp, data := submit(t, hs1.URL, testPlanBody(0), true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
-	}
-	hs1.Close()
-	srv1.Close()
-
-	// Crash damage: truncate a copy of the good document mid-file and drop a
-	// torn .tmp next to it.
-	good, err := os.ReadFile(filepath.Join(dir, "job-00000001.json"))
-	if err != nil {
-		t.Fatalf("read stored job: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "job-00000002.json"), good[:len(good)/2], 0o644); err != nil {
-		t.Fatalf("write truncated file: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "job-00000003.json.tmp"), []byte("torn"), 0o644); err != nil {
-		t.Fatalf("write torn tmp: %v", err)
-	}
-
-	var searches atomic.Int64
-	srv2, hs2 := newTestServer(t, Config{StoreDir: dir}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-		searches.Add(1)
-		return stubResult(), nil
-	})
-	if v := srv2.Registry().Counter("service.store.quarantined").Value(); v != 2 {
-		t.Errorf("service.store.quarantined = %v, want 2", v)
-	}
-	resp, data := submit(t, hs2.URL, testPlanBody(0), true)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-boot submit: status %d: %s", resp.StatusCode, data)
-	}
-	var hit client.Job
-	if err := json.Unmarshal(data, &hit); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !hit.CacheHit {
-		t.Errorf("intact result did not re-seed the cache after a damaged boot")
-	}
-	if searches.Load() != 0 {
-		t.Errorf("engine ran %d times, want 0 (cache should have served)", searches.Load())
-	}
-}
-
-// TestStoreResume proves the daemon is restart-resumable: a job interrupted
-// before running is re-enqueued and finished by the next daemon, and finished
-// results replayed from the store re-seed the cache.
-func TestStoreResume(t *testing.T) {
-	dir := t.TempDir()
-
-	// Daemon 1: accept a job but never start workers, so it stays pending on
-	// disk — the restart-during-queue scenario.
-	srv1, err := New(Config{StoreDir: dir})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	hs1 := httptest.NewServer(srv1.Handler())
-	resp, data := submit(t, hs1.URL, testPlanBody(0), false)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
-	}
-	var pending client.Job
-	if err := json.Unmarshal(data, &pending); err != nil {
-		t.Fatalf("decode pending job: %v", err)
-	}
-	hs1.Close()
-	srv1.Close()
-
-	// Daemon 2 replays the store: the pending job must be re-enqueued, run,
-	// and become fetchable as done.
-	var searches atomic.Int64
-	srv2, hs2 := newTestServer(t, Config{StoreDir: dir}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-		searches.Add(1)
-		return stubResult(), nil
-	})
-	if v := srv2.Registry().Counter("service.jobs.resumed").Value(); v != 1 {
-		t.Fatalf("service.jobs.resumed = %v, want 1", v)
-	}
-	resp2, err := http.Get(hs2.URL + "/v1/jobs/" + pending.ID + "?wait=1")
-	if err != nil {
-		t.Fatalf("GET resumed job: %v", err)
-	}
-	data2, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("resumed job: status %d: %s", resp2.StatusCode, data2)
-	}
-	var done client.Job
-	if err := json.Unmarshal(data2, &done); err != nil {
-		t.Fatalf("decode resumed job: %v", err)
-	}
-	if done.State != client.StateDone {
-		t.Fatalf("resumed job state = %q, want done", done.State)
-	}
-	if searches.Load() != 1 {
-		t.Fatalf("resumed job ran the engine %d times, want 1", searches.Load())
-	}
-	hs2URL := hs2.URL
-
-	// An identical submit on daemon 2 now hits the cache (no new search).
-	resp3, data3 := submit(t, hs2URL, testPlanBody(0), true)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("post-resume submit: status %d: %s", resp3.StatusCode, data3)
-	}
-	var hit client.Job
-	if err := json.Unmarshal(data3, &hit); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !hit.CacheHit {
-		t.Errorf("post-resume identical submit was not a cache hit")
-	}
-	if searches.Load() != 1 {
-		t.Errorf("post-resume submit ran the engine (total %d searches, want 1)", searches.Load())
-	}
-
-	// Daemon 3 replays a store whose jobs are all terminal: nothing resumes,
-	// but the finished result re-seeds the cache from disk alone.
-	var searches3 atomic.Int64
-	srv3, hs3 := newTestServer(t, Config{StoreDir: dir}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-		searches3.Add(1)
-		return stubResult(), nil
-	})
-	if v := srv3.Registry().Counter("service.jobs.resumed").Value(); v != 0 {
-		t.Fatalf("daemon 3 resumed %v jobs, want 0", v)
-	}
-	resp4, data4 := submit(t, hs3.URL, testPlanBody(0), true)
-	if resp4.StatusCode != http.StatusOK {
-		t.Fatalf("cold-cache submit: status %d: %s", resp4.StatusCode, data4)
-	}
-	var hit3 client.Job
-	if err := json.Unmarshal(data4, &hit3); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !hit3.CacheHit {
-		t.Errorf("replayed store did not re-seed the cache")
-	}
-	if searches3.Load() != 0 {
-		t.Errorf("daemon 3 ran %d searches, want 0", searches3.Load())
-	}
-}
-
-// TestListJobs proves GET /v1/jobs returns submissions oldest first.
+// TestListJobs proves GET /v1/jobs returns submissions oldest first, also
+// once IDs outgrow their eight zero-padded digits, where lexical order
+// breaks (99,999,999 before 100,000,000).
 func TestListJobs(t *testing.T) {
-	_, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-		return stubResult(), nil
-	})
-	for i := 0; i < 3; i++ {
-		resp, data := submit(t, hs.URL, testPlanBody(i), true)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, data)
+	for _, first := range []int{1, 99999998} {
+		srv, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
+			return stubResult(), nil
+		})
+		srv.mu.Lock()
+		srv.nextID = first
+		srv.mu.Unlock()
+		var want []string
+		for i := 0; i < 3; i++ {
+			resp, data := submit(t, hs.URL, testPlanBody(i), true)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, data)
+			}
+			want = append(want, fmt.Sprintf("job-%08d", first+i))
 		}
-	}
-	resp, err := http.Get(hs.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatalf("GET /v1/jobs: %v", err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var jobs []client.Job
-	if err := json.Unmarshal(data, &jobs); err != nil {
-		t.Fatalf("decode list: %v", err)
-	}
-	if len(jobs) != 3 {
-		t.Fatalf("listed %d jobs, want 3", len(jobs))
-	}
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i-1].ID >= jobs[i].ID {
-			t.Errorf("jobs out of order: %q before %q", jobs[i-1].ID, jobs[i].ID)
+		resp, err := http.Get(hs.URL + "/v1/jobs")
+		if err != nil {
+			t.Fatalf("GET /v1/jobs: %v", err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var jobs []client.Job
+		if err := json.Unmarshal(data, &jobs); err != nil {
+			t.Fatalf("decode list: %v", err)
+		}
+		var got []string
+		for _, j := range jobs {
+			got = append(got, j.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("listed %v, want %v", got, want)
 		}
 	}
 }
@@ -1010,16 +931,12 @@ func TestListJobs(t *testing.T) {
 // waited GET still completes, and a shed job leaves no trace.
 func TestFinishedJobsBounded(t *testing.T) {
 	const limit, extra = 4, 6
-	dir := t.TempDir()
 	gated := testPlanBody(1)
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	unpark := func() { releaseOnce.Do(func() { close(release) }) }
-	srv, err := newServer(Config{Workers: 1, QueueDepth: 1, StoreDir: dir}, limit)
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
+	srv := newServer(Config{Workers: 1, QueueDepth: 1}, limit)
 	srv.engine = func(_ context.Context, req client.SubmitRequest) (json.RawMessage, error) {
 		if req.Plan.Run.GlobalBatch == gated.Plan.Run.GlobalBatch {
 			entered <- struct{}{}
@@ -1099,8 +1016,7 @@ func TestFinishedJobsBounded(t *testing.T) {
 		t.Errorf("listed %v, want the in-flight jobs and the newest %d hits %v", got, limit, want)
 	}
 
-	// The evicted jobs answer not_found on the wire and through the client,
-	// while their store files stay on disk.
+	// The evicted jobs answer not_found on the wire and through the client.
 	c, err := client.New(hs.URL, client.WithRetries(0))
 	if err != nil {
 		t.Fatalf("client.New: %v", err)
@@ -1122,20 +1038,14 @@ func TestFinishedJobsBounded(t *testing.T) {
 		if _, err := c.Wait(ctx, id); !errors.Is(err, client.ErrNotFound) {
 			t.Errorf("client.Wait(%s) = %v, want ErrNotFound", id, err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, id+".json")); err != nil {
-			t.Errorf("evicted %s left the store: %v", id, err)
-		}
 	}
 	if v := srv.Registry().Counter("service.jobs.evicted").Value(); v != extra+1 {
 		t.Errorf("service.jobs.evicted = %v, want %d", v, extra+1)
 	}
 
-	// The shed job is nowhere: not fetchable, not on disk, never finished.
+	// The shed job is nowhere: not fetchable, never finished.
 	if _, err := c.Job(ctx, shed); !errors.Is(err, client.ErrNotFound) {
 		t.Errorf("shed job fetchable: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, shed+".json")); !os.IsNotExist(err) {
-		t.Errorf("shed job on disk: %v", err)
 	}
 	srv.mu.Lock()
 	if slices.Contains(srv.finished, shed) {

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -212,54 +210,4 @@ func waitRunning(t *testing.T, srv *Server, n int) {
 		}
 	}
 	t.Fatalf("fewer than %d jobs running after 10s", n)
-}
-
-// TestReplayedResultMatchesEncoder boots a daemon on a store holding a done
-// job whose result is indented and holds raw <, & and U+2028.
-// GET, GET ?wait=1 and a cache-hit submit all answer with the encoder's
-// bytes for that stored result.
-func TestReplayedResultMatchesEncoder(t *testing.T) {
-	dir := t.TempDir()
-	req := testPlanBody(0)
-	key, err := Key(req)
-	if err != nil {
-		t.Fatalf("Key: %v", err)
-	}
-	result := oddResult("stored")
-	// The store escapes what it writes; an encoder that does not leaves the
-	// raw characters in the file, as a hand-edited store would hold them.
-	var data bytes.Buffer
-	enc := json.NewEncoder(&data)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(storedJob{
-		Job:     &client.Job{ID: jobID(7), Kind: client.KindPlan, State: client.StateDone, Key: key, Result: result},
-		Request: req,
-	}); err != nil {
-		t.Fatalf("encode stored job: %v", err)
-	}
-	for _, raw := range []string{"<b>", "&", "\u2028"} {
-		if !bytes.Contains(data.Bytes(), []byte(raw)) {
-			t.Fatalf("stored document lost the raw %q: %s", raw, data.Bytes())
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, jobID(7)+".json"), data.Bytes(), 0o644); err != nil {
-		t.Fatalf("write store: %v", err)
-	}
-	srv, hs := newTestServer(t, Config{StoreDir: dir}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-		t.Error("engine ran for a stored result")
-		return stubResult(), nil
-	})
-	for _, path := range []string{"/v1/jobs/" + jobID(7), "/v1/jobs/" + jobID(7) + "?wait=1"} {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body.Bytes())
-		}
-		checkDoneResponse(t, "GET "+path, rec.Header(), rec.Body.Bytes(), result)
-	}
-	resp, body := submit(t, hs.URL, req, true)
-	if hit := checkDoneResponse(t, "submit", resp.Header, body, result); !hit.CacheHit {
-		t.Errorf("submit of the stored request was not a cache hit")
-	}
 }

@@ -885,42 +885,52 @@ func TestDeadlinePropagation(t *testing.T) {
 	})
 }
 
-// TestListJobs proves GET /v1/jobs returns submissions oldest first, also
-// once IDs outgrow their eight zero-padded digits, where lexical order
-// breaks (99,999,999 before 100,000,000).
+// TestListJobs proves GET /v1/jobs returns submissions oldest first.
 func TestListJobs(t *testing.T) {
-	for _, first := range []int{1, 99999998} {
-		srv, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
-			return stubResult(), nil
-		})
-		srv.mu.Lock()
-		srv.nextID = first
-		srv.mu.Unlock()
-		var want []string
-		for i := 0; i < 3; i++ {
-			resp, data := submit(t, hs.URL, testPlanBody(i), true)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, data)
-			}
-			want = append(want, fmt.Sprintf("job-%08d", first+i))
+	checkListOrder(t, 1)
+}
+
+// TestListJobsOrdersPastEightDigits proves the listing keeps submission
+// order once IDs outgrow their eight zero-padded digits, where lexical
+// order breaks (99,999,999 before 100,000,000).
+func TestListJobsOrdersPastEightDigits(t *testing.T) {
+	checkListOrder(t, 99999998)
+}
+
+// checkListOrder submits three jobs to a server whose next ID is first and
+// checks that GET /v1/jobs lists exactly their IDs in submission order.
+func checkListOrder(t *testing.T, first int) {
+	t.Helper()
+	srv, hs := newTestServer(t, Config{}, func(context.Context, client.SubmitRequest) (json.RawMessage, error) {
+		return stubResult(), nil
+	})
+	srv.mu.Lock()
+	srv.nextID = first
+	srv.mu.Unlock()
+	var want []string
+	for i := 0; i < 3; i++ {
+		resp, data := submit(t, hs.URL, testPlanBody(i), true)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, data)
 		}
-		resp, err := http.Get(hs.URL + "/v1/jobs")
-		if err != nil {
-			t.Fatalf("GET /v1/jobs: %v", err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var jobs []client.Job
-		if err := json.Unmarshal(data, &jobs); err != nil {
-			t.Fatalf("decode list: %v", err)
-		}
-		var got []string
-		for _, j := range jobs {
-			got = append(got, j.ID)
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("listed %v, want %v", got, want)
-		}
+		want = append(want, fmt.Sprintf("job-%08d", first+i))
+	}
+	resp, err := http.Get(hs.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("GET /v1/jobs: %v", err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var jobs []client.Job
+	if err := json.Unmarshal(data, &jobs); err != nil {
+		t.Fatalf("decode list: %v", err)
+	}
+	var got []string
+	for _, j := range jobs {
+		got = append(got, j.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("listed %v, want %v", got, want)
 	}
 }
 

@@ -25,13 +25,13 @@ import (
 // Concurrency comes from the callers, not the engine: each call builds its
 // own engine, so concurrent calls share nothing.
 //
-// The search advances every depth in lockstep waves. A wave runs three
-// serial loops: the step-2 cooldown adjustment of every wave item, then the
-// step-3 master-move evaluations, then a merge that replays the results in
-// wave order to update each depth's incumbent, visited set and next wave.
-// The budget and pruning gates read only merged state at wave boundaries, so
-// the same inputs always explore the same candidates, pick the same plan and
-// count the same work.
+// The search advances every depth in lockstep waves. Within a wave each
+// depth expands its items in order, one serial pass per item: the step-2
+// cooldown adjustment, then the step-3 master moves from the adjusted
+// scheme. A candidate is counted the moment it is simulated, and a new one
+// whose master did not recede joins the depth's next wave. The budget and
+// pruning gates run only between waves, so the same inputs always explore
+// the same candidates, pick the same plan and count the same work.
 
 // Options configures the plan-space search engine. The zero value searches
 // with no candidate budget and no telemetry registry.
@@ -44,51 +44,20 @@ type Options struct {
 	Budget int
 	// Obs, when non-nil, receives search telemetry: per-depth metrics under
 	// "planner.p<depth>.*" (Telemetry.Publish: candidate and accepted-move
-	// counters, gauges for the final iteration time and the seed, adjust and
-	// move phase times, and a convergence histogram) and engine-level metrics
-	// under "planner.engine.*".
+	// counters, gauges for the final iteration time and the depth's own
+	// seed, adjust and move times, and a convergence histogram) and
+	// engine-level metrics under "planner.engine.*". The depths' phase times
+	// are disjoint, so summed over depths they stay within
+	// planner.engine.search_s.
 	Obs *obs.Registry
 }
 
-// scored is the engine's form of a candidate: a partition, its Key (its
-// identity in the depth's candidate map), and the simulator summary the
-// search decides on. The full sim.Result is materialized only for the
-// candidates a PlanResult returns.
+// scored is the engine's form of a candidate: a partition and the simulator
+// summary the search decides on. The full sim.Result is materialized only
+// for the candidates a PlanResult returns.
 type scored struct {
 	part partition.Partition
-	key  string
 	sum  sim.Summary
-}
-
-// worker is the search's reusable simulation scratch: the flat recurrence
-// arrays and the stage-time buffers of the profile it simulates, sized for
-// the deepest possible partition (one stage per block).
-type worker struct {
-	sim  sim.Scratch
-	f, b []float64
-}
-
-func newWorker(bl *model.Blocks) worker {
-	return worker{f: make([]float64, bl.Len()), b: make([]float64, bl.Len())}
-}
-
-// summarize simulates part with m micro-batches on the worker's scratch.
-func (w *worker) summarize(bl *model.Blocks, part partition.Partition, m int) (sim.Summary, error) {
-	f, b := w.f[:part.Stages()], w.b[:part.Stages()]
-	part.StageTimesInto(bl, f, b)
-	return w.sim.Summarize(sim.StageProfile{Fwd: f, Bwd: b, Comm: bl.Comm, Micro: m})
-}
-
-// candidate is one entry of a depth's candidate map: a partition the depth
-// has simulated, under its Key.
-type candidate struct {
-	// key is the map key itself, kept so a hit hands it on without
-	// building a new string.
-	key string
-	sum sim.Summary
-	// recorded is set once the merge has counted the candidate (record);
-	// until then it is only cached.
-	recorded bool
 }
 
 // depthState is one fixed-depth search progressing through global waves.
@@ -99,11 +68,11 @@ type depthState struct {
 	// shared best-so-far bound.
 	lowerBound float64
 
-	// cands holds every partition of this depth the search has simulated.
-	// Partitions of different depths never share a key (their bounds differ
-	// in length) and a depth plans with one micro-batch count, so the key
-	// alone identifies a simulation.
-	cands map[string]candidate
+	// cands holds the summary of every partition of this depth the search
+	// has simulated, under its Key. Partitions of different depths never
+	// share a key (their bounds differ in length) and a depth plans with one
+	// micro-batch count, so the key alone identifies a simulation.
+	cands map[string]sim.Summary
 	tel   Telemetry
 	best  scored
 	seed  scored
@@ -126,25 +95,18 @@ type depthState struct {
 }
 
 func newDepthState(p, dp, m int) *depthState {
-	return &depthState{p: p, dp: dp, m: m, cands: make(map[string]candidate)}
+	return &depthState{p: p, dp: dp, m: m, cands: make(map[string]sim.Summary)}
 }
 
-// record accounts one evaluated candidate in merge order and reports
-// whether it is new to this depth's search.
-func (d *depthState) record(c scored) bool {
-	ent := d.cands[c.key]
-	if ent.recorded {
-		return false
-	}
-	ent.recorded = true
-	d.cands[c.key] = ent
+// record counts a newly simulated candidate: it becomes the incumbent if it
+// beats it, and the convergence curve gains a point.
+func (d *depthState) record(c scored) {
 	d.tel.Candidates++
 	if d.tel.Candidates == 1 || candidateLess(c, d.best) {
 		d.best = c
 		d.tel.Accepted++
 	}
 	d.tel.Convergence = append(d.tel.Convergence, d.best.sum.IterTime)
-	return true
 }
 
 // candidateLess is the deterministic reduction order: strictly better
@@ -167,31 +129,9 @@ func lexLess(a, b []int) bool {
 }
 
 // maxMasterMoves bounds masterMoves' output: two block moves, each with at
-// most one rebalanced variant. The fixed-size arrays in expansion are sized
-// by it so the move loop evaluates into pre-existing slots without
-// allocating.
+// most one rebalanced variant. The engine's move buffer is sized by it so
+// generating an item's moves reuses its slots without allocating.
 const maxMasterMoves = 4
-
-// expansion is one wave item's work: the step-2 adjusted continuation and
-// the evaluated step-3 master moves, held until the merge replays them.
-type expansion struct {
-	d    *depthState
-	item scored
-
-	// adj is the evaluated step-2 adjustment (adjusted is false when it left
-	// the partition unchanged); cur/master are the continuation point for
-	// step 3.
-	adj      scored
-	adjusted bool
-	cur      scored
-	master   int
-	err      error
-
-	moves    []partition.Partition // backed by moveBuf
-	moveBuf  [maxMasterMoves]partition.Partition
-	moveCand [maxMasterMoves]scored
-	moveErr  [maxMasterMoves]error
-}
 
 // engine runs one wave search over one block array. It is not safe for
 // concurrent use; every plan call builds its own.
@@ -202,61 +142,92 @@ type engine struct {
 	// searched depth, filled once per search: every depth's seed and every
 	// master move's prefix re-balance is a backtrack in it.
 	table *partition.Table
-	w     worker
+
+	// sim, f and b are the simulation scratch: the flat recurrence arrays
+	// and the stage-time buffers of the profile being simulated, sized for
+	// the deepest possible partition (one stage per block).
+	sim  sim.Scratch
+	f, b []float64
+	// moves holds the master moves of the item being expanded.
+	moves [maxMasterMoves]partition.Partition
 
 	// hits and misses count candidate-map lookups across all depths.
 	hits, misses int
-
-	// exps is the wave's expansion arena, truncated and refilled every wave
-	// so the search loop reuses its backing instead of reallocating.
-	exps []expansion
 }
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
-	return &engine{opts: opts, bl: bl, w: newWorker(bl)}
+	return &engine{opts: opts, bl: bl, f: make([]float64, bl.Len()), b: make([]float64, bl.Len())}
 }
 
-// eval returns the summary of part at depth d, simulating it only if d has
-// not before. The lookup key is built on the stack; only a miss allocates
-// its string.
-func (e *engine) eval(d *depthState, part partition.Partition) (scored, error) {
+// eval returns the summary of part at depth d and whether part is new to
+// d's search. A new partition is simulated and counted (record) at once; a
+// known one is a hit on d's candidate map. The lookup key is built on the
+// stack; only a miss allocates its string.
+func (e *engine) eval(d *depthState, part partition.Partition) (scored, bool, error) {
 	var buf [64]byte
 	k := part.AppendKey(buf[:0])
-	if ent, ok := d.cands[string(k)]; ok {
+	if sum, ok := d.cands[string(k)]; ok {
 		e.hits++
-		return scored{part: part, key: ent.key, sum: ent.sum}, nil
+		return scored{part: part, sum: sum}, false, nil
 	}
 	e.misses++
-	sum, err := e.w.summarize(e.bl, part, d.m)
+	f, b := e.f[:part.Stages()], e.b[:part.Stages()]
+	part.StageTimesInto(e.bl, f, b)
+	sum, err := e.sim.Summarize(sim.StageProfile{Fwd: f, Bwd: b, Comm: e.bl.Comm, Micro: d.m})
 	if err != nil {
-		return scored{part: part}, err
+		return scored{part: part}, false, err
 	}
-	key := string(k)
-	d.cands[key] = candidate{key: key, sum: sum}
-	return scored{part: part, key: key, sum: sum}, nil
+	d.cands[string(k)] = sum
+	c := scored{part: part, sum: sum}
+	d.record(c)
+	return c, true, nil
 }
 
-// adjust runs the step-2 cooldown adjustment for one wave item (paper
-// Eq. (1)): evaluate the adjusted suffix and continue from it — if its
-// master stage moved, step 3 starts from the new master.
-func (e *engine) adjust(x *expansion) {
-	cur := x.item
-	x.cur, x.master = cur, cur.sum.Master
-	if adj, changed := adjustAfterMaster(e.bl, cur.part, x.master); changed {
-		c, err := e.eval(x.d, adj)
+// expand refines one wave item of depth d: the step-2 cooldown adjustment
+// (paper Eq. (1)) — if the adjusted scheme's master stage moved, step 3
+// starts from the new master — then the step-3 master moves. It checks ctx
+// before every evaluation and returns its error at the first check that
+// finds it cancelled; a simulation error becomes d.err. The two steps' wall
+// time is charged to d's AdjustTime and MoveTime.
+func (e *engine) expand(ctx context.Context, d *depthState, item scored) error {
+	sw := obs.NewStopwatch()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	cur, master := item, item.sum.Master
+	if adj, changed := adjustAfterMaster(e.bl, cur.part, master); changed {
+		c, _, err := e.eval(d, adj)
 		if err != nil {
-			x.err = err
-			return
+			d.err = err
+			return nil
 		}
-		x.adj, x.adjusted = c, true
-		x.cur, x.master = c, c.sum.Master
+		cur, master = c, c.sum.Master
 	}
-	// Step 3 cannot move a master already at stage 0; generate the move
-	// candidates here (cheap and pure) so the move loop is a flat
-	// evaluation list.
-	if x.master > 0 {
-		x.moves = masterMoves(e.table, x.cur.part, x.master, x.moveBuf[:0])
+	adjusted := sw.Elapsed()
+	d.tel.AdjustTime += adjusted
+	defer func() { d.tel.MoveTime += sw.Elapsed() - adjusted }()
+
+	// Step 3 cannot move a master already at stage 0.
+	if master == 0 {
+		return nil
 	}
+	for _, mv := range masterMoves(e.table, cur.part, master, e.moves[:0]) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		c, fresh, err := e.eval(d, mv)
+		if err != nil {
+			d.err = err
+			return nil
+		}
+		// Only schemes whose master moved forward (<= the current master)
+		// are refined further; a receding master means the move made
+		// things worse.
+		if fresh && c.sum.Master <= master {
+			d.next = append(d.next, c)
+		}
+	}
+	return nil
 }
 
 // run advances every depth in ds through synchronized waves until all are
@@ -275,11 +246,11 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 	}
 
 	// Seed wave: fill Algorithm 1's table once for the deepest depth, then
-	// evaluate every depth's seed. Wall-clock telemetry goes through
+	// backtrack and evaluate every depth's seed. The table fill is shared,
+	// so no depth's SeedTime includes it. Wall-clock telemetry goes through
 	// obs.Stopwatch — never time.Now — so the simclock invariant
 	// (deterministic packages read no clock that can influence a decision)
 	// stays machine-checkable.
-	seedSW := obs.NewStopwatch()
 	maxP := 0
 	for _, d := range ds {
 		maxP = max(maxP, d.p)
@@ -293,30 +264,25 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		part, err := e.table.Partition(e.bl.Len(), d.p)
-		if err != nil {
+		sw := obs.NewStopwatch()
+		if part, err := e.table.Partition(e.bl.Len(), d.p); err != nil {
 			d.err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
-			continue
-		}
-		d.seed, d.err = e.eval(d, part)
-	}
-	seedDur := seedSW.Elapsed()
-	for _, d := range ds {
-		d.tel.SeedTime = seedDur
-		if d.err != nil {
-			d.done = true
-			continue
-		}
-		d.record(d.seed)
-		if d.p == 1 {
-			finish(d)
 		} else {
+			d.seed, _, d.err = e.eval(d, part)
+		}
+		d.tel.SeedTime = sw.Elapsed()
+		switch {
+		case d.err != nil:
+			d.done = true
+		case d.p == 1:
+			finish(d)
+		default:
 			d.wave = append(d.wave[:0], d.seed)
 		}
 	}
 
 	for {
-		// Budget and pruning gates, on merged state only.
+		// Budget and pruning gates, between waves only.
 		if e.opts.Budget > 0 {
 			total := 0
 			for _, d := range ds {
@@ -339,81 +305,20 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 				}
 			}
 		}
-		e.exps = e.exps[:0]
+		active := false
 		for _, d := range ds {
 			if d.done {
 				continue
 			}
+			active = true
 			for _, item := range d.wave {
-				e.exps = append(e.exps, expansion{d: d, item: item})
-			}
-		}
-		if len(e.exps) == 0 {
-			return nil
-		}
-
-		// Step 2: the cooldown adjustment of every wave item.
-		adjustSW := obs.NewStopwatch()
-		for xi := range e.exps {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.adjust(&e.exps[xi])
-		}
-		adjustDur := adjustSW.Elapsed()
-
-		// Step 3: every master-move candidate of every adjusted item.
-		moveSW := obs.NewStopwatch()
-		for xi := range e.exps {
-			x := &e.exps[xi]
-			if x.err != nil {
-				continue
-			}
-			for j, mv := range x.moves {
-				if err := ctx.Err(); err != nil {
+				if err := e.expand(ctx, d, item); err != nil {
 					return err
 				}
-				x.moveCand[j], x.moveErr[j] = e.eval(x.d, mv)
-			}
-		}
-		moveDur := moveSW.Elapsed()
-
-		// Merge: replay every expansion in wave order.
-		for xi := range e.exps {
-			x := &e.exps[xi]
-			d := x.d
-			if d.err != nil {
-				continue
-			}
-			if x.err != nil {
-				d.err = x.err
-				continue
-			}
-			if x.adjusted {
-				d.record(x.adj)
-			}
-			if x.master == 0 {
-				continue
-			}
-			for j, c := range x.moveCand[:len(x.moves)] {
-				if x.moveErr[j] != nil {
-					d.err = x.moveErr[j]
+				if d.err != nil {
 					break
 				}
-				// Only schemes whose master moved forward (<= the current
-				// master) are refined further; a receding master means the
-				// move made things worse.
-				if fresh := d.record(c); fresh && c.sum.Master <= x.master {
-					d.next = append(d.next, c)
-				}
 			}
-		}
-		for _, d := range ds {
-			if d.done {
-				continue
-			}
-			d.tel.AdjustTime += adjustDur
-			d.tel.MoveTime += moveDur
 			if d.err != nil {
 				d.done = true
 				continue
@@ -424,6 +329,9 @@ func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthSta
 			if len(d.wave) == 0 {
 				finish(d)
 			}
+		}
+		if !active {
+			return nil
 		}
 	}
 }

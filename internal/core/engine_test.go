@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -105,33 +106,95 @@ func TestPlanClusterConcurrentCalls(t *testing.T) {
 // TestPlanDepthOptsDeterministicTelemetry pins down that not only the best
 // partition but the entire search trajectory (candidate counts, convergence
 // curve, cache hits and misses) is the recorded one, on two back-to-back
-// runs.
+// runs. In the first case the seed is never beaten; in the second the search
+// improves on it four times, once by a single ulp, so the curve shows the
+// order in which candidates were counted.
 func TestPlanDepthOptsDeterministicTelemetry(t *testing.T) {
-	bl := buildSub(t, config.GPT2_762M(), 4)
-	const seedIter = 6.982762342196323 // the seed is never beaten here
-	wantConv := make([]float64, 30)
-	for i := range wantConv {
-		wantConv[i] = seedIter
+	// step is one accepted improvement: from evaluation at on, the best
+	// iteration time is iter.
+	type step struct {
+		at   int
+		iter float64
 	}
-	wantBest := []int{0, 20, 39, 58, 74}
-	wantWork := workCounts{31, 30, 0}
-	for i := 0; i < 2; i++ {
-		reg := obs.NewRegistry()
-		res, err := PlanDepthOpts(context.Background(), bl, 4, 16, Options{Obs: reg})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+	for _, tc := range []struct {
+		name     string
+		mc       config.Model
+		p, m     int
+		best     []int
+		accepted int
+		steps    []step
+		n        int // candidates, the curve's length
+		work     workCounts
+	}{
+		{"GPT-2 762M p4 m16", config.GPT2_762M(), 4, 16, []int{0, 20, 39, 58, 74}, 1,
+			[]step{{0, 6.982762342196323}}, 30, workCounts{31, 30, 0}},
+		{"GPT-2 345M p4 m4", config.GPT2_345M(), 4, 4, []int{0, 17, 30, 41, 50}, 5,
+			[]step{{0, 1.320279931836711}, {3, 1.3202799318367109}, {5, 1.3051767501364913},
+				{19, 1.3014712338219034}, {24, 1.2969254636768484}}, 63, workCounts{69, 63, 0}},
+	} {
+		wantConv := make([]float64, tc.n)
+		for i, s := range tc.steps {
+			end := tc.n
+			if i+1 < len(tc.steps) {
+				end = tc.steps[i+1].at
+			}
+			for j := s.at; j < end; j++ {
+				wantConv[j] = s.iter
+			}
 		}
-		if !reflect.DeepEqual(res.Best.Partition.Bounds, wantBest) {
-			t.Errorf("run %d: best partition %v, want %v", i, res.Best.Partition.Bounds, wantBest)
+		bl := buildSub(t, tc.mc, 4)
+		for i := 0; i < 2; i++ {
+			reg := obs.NewRegistry()
+			res, err := PlanDepthOpts(context.Background(), bl, tc.p, tc.m, Options{Obs: reg})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", tc.name, i, err)
+			}
+			if !reflect.DeepEqual(res.Best.Partition.Bounds, tc.best) {
+				t.Errorf("%s run %d: best partition %v, want %v", tc.name, i, res.Best.Partition.Bounds, tc.best)
+			}
+			if res.Telemetry.Candidates != tc.n || res.Telemetry.Accepted != tc.accepted {
+				t.Errorf("%s run %d: telemetry (%d, %d), want (%d, %d)", tc.name, i,
+					res.Telemetry.Candidates, res.Telemetry.Accepted, tc.n, tc.accepted)
+			}
+			if !reflect.DeepEqual(res.Telemetry.Convergence, wantConv) {
+				t.Errorf("%s run %d: convergence curve %v, want %v", tc.name, i, res.Telemetry.Convergence, wantConv)
+			}
+			if work := readWorkCounts(reg); work != tc.work {
+				t.Errorf("%s run %d: work counts (hits, misses, pruned) %v, want %v", tc.name, i, work, tc.work)
+			}
 		}
-		if res.Telemetry.Candidates != 30 || res.Telemetry.Accepted != 1 {
-			t.Errorf("run %d: telemetry (%d, %d), want (30, 1)", i, res.Telemetry.Candidates, res.Telemetry.Accepted)
-		}
-		if !reflect.DeepEqual(res.Telemetry.Convergence, wantConv) {
-			t.Errorf("run %d: convergence curve %v, want %v", i, res.Telemetry.Convergence, wantConv)
-		}
-		if work := readWorkCounts(reg); work != wantWork {
-			t.Errorf("run %d: work counts (hits, misses, pruned) %v, want %v", i, work, wantWork)
+	}
+}
+
+// TestPhaseTimesWithinSearchTime checks that the per-depth phase times
+// partition the search rather than overlap: summed over every depth, the
+// seed, adjust and move gauges must not exceed planner.engine.search_s, the
+// wall-clock time of the whole call.
+func TestPhaseTimesWithinSearchTime(t *testing.T) {
+	cluster := config.DefaultCluster()
+	for _, gbs := range []int{128, 512} {
+		run := config.Run{MicroBatch: 4, GlobalBatch: gbs, Checkpoint: true}
+		for _, mc := range config.Zoo() {
+			reg := obs.NewRegistry()
+			spec, _, err := PlanClusterOpts(context.Background(), mc, run, cluster, Options{Obs: reg})
+			if err != nil {
+				t.Fatalf("%s gbs %d: %v", mc.Name, gbs, err)
+			}
+			gauges := reg.Snapshot().Gauges
+			phases := 0.0
+			for p := 1; p <= cluster.NumGPUs; p++ {
+				for _, phase := range []string{"seed_s", "adjust_s", "move_s"} {
+					phases += gauges[fmt.Sprintf("planner.p%d.%s", p, phase)]
+				}
+			}
+			search := gauges["planner.engine.search_s"]
+			if search != spec.SearchTime.Seconds() {
+				t.Fatalf("%s gbs %d: search_s %g, want SearchTime %g", mc.Name, gbs, search, spec.SearchTime.Seconds())
+			}
+			if phases > search {
+				t.Errorf("%s gbs %d: per-depth phase times sum to %.3g s, %.2f× the %.3g s search",
+					mc.Name, gbs, phases, phases/search, search)
+			}
 		}
 	}
 }
@@ -341,7 +404,8 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 }
 
 // TestSimCacheDedup checks the depth's candidate map: repeated evaluations
-// of the same partition simulate once and return the same summary.
+// of the same partition simulate and count it once, report it new only the
+// first time, and return the same summary.
 func TestSimCacheDedup(t *testing.T) {
 	bl := buildSub(t, config.GPT2_345M(), 4)
 	e := newEngine(bl, Options{})
@@ -350,21 +414,27 @@ func TestSimCacheDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.eval(d, part)
+	first, fresh, err := e.eval(d, part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.sum.IterTime <= 0 {
-		t.Fatalf("cached summary %+v, want a positive iteration time", first.sum)
+	if first.sum.IterTime <= 0 || !fresh {
+		t.Fatalf("first evaluation (%+v, new %v), want a positive iteration time and new", first.sum, fresh)
 	}
 	for i := 1; i < 16; i++ {
-		c, err := e.eval(d, part)
+		c, fresh, err := e.eval(d, part)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.sum != first.sum {
 			t.Fatal("cache returned distinct results for the same key")
 		}
+		if fresh {
+			t.Fatalf("evaluation %d reported a cached partition as new", i+1)
+		}
+	}
+	if d.tel.Candidates != 1 {
+		t.Errorf("candidates = %d, want 1 (counted once)", d.tel.Candidates)
 	}
 	if e.misses != 1 {
 		t.Errorf("misses = %d, want 1 (single computation)", e.misses)

@@ -35,9 +35,11 @@ type Telemetry struct {
 	Convergence []float64
 	// Final is the best predicted iteration time in seconds.
 	Final float64
-	// SeedTime covers the Algorithm 1 dynamic-programming seed (including
-	// its simulation); AdjustTime the step-2 suffix redistribution;
-	// MoveTime the step-3 master-move generation and evaluation.
+	// SeedTime covers this depth's Algorithm 1 seed: its backtrack in the
+	// search's shared dynamic-programming table and its simulation, not the
+	// table fill itself. AdjustTime covers the step-2 suffix redistribution
+	// of this depth's wave items, MoveTime their step-3 master-move
+	// generation and evaluation.
 	SeedTime   time.Duration
 	AdjustTime time.Duration
 	MoveTime   time.Duration

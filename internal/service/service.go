@@ -221,16 +221,31 @@ func (s *Server) Start() {
 	}
 }
 
-// Close stops accepting jobs, cancels in-flight engine runs, and waits for
-// the workers. A job whose search Close interrupts fails with
-// client.ErrUnavailable, so its waiters get a retryable 503 instead of
-// blocking.
+// Close stops accepting jobs, cancels in-flight engine runs, waits for the
+// workers, and drains the queue. A job whose search Close interrupts, or
+// that was still queued, fails with client.ErrUnavailable, so its waiters
+// get a retryable 503 instead of blocking.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
+	s.drain()
+}
+
+// drain fails every job in the queue with client.ErrUnavailable. Close calls
+// it once the workers are gone, and enqueue calls it for a job that arrived
+// after Close began.
+func (s *Server) drain() {
+	for {
+		select {
+		case j := <-s.queue:
+			s.failJob(j, fmt.Errorf("service: shut down before the job ran: %w", client.ErrUnavailable))
+		default:
+			return
+		}
+	}
 }
 
 // Registry exposes the server's obs registry, for in-process callers that
@@ -377,22 +392,27 @@ func malformedSubmit(err error) error {
 func (s *Server) enqueue(ctx context.Context, j *job) bool {
 	select {
 	case s.queue <- j:
-		return true
 	default:
+		if s.cfg.QueueWait <= 0 {
+			return false
+		}
+		timer := time.NewTimer(s.cfg.QueueWait)
+		defer timer.Stop()
+		select {
+		case s.queue <- j:
+		case <-timer.C:
+			return false
+		case <-ctx.Done():
+			return false
+		}
 	}
-	if s.cfg.QueueWait <= 0 {
-		return false
+	if s.ctx.Err() != nil {
+		// Close began after the submit passed its closed check, and its
+		// drain may have run before j arrived: no worker is left to run j,
+		// so fail it retryably here.
+		s.drain()
 	}
-	timer := time.NewTimer(s.cfg.QueueWait)
-	defer timer.Stop()
-	select {
-	case s.queue <- j:
-		return true
-	case <-timer.C:
-		return false
-	case <-ctx.Done():
-		return false
-	}
+	return true
 }
 
 // respondJob writes the job document. With ?wait=1 it first blocks for a
@@ -550,9 +570,14 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// finish moves a job to done with the given result document.
+// finish moves a job to done with the given result document. A job turns
+// terminal once: finish and failJob leave a terminal job as it is.
 func (s *Server) finish(j *job, val json.RawMessage, cacheHit, shared bool) {
 	j.mu.Lock()
+	if j.wire.Terminal() {
+		j.mu.Unlock()
+		return
+	}
 	j.wire.State = client.StateDone
 	j.wire.Result = val
 	j.wire.CacheHit = cacheHit
@@ -568,6 +593,10 @@ func (s *Server) finish(j *job, val json.RawMessage, cacheHit, shared bool) {
 func (s *Server) failJob(j *job, err error) {
 	wireErr, _ := client.Encode(err)
 	j.mu.Lock()
+	if j.wire.Terminal() {
+		j.mu.Unlock()
+		return
+	}
 	j.wire.State = client.StateFailed
 	j.wire.Error = wireErr
 	id := j.wire.ID

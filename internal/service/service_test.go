@@ -506,6 +506,116 @@ func TestCloseReleasesInterruptedWaiter(t *testing.T) {
 	}
 }
 
+// TestCloseFailsQueuedJobs proves Close answers every job still in the
+// queue, not only the one whose search it interrupts: one worker is held in
+// the engine, eight distinct jobs wait in the queue with a ?wait=1 waiter
+// each, and every waiter must hear 503 unavailable within 2 s of Close.
+func TestCloseFailsQueuedJobs(t *testing.T) {
+	entered := make(chan struct{}, 16)
+	srv, hs := newTestServer(t, Config{Workers: 1}, func(ctx context.Context, _ client.SubmitRequest) (json.RawMessage, error) {
+		entered <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	type answer struct {
+		status int
+		data   []byte
+		err    error
+	}
+	const queued = 8
+	answers := make(chan answer, queued+1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wait := func(seed int) {
+		body, err := json.Marshal(testPlanBody(seed))
+		if err != nil {
+			answers <- answer{err: err}
+			return
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/jobs?wait=1", bytes.NewReader(body))
+		if err != nil {
+			answers <- answer{err: err}
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			answers <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		answers <- answer{resp.StatusCode, data, err}
+	}
+	go wait(0)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first job never reached the engine")
+	}
+	for i := 1; i <= queued; i++ {
+		go wait(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(srv.queue) < queued; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs queued", len(srv.queue), queued)
+		}
+	}
+	srv.Close()
+	timeout := time.After(2 * time.Second)
+	for i := 0; i <= queued; i++ {
+		select {
+		case a := <-answers:
+			if a.err != nil {
+				t.Fatalf("waiter: %v", a.err)
+			}
+			if a.status != http.StatusServiceUnavailable {
+				t.Fatalf("waiter status %d, want 503: %s", a.status, a.data)
+			}
+			if we := decodeWireError(t, a.data); we.Code != client.CodeUnavailable {
+				t.Errorf("code = %q, want %q", we.Code, client.CodeUnavailable)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d waiters answered within 2 s of Close", i, queued+1)
+		}
+	}
+}
+
+// TestEnqueueAfterCloseFailsJob covers a submit that passed the closed
+// check before Close and enqueues after Close's drain: its job must fail
+// 503 unavailable at once rather than wait in a queue no worker reads.
+func TestEnqueueAfterCloseFailsJob(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1}, nil)
+	srv.Close()
+	j := &job{wire: client.Job{ID: "job-00000001", State: client.StatePending}, done: make(chan struct{})}
+	if !srv.enqueue(context.Background(), j) {
+		t.Fatal("enqueue refused a job with the queue empty")
+	}
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("a job enqueued after Close is still pending")
+	}
+	if snap := j.snapshot(); snap.State != client.StateFailed || snap.Error == nil || snap.Error.Code != client.CodeUnavailable {
+		t.Errorf("job after Close: state %s, error %v; want failed with %q", snap.State, snap.Error, client.CodeUnavailable)
+	}
+}
+
+// TestJobTerminalOnce checks that a job turns terminal once: a second
+// finish or failJob leaves the first outcome and does not close done again.
+func TestJobTerminalOnce(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1}, nil)
+	j := &job{wire: client.Job{ID: "job-00000001", State: client.StatePending}, done: make(chan struct{})}
+	srv.failJob(j, fmt.Errorf("service: shut down before the job ran: %w", client.ErrUnavailable))
+	srv.finish(j, stubResult(), false, false)
+	srv.failJob(j, fmt.Errorf("second failure: %w", errdefs.ErrInternal))
+	if snap := j.snapshot(); snap.State != client.StateFailed || snap.Error == nil || snap.Error.Code != client.CodeUnavailable || snap.Result != nil {
+		t.Errorf("job after three outcomes: %+v, want the first (failed, %q)", snap, client.CodeUnavailable)
+	}
+	if n := srv.reg.Snapshot().Counters["service.jobs.failed"]; n != 1 {
+		t.Errorf("service.jobs.failed = %g, want 1", n)
+	}
+}
+
 // submitWithDeadline posts a job with the client deadline header set.
 func submitWithDeadline(t *testing.T, base string, req client.SubmitRequest, deadlineMs string, wait bool) (*http.Response, []byte) {
 	t.Helper()

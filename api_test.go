@@ -114,10 +114,11 @@ func TestPlannerAPIFlow(t *testing.T) {
 
 // recordedSpecs are the plans of the pooled engine the serial search
 // replaced, recorded for every zoo model on the default 16-GPU cluster at
-// mbs 8, gbs 512 (SearchTime zeroed).
+// mbs 8, gbs 512 (SearchTime zeroed), with the candidate counts of the
+// depth-at-a-time search, which prunes before a depth's seed.
 var recordedSpecs = map[string]autopipe.Spec{
 	"GPT-2 345M": {Planner: "AutoPipe", Partition: autopipe.Partition{Bounds: []int{0, 50}}, StageDevices: []int{16},
-		Evaluated: 23, Accepted: 6, Predicted: 6.265754126186402, SliceConverged: true},
+		Evaluated: 22, Accepted: 5, Predicted: 6.265754126186402, SliceConverged: true},
 	"GPT-2 762M": {Planner: "AutoPipe", Partition: autopipe.Partition{Bounds: []int{0, 39, 74}}, StageDevices: []int{8, 8},
 		NumSliced: 1, Evaluated: 62, Accepted: 7, Predicted: 13.4518830771392, SliceRounds: 1, SliceConverged: true},
 	"GPT-2 1.3B": {Planner: "AutoPipe", Partition: autopipe.Partition{Bounds: []int{0, 27, 50}}, StageDevices: []int{8, 8},

@@ -18,37 +18,38 @@ import (
 )
 
 // This file implements the plan-space search engine behind the Planner API.
-// One call searches every pipeline depth of a plan serially, with one
-// candidate map per depth — every partition that depth has simulated, so
-// none is simulated twice — and a shared best-so-far bound for cross-depth
-// pruning.
+// One call searches the pipeline depths serially, shallowest first, each to
+// completion before the next starts, with one candidate map per depth —
+// every partition that depth has simulated, so none is simulated twice.
 // Concurrency comes from the callers, not the engine: each call builds its
 // own engine, so concurrent calls share nothing.
 //
-// The search advances every depth in lockstep waves. Within a wave each
-// depth expands its items in order, one serial pass per item: the step-2
-// cooldown adjustment, then the step-3 master moves from the adjusted
+// A depth starts from its Algorithm 1 seed and refines it in waves. Within a
+// wave the depth expands its items in order, one serial pass per item: the
+// step-2 cooldown adjustment, then the step-3 master moves from the adjusted
 // scheme. A candidate is counted the moment it is simulated, and a new one
-// whose master did not recede joins the depth's next wave. The budget and
-// pruning gates run only between waves, so the same inputs always explore
-// the same candidates, pick the same plan and count the same work.
+// whose master did not recede joins the next wave. The budget gate runs only
+// between waves, so the same inputs always explore the same candidates, pick
+// the same plan and count the same work.
 
 // Options configures the plan-space search engine. The zero value searches
 // with no candidate budget and no telemetry registry.
 type Options struct {
 	// Budget caps the number of distinct candidate partitions the engine
-	// simulates across the whole search (0 = unlimited). It is checked at
-	// wave boundaries — the wave in flight completes, so the cap can be
-	// overshot by one wave — and the truncated search still returns the best
+	// simulates across the whole search (0 = unlimited). It is checked
+	// between the waves of the depth in flight — the wave completes, so the
+	// cap can be overshot by one wave — and every depth the search reaches
+	// still evaluates its seed, so a multi-depth search spends its budget on
+	// the shallow depths first. The truncated search still returns the best
 	// plan found, deterministically.
 	Budget int
 	// Obs, when non-nil, receives search telemetry: per-depth metrics under
-	// "planner.p<depth>.*" (Telemetry.Publish: candidate and accepted-move
-	// counters, gauges for the final iteration time and the depth's own
-	// seed, adjust and move times, and a convergence histogram) and
-	// engine-level metrics under "planner.engine.*". The depths' phase times
-	// are disjoint, so summed over depths they stay within
-	// planner.engine.search_s.
+	// "planner.p<depth>.*" for every searched depth (Telemetry.Publish:
+	// candidate and accepted-move counters, gauges for the final iteration
+	// time and the depth's own seed, adjust and move times, and a
+	// convergence histogram) and engine-level metrics under
+	// "planner.engine.*". The depths' phase times are disjoint, so summed
+	// over depths they stay within planner.engine.search_s.
 	Obs *obs.Registry
 }
 
@@ -60,13 +61,9 @@ type scored struct {
 	sum  sim.Summary
 }
 
-// depthState is one fixed-depth search progressing through global waves.
+// depthState is the search of one pipeline depth.
 type depthState struct {
 	p, dp, m int
-	// lowerBound is a sound lower bound on the score of any plan this depth
-	// can produce; the cross-depth pruning rule compares it against the
-	// shared best-so-far bound.
-	lowerBound float64
 
 	// cands holds the summary of every partition of this depth the search
 	// has simulated, under its Key. Partitions of different depths never
@@ -76,22 +73,9 @@ type depthState struct {
 	tel   Telemetry
 	best  scored
 	seed  scored
-	wave  []scored
-	next  []scored
-
-	done bool
-	// pruned marks a depth abandoned because lowerBound proved it cannot
-	// beat an already-completed depth; its partial telemetry is kept but it
-	// is excluded from the final reduction.
-	pruned bool
-	// truncated marks a depth stopped by the search budget; its best-so-far
-	// still competes in the reduction.
-	truncated bool
-	err       error
-
-	// Completion outputs (valid once done && err == nil && !pruned).
-	feasible bool
-	score    float64
+	// score is the plan score of a memory-feasible depth: best's simulated
+	// iteration time plus the slowest stage's gradient all-reduce.
+	score float64
 }
 
 func newDepthState(p, dp, m int) *depthState {
@@ -133,14 +117,14 @@ func lexLess(a, b []int) bool {
 // generating an item's moves reuses its slots without allocating.
 const maxMasterMoves = 4
 
-// engine runs one wave search over one block array. It is not safe for
+// engine runs the wave search over one block array. It is not safe for
 // concurrent use; every plan call builds its own.
 type engine struct {
 	opts Options
 	bl   *model.Blocks
 	// table is Algorithm 1's program over the block weights for the deepest
-	// searched depth, filled once per search: every depth's seed and every
-	// master move's prefix re-balance is a backtrack in it.
+	// searched depth (fillTable): every depth's seed and every master move's
+	// prefix re-balance is a backtrack in it.
 	table *partition.Table
 
 	// sim, f and b are the simulation scratch: the flat recurrence arrays
@@ -150,6 +134,9 @@ type engine struct {
 	f, b []float64
 	// moves holds the master moves of the item being expanded.
 	moves [maxMasterMoves]partition.Partition
+	// wave holds the current wave of the depth being searched; next
+	// collects the new candidates of its following wave.
+	wave, next []scored
 
 	// hits and misses count candidate-map lookups across all depths.
 	hits, misses int
@@ -157,6 +144,17 @@ type engine struct {
 
 func newEngine(bl *model.Blocks, opts Options) *engine {
 	return &engine{opts: opts, bl: bl, f: make([]float64, bl.Len()), b: make([]float64, bl.Len())}
+}
+
+// fillTable fills Algorithm 1's table for depths up to maxP, once per
+// search.
+func (e *engine) fillTable(maxP int) error {
+	table, err := partition.NewTable(e.bl.Weights(), maxP)
+	if err != nil {
+		return fmt.Errorf("core: seeding: %w", err)
+	}
+	e.table = table
+	return nil
 }
 
 // eval returns the summary of part at depth d and whether part is new to
@@ -187,8 +185,8 @@ func (e *engine) eval(d *depthState, part partition.Partition) (scored, bool, er
 // (paper Eq. (1)) — if the adjusted scheme's master stage moved, step 3
 // starts from the new master — then the step-3 master moves. It checks ctx
 // before every evaluation and returns its error at the first check that
-// finds it cancelled; a simulation error becomes d.err. The two steps' wall
-// time is charged to d's AdjustTime and MoveTime.
+// finds it cancelled. The two steps' wall time is charged to d's AdjustTime
+// and MoveTime.
 func (e *engine) expand(ctx context.Context, d *depthState, item scored) error {
 	sw := obs.NewStopwatch()
 	if err := ctx.Err(); err != nil {
@@ -198,8 +196,7 @@ func (e *engine) expand(ctx context.Context, d *depthState, item scored) error {
 	if adj, changed := adjustAfterMaster(e.bl, cur.part, master); changed {
 		c, _, err := e.eval(d, adj)
 		if err != nil {
-			d.err = err
-			return nil
+			return err
 		}
 		cur, master = c, c.sum.Master
 	}
@@ -217,136 +214,67 @@ func (e *engine) expand(ctx context.Context, d *depthState, item scored) error {
 		}
 		c, fresh, err := e.eval(d, mv)
 		if err != nil {
-			d.err = err
-			return nil
+			return err
 		}
 		// Only schemes whose master moved forward (<= the current master)
 		// are refined further; a receding master means the move made
 		// things worse.
 		if fresh && c.sum.Master <= master {
-			d.next = append(d.next, c)
+			e.next = append(e.next, c)
 		}
 	}
 	return nil
 }
 
-// run advances every depth in ds through synchronized waves until all are
-// done. It checks ctx before every seed, adjustment and move evaluation and
-// returns its error at the first check that finds it cancelled. prune (may
-// be nil) is consulted at wave boundaries to abandon depths that provably
-// cannot win; onComplete (may be nil) fires in depth order when a depth
-// finishes searching, and typically updates the shared bound prune reads.
-func (e *engine) run(ctx context.Context, ds []*depthState, prune func(*depthState) bool, onComplete func(*depthState)) error {
-	finish := func(d *depthState) {
-		d.done = true
-		d.tel.Final = d.best.sum.IterTime
-		if onComplete != nil {
-			onComplete(d)
-		}
+// search runs depth d to completion: its Algorithm 1 seed, a backtrack in
+// the engine's table, then waves of expand until no move is left or the
+// budget is spent. It checks ctx before every evaluation and returns its
+// error at the first check that finds it cancelled. Wall-clock telemetry
+// goes through obs.Stopwatch — never time.Now — so the simclock invariant
+// (deterministic packages read no clock that can influence a decision)
+// stays machine-checkable.
+func (e *engine) search(ctx context.Context, d *depthState) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-
-	// Seed wave: fill Algorithm 1's table once for the deepest depth, then
-	// backtrack and evaluate every depth's seed. The table fill is shared,
-	// so no depth's SeedTime includes it. Wall-clock telemetry goes through
-	// obs.Stopwatch — never time.Now — so the simclock invariant
-	// (deterministic packages read no clock that can influence a decision)
-	// stays machine-checkable.
-	maxP := 0
-	for _, d := range ds {
-		maxP = max(maxP, d.p)
-	}
-	table, err := partition.NewTable(e.bl.Weights(), maxP)
+	sw := obs.NewStopwatch()
+	part, err := e.table.Partition(e.bl.Len(), d.p)
 	if err != nil {
-		return fmt.Errorf("core: seeding: %w", err)
+		return fmt.Errorf("core: seeding depth %d: %w", d.p, err)
 	}
-	e.table = table
-	for _, d := range ds {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sw := obs.NewStopwatch()
-		if part, err := e.table.Partition(e.bl.Len(), d.p); err != nil {
-			d.err = fmt.Errorf("core: seeding depth %d: %w", d.p, err)
-		} else {
-			d.seed, _, d.err = e.eval(d, part)
-		}
-		d.tel.SeedTime = sw.Elapsed()
-		switch {
-		case d.err != nil:
-			d.done = true
-		case d.p == 1:
-			finish(d)
-		default:
-			d.wave = append(d.wave[:0], d.seed)
-		}
+	if d.seed, _, err = e.eval(d, part); err != nil {
+		return err
 	}
+	d.tel.SeedTime = sw.Elapsed()
 
-	for {
-		// Budget and pruning gates, between waves only.
-		if e.opts.Budget > 0 {
-			total := 0
-			for _, d := range ds {
-				total += d.tel.Candidates
-			}
-			if total >= e.opts.Budget {
-				for _, d := range ds {
-					if !d.done {
-						d.truncated = true
-						finish(d)
-					}
-				}
-			}
-		}
-		if prune != nil {
-			for _, d := range ds {
-				if !d.done && prune(d) {
-					d.pruned = true
-					d.done = true
-				}
-			}
-		}
-		active := false
-		for _, d := range ds {
-			if d.done {
-				continue
-			}
-			active = true
-			for _, item := range d.wave {
-				if err := e.expand(ctx, d, item); err != nil {
-					return err
-				}
-				if d.err != nil {
-					break
-				}
-			}
-			if d.err != nil {
-				d.done = true
-				continue
-			}
-			// Swap rather than discard: next inherits the drained wave's
-			// backing, so steady-state rounds append into reused capacity.
-			d.wave, d.next = d.next, d.wave[:0]
-			if len(d.wave) == 0 {
-				finish(d)
-			}
-		}
-		if !active {
-			return nil
-		}
+	// A single stage has no master to move and no stage after it to adjust.
+	e.wave = e.wave[:0]
+	if d.p > 1 {
+		e.wave = append(e.wave, d.seed)
 	}
+	for len(e.wave) > 0 && (e.opts.Budget <= 0 || e.misses < e.opts.Budget) {
+		for _, item := range e.wave {
+			if err := e.expand(ctx, d, item); err != nil {
+				return err
+			}
+		}
+		// Swap rather than discard: next inherits the drained wave's
+		// backing, so later waves append into reused capacity.
+		e.wave, e.next = e.next, e.wave[:0]
+	}
+	d.tel.Final = d.best.sum.IterTime
+	return nil
 }
 
-func (e *engine) publish(ds []*depthState, total time.Duration) {
+// publish exports the telemetry of the searched depths ds and the
+// engine-level work counts; pruned counts the depths skipped unsearched.
+func (e *engine) publish(ds []*depthState, pruned int, total time.Duration) {
 	reg := e.opts.Obs
 	if reg == nil {
 		return
 	}
-	pruned := 0
 	for _, d := range ds {
 		d.tel.Publish(reg, fmt.Sprintf("planner.p%d", d.p))
-		if d.pruned {
-			pruned++
-		}
 	}
 	reg.Gauge("planner.engine.search_s").Set(total.Seconds())
 	reg.Counter("planner.engine.cache_hits").Add(float64(e.hits))
@@ -356,9 +284,9 @@ func (e *engine) publish(ds []*depthState, total time.Duration) {
 
 // depthLowerBound returns a sound lower bound on the simulated iteration
 // time of ANY partition of bl into p stages with m micro-batches — the
-// static bound the cross-depth pruning rule compares against the shared
-// best-so-far score. Three observations, each dropping only non-negative
-// communication terms:
+// static bound the cross-depth pruning rule compares against the best score
+// of the shallower depths. Three observations, each dropping only
+// non-negative communication terms:
 //
 //  1. every stage serializes its m forwards and m backwards, and the
 //     heaviest stage carries at least 1/p of the total block weight;
@@ -390,10 +318,10 @@ func depthLowerBound(bl *model.Blocks, p, m int) float64 {
 // with explicit search options and cancellation. It considers every pipeline
 // depth that divides the GPU count (AutoPipe keeps the data-parallel size
 // uniform across stages — one of the reasons its search is an order of
-// magnitude faster than Piper's, §IV-D), searches all depths in lockstep
-// waves, prunes depths whose lower bound cannot beat the shared best-so-far
-// score, and finally sizes the micro-batch slicing with Algorithm 2 on the
-// winning partition.
+// magnitude faster than Piper's, §IV-D), shallowest first, and searches
+// each to completion unless its lower bound proves it cannot beat the best
+// depth so far. It finally sizes the micro-batch slicing with Algorithm 2
+// on the winning partition.
 //
 // The returned error wraps errdefs.ErrBadConfig for invalid inputs,
 // errdefs.ErrInfeasible when no plan fits device memory, and the context
@@ -417,32 +345,44 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 	}
 
 	e := newEngine(bl, opts)
-	var ds []*depthState
+	maxP := 0
 	for p := 1; p <= g && p <= bl.Len(); p++ {
+		if g%p == 0 {
+			maxP = p
+		}
+	}
+	if err := e.fillTable(maxP); err != nil {
+		return nil, nil, fmt.Errorf("core: plan %s: %w", mc.Name, err)
+	}
+
+	// best is both the pruning bound and the reduction: a depth replaces it
+	// only on a strictly better score, so exact ties keep the shallowest.
+	var (
+		searched []*depthState
+		best     *depthState
+		pruned   int
+	)
+	for p := 1; p <= maxP; p++ {
 		if g%p != 0 {
 			continue
 		}
 		dp := g / p
 		m := run.MicroBatches(dp)
+		if best != nil && depthLowerBound(bl, p, m) >= best.score {
+			pruned++
+			continue
+		}
 		d := newDepthState(p, dp, m)
-		d.lowerBound = depthLowerBound(bl, p, m)
-		ds = append(ds, d)
-	}
-
-	// Shared best-so-far bound across depths, updated in deterministic merge
-	// order as depths complete.
-	var (
-		bound     float64
-		haveBound bool
-	)
-	onComplete := func(d *depthState) {
+		if err := e.search(ctx, d); err != nil {
+			return nil, nil, fmt.Errorf("core: plan %s: %w", mc.Name, err)
+		}
+		searched = append(searched, d)
 		// Exact memory feasibility (AutoPipe plans with the real budget; no
 		// conservative margin is needed because the partitioner's load
 		// balance keeps estimates tight).
 		if ok, _ := memory.Fits(bl, d.best.part, d.m, memory.OneFOneB, 1, cluster.Device); !ok {
-			return
+			continue
 		}
-		d.feasible = true
 		// Score: simulated iteration time plus the slowest stage's gradient
 		// all-reduce across the dp replicas.
 		var ar float64
@@ -452,30 +392,12 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 			}
 		}
 		d.score = d.best.sum.IterTime + ar
-		if !haveBound || d.score < bound {
-			bound, haveBound = d.score, true
-		}
-	}
-	prune := func(d *depthState) bool { return haveBound && d.lowerBound >= bound }
-	if err := e.run(ctx, ds, prune, onComplete); err != nil {
-		return nil, nil, fmt.Errorf("core: plan %s: %w", mc.Name, err)
-	}
-
-	// Deterministic reduction in ascending depth order; strict improvement
-	// keeps the shallowest plan on exact score ties.
-	var best *depthState
-	evaluated, accepted := 0, 0
-	for _, d := range ds {
-		evaluated += d.tel.Candidates
-		accepted += d.tel.Accepted
-		if d.err != nil || d.pruned || !d.feasible {
-			continue
-		}
 		if best == nil || d.score < best.score {
 			best = d
 		}
 	}
 	if best == nil {
+		e.publish(searched, pruned, searchSW.Elapsed())
 		return nil, nil, fmt.Errorf("%w: core: no memory-feasible pipeline plan for %s on %d GPUs at micro-batch %d",
 			errdefs.ErrInfeasible, mc.Name, g, run.MicroBatch)
 	}
@@ -504,10 +426,12 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 	}
 
 	spec.SearchTime = searchSW.Elapsed()
-	spec.Evaluated = evaluated
-	spec.Accepted = accepted
+	for _, d := range searched {
+		spec.Evaluated += d.tel.Candidates
+		spec.Accepted += d.tel.Accepted
+	}
 	spec.Predicted = best.score
-	e.publish(ds, spec.SearchTime)
+	e.publish(searched, pruned, spec.SearchTime)
 	return spec, bl, nil
 }
 
@@ -526,13 +450,13 @@ func PlanDepthOpts(ctx context.Context, bl *model.Blocks, p, m int, opts Options
 	}
 	e := newEngine(bl, opts)
 	d := newDepthState(p, 0, m)
-	if err := e.run(ctx, []*depthState{d}, nil, nil); err != nil {
+	if err := e.fillTable(p); err != nil {
 		return nil, fmt.Errorf("core: plan depth %d: %w", p, err)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := e.search(ctx, d); err != nil {
+		return nil, fmt.Errorf("core: plan depth %d: %w", p, err)
 	}
-	e.publish([]*depthState{d}, d.tel.SeedTime+d.tel.AdjustTime+d.tel.MoveTime)
+	e.publish([]*depthState{d}, 0, d.tel.SeedTime+d.tel.AdjustTime+d.tel.MoveTime)
 	// The search ran on summaries; materialize the full simulation of the
 	// two candidates the result carries.
 	best, err := evaluate(bl, d.best.part, m)

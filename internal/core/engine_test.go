@@ -28,15 +28,16 @@ func readWorkCounts(reg *obs.Registry) workCounts {
 	return workCounts{c["planner.engine.cache_hits"], c["planner.engine.cache_misses"], c["planner.engine.depths_pruned"]}
 }
 
-// recordedPlans are the plans and work counts of the pooled engine this
-// serial search replaced, recorded for every zoo model on the default
-// 16-GPU cluster at mbs 4, gbs 512 (SearchTime zeroed).
+// recordedPlans are the plans of the pooled engine this serial search
+// replaced, recorded for every zoo model on the default 16-GPU cluster at
+// mbs 4, gbs 512 (SearchTime zeroed), with the work counts of the
+// depth-at-a-time search, which prunes before a depth's seed.
 var recordedPlans = map[string]struct {
 	spec plan.Spec
 	work workCounts
 }{
 	"GPT-2 345M": {plan.Spec{Planner: "AutoPipe", Partition: partition.Partition{Bounds: []int{0, 50}}, StageDevices: []int{16},
-		Evaluated: 36, Accepted: 5, Predicted: 6.2657541261864, SliceConverged: true}, workCounts{33, 36, 1}},
+		Evaluated: 35, Accepted: 4, Predicted: 6.2657541261864, SliceConverged: true}, workCounts{33, 35, 1}},
 	"GPT-2 762M": {plan.Spec{Planner: "AutoPipe", Partition: partition.Partition{Bounds: []int{0, 74}}, StageDevices: []int{16},
 		Evaluated: 62, Accepted: 7, Predicted: 12.186241824870084, SliceConverged: true}, workCounts{61, 62, 0}},
 	"GPT-2 1.3B": {plan.Spec{Planner: "AutoPipe", Partition: partition.Partition{Bounds: []int{0, 27, 50}}, StageDevices: []int{8, 8},
@@ -272,8 +273,10 @@ func TestEngineStopsMidSearchOnCancel(t *testing.T) {
 	// The same sweep on the engine directly: no evaluation runs unchecked.
 	for k := 0; ; k++ {
 		e := newEngine(bl, Options{})
-		d := newDepthState(4, 0, 16)
-		err := e.run(newFlipCtx(k), []*depthState{d}, nil, nil)
+		if err := e.fillTable(4); err != nil {
+			t.Fatal(err)
+		}
+		err := e.search(newFlipCtx(k), newDepthState(4, 0, 16))
 		if err == nil {
 			break
 		}
@@ -326,6 +329,94 @@ func TestEngineBudget(t *testing.T) {
 		t.Errorf("budget truncation not deterministic: (%v, %d) vs (%v, %d)",
 			a.Best.Partition, a.Evaluated, b.Best.Partition, b.Evaluated)
 	}
+
+	// Across depths, a budget of one candidate is spent by the first seed,
+	// so every depth the search does not prune evaluates exactly its seed.
+	cluster := config.DefaultCluster()
+	run := config.Run{MicroBatch: 32, GlobalBatch: 128, Checkpoint: true}
+	var specs [2]*plan.Spec
+	var works [2]workCounts
+	for i := range specs {
+		reg := obs.NewRegistry()
+		spec, bl, err := PlanClusterOpts(context.Background(), config.GPT2_762M(), run, cluster, Options{Budget: 1, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters := reg.Snapshot().Counters
+		searched := 0
+		for p := 1; p <= cluster.NumGPUs && p <= bl.Len(); p++ {
+			if cluster.NumGPUs%p != 0 {
+				continue
+			}
+			if n, ok := counters[fmt.Sprintf("planner.p%d.candidates", p)]; ok {
+				searched++
+				if n != 1 {
+					t.Errorf("cluster budget 1: depth %d evaluated %g candidates, want only its seed", p, n)
+				}
+			}
+		}
+		if spec.Evaluated != searched || searched < 2 {
+			t.Errorf("cluster budget 1: evaluated %d over %d searched depths, want one seed each over at least 2", spec.Evaluated, searched)
+		}
+		spec.SearchTime = 0
+		specs[i], works[i] = spec, readWorkCounts(reg)
+	}
+	if !reflect.DeepEqual(specs[0], specs[1]) || works[0] != works[1] {
+		t.Errorf("cluster budget 1 not deterministic: %+v %v vs %+v %v", *specs[0], works[0], *specs[1], works[1])
+	}
+}
+
+// TestInfeasibleSearchPublishesTelemetry checks that a search answered with
+// ErrInfeasible still publishes its engine-level work: it searched every
+// depth it did not prune, and a registry shared with other searches must
+// count that work.
+func TestInfeasibleSearchPublishesTelemetry(t *testing.T) {
+	cluster := config.DefaultCluster()
+	cluster.NumGPUs = 4
+	run := config.Run{MicroBatch: 32, GlobalBatch: 128, Checkpoint: true}
+	reg := obs.NewRegistry()
+	if _, _, err := PlanClusterOpts(context.Background(), config.GPT2_1_3B(), run, cluster, Options{Obs: reg}); !errors.Is(err, errdefs.ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+	snap := reg.Snapshot()
+	if misses := snap.Counters["planner.engine.cache_misses"]; misses <= 0 {
+		t.Errorf("planner.engine.cache_misses = %g, want the candidates the search simulated", misses)
+	}
+	if _, ok := snap.Gauges["planner.engine.search_s"]; !ok {
+		t.Error("planner.engine.search_s is unset")
+	}
+}
+
+// TestPrunedDepthsPublishNothing checks that a depth pruned by the lower
+// bound is not searched at all, not even its seed: every divisor depth
+// either publishes its planner.p<d>.* series or counts as pruned.
+func TestPrunedDepthsPublishNothing(t *testing.T) {
+	cluster := config.DefaultCluster()
+	pruned := 0.0
+	for _, mbs := range []int{4, 32} {
+		run := config.Run{MicroBatch: mbs, GlobalBatch: 128, Checkpoint: true}
+		for _, mc := range config.Zoo() {
+			reg := obs.NewRegistry()
+			_, bl, err := PlanClusterOpts(context.Background(), mc, run, cluster, Options{Obs: reg})
+			if err != nil {
+				t.Fatalf("%s mbs %d: %v", mc.Name, mbs, err)
+			}
+			counters := reg.Snapshot().Counters
+			silent := 0
+			for p := 1; p <= cluster.NumGPUs && p <= bl.Len(); p++ {
+				if _, ok := counters[fmt.Sprintf("planner.p%d.candidates", p)]; cluster.NumGPUs%p == 0 && !ok {
+					silent++
+				}
+			}
+			if n := counters["planner.engine.depths_pruned"]; n != float64(silent) {
+				t.Errorf("%s mbs %d: %g depths pruned, but %d divisor depths publish no candidates", mc.Name, mbs, n, silent)
+			}
+			pruned += counters["planner.engine.depths_pruned"]
+		}
+	}
+	if pruned == 0 {
+		t.Error("no depth was pruned, so the check shows nothing")
+	}
 }
 
 // TestDepthLowerBoundSound verifies the pruning bound really is a lower
@@ -350,34 +441,52 @@ func TestDepthLowerBoundSound(t *testing.T) {
 
 // TestPlanClusterPruningMatchesBruteForce compares the engine (with its
 // cross-depth pruning) against a brute-force scan that searches every
-// divisor depth to completion and scores it the same way.
+// divisor depth to completion and scores it the same way, on three
+// hand-picked configurations and on plan-cold's 144: the zoo × GPUs
+// {4, 8, 16} × micro-batch {4, 8, 16, 32} × global batch {128, 256, 512}.
+// The two must agree exactly on the depth and the predicted score; where no
+// depth's plan fits memory the engine must answer ErrInfeasible.
 func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
-	cluster := config.DefaultCluster()
-	for _, tc := range []struct {
-		mc  config.Model
-		mbs int
-		gbs int
-	}{
-		{config.GPT2_345M(), 4, 128},
-		{config.GPT2_345M(), 32, 512},
-		{config.BERTLarge(), 8, 256},
-	} {
+	type input struct {
+		mc             config.Model
+		gpus, mbs, gbs int
+	}
+	inputs := []input{
+		{config.GPT2_345M(), 16, 4, 128},
+		{config.GPT2_345M(), 16, 32, 512},
+		{config.BERTLarge(), 16, 8, 256},
+	}
+	for _, mc := range config.Zoo() {
+		for _, gpus := range []int{4, 8, 16} {
+			for _, mbs := range []int{4, 8, 16, 32} {
+				for _, gbs := range []int{128, 256, 512} {
+					inputs = append(inputs, input{mc, gpus, mbs, gbs})
+				}
+			}
+		}
+	}
+	infeasible := 0
+	for _, tc := range inputs {
+		name := fmt.Sprintf("%s gpus=%d mbs=%d gbs=%d", tc.mc.Name, tc.gpus, tc.mbs, tc.gbs)
+		cluster := config.DefaultCluster()
+		cluster.NumGPUs = tc.gpus
 		run := config.Run{MicroBatch: tc.mbs, GlobalBatch: tc.gbs, Checkpoint: true}
-		spec, bl, err := PlanClusterOpts(context.Background(), tc.mc, run, cluster, Options{})
-		if err != nil {
-			t.Fatalf("%s mbs=%d: %v", tc.mc.Name, tc.mbs, err)
+		spec, _, err := PlanClusterOpts(context.Background(), tc.mc, run, cluster, Options{})
+		if err != nil && !errors.Is(err, errdefs.ErrInfeasible) {
+			t.Fatalf("%s: %v", name, err)
 		}
 
+		bl := buildSub(t, tc.mc, tc.mbs)
 		bestDepth, bestScore := 0, 0.0
-		for p := 1; p <= cluster.NumGPUs && p <= bl.Len(); p++ {
-			if cluster.NumGPUs%p != 0 {
+		for p := 1; p <= tc.gpus && p <= bl.Len(); p++ {
+			if tc.gpus%p != 0 {
 				continue
 			}
-			dp := cluster.NumGPUs / p
+			dp := tc.gpus / p
 			m := run.MicroBatches(dp)
 			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{})
 			if err != nil {
-				t.Fatalf("%s p=%d: %v", tc.mc.Name, p, err)
+				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
 			if ok, _ := memory.Fits(bl, res.Best.Partition, m, memory.OneFOneB, 1, cluster.Device); !ok {
 				continue
@@ -394,12 +503,26 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 				bestDepth, bestScore = p, score
 			}
 		}
+		if bestDepth == 0 {
+			infeasible++
+			if err == nil {
+				t.Errorf("%s: brute force finds no fitting depth, engine chose depth %d", name, spec.Depth())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: brute force chose depth %d, engine: %v", name, bestDepth, err)
+			continue
+		}
 		if spec.Depth() != bestDepth {
-			t.Errorf("%s mbs=%d: engine chose depth %d, brute force depth %d", tc.mc.Name, tc.mbs, spec.Depth(), bestDepth)
+			t.Errorf("%s: engine chose depth %d, brute force depth %d", name, spec.Depth(), bestDepth)
 		}
-		if diff := spec.Predicted - bestScore; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("%s mbs=%d: engine predicted %.6f s, brute force %.6f s", tc.mc.Name, tc.mbs, spec.Predicted, bestScore)
+		if spec.Predicted != bestScore {
+			t.Errorf("%s: engine predicted %v s, brute force %v s", name, spec.Predicted, bestScore)
 		}
+	}
+	if infeasible != 3 {
+		t.Errorf("%d infeasible configurations, want the grid's 3 (GPT-2 1.3B, 4 GPUs, mbs 32)", infeasible)
 	}
 }
 

@@ -34,9 +34,9 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // (Algorithm 2). The zero value — NewPlanner() — searches with no budget; a
 // Planner is immutable after construction and safe for concurrent use.
 //
-// Each call searches serially: pipeline depths advance in lockstep waves on
-// the calling goroutine, and concurrent calls share nothing, so a caller
-// that wants parallelism plans several requests at once. The result is
+// Each call searches serially on the calling goroutine, one pipeline depth
+// at a time, shallowest first, and concurrent calls share nothing, so a
+// caller that wants parallelism plans several requests at once. The result is
 // deterministic: the same inputs yield byte-identical plans, and the same
 // search telemetry counters, on every machine.
 type Planner struct {
@@ -53,8 +53,9 @@ func WithObserver(reg *Registry) PlannerOption {
 }
 
 // WithSearchBudget caps the number of distinct candidate partitions the
-// search may simulate (0 = unlimited). A truncated search still returns the
-// best plan found, deterministically.
+// search may simulate (0 = unlimited). Depths are searched shallowest
+// first, and every depth the search reaches still evaluates its seed. A
+// truncated search still returns the best plan found, deterministically.
 func WithSearchBudget(candidates int) PlannerOption {
 	return func(p *Planner) { p.opts.Budget = candidates }
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -320,8 +321,8 @@ func depthLowerBound(bl *model.Blocks, p, m int) float64 {
 // uniform across stages — one of the reasons its search is an order of
 // magnitude faster than Piper's, §IV-D), shallowest first, and searches
 // each to completion unless its lower bound proves it cannot beat the best
-// depth so far. It finally sizes the micro-batch slicing with Algorithm 2
-// on the winning partition.
+// depth so far. A depth the simulator rejects is dropped. It finally sizes
+// the micro-batch slicing with Algorithm 2 on the winning partition.
 //
 // The returned error wraps errdefs.ErrBadConfig for invalid inputs,
 // errdefs.ErrInfeasible when no plan fits device memory, and the context
@@ -373,10 +374,17 @@ func PlanClusterOpts(ctx context.Context, mc config.Model, run config.Run, clust
 			continue
 		}
 		d := newDepthState(p, dp, m)
-		if err := e.search(ctx, d); err != nil {
+		err := e.search(ctx, d)
+		searched = append(searched, d)
+		// A depth the simulator rejects, such as one whose 2·p·m ops exceed
+		// its cap, is dropped and the other depths still compete.
+		// Cancellation fails the call.
+		if errors.Is(err, errdefs.ErrBadConfig) {
+			continue
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("core: plan %s: %w", mc.Name, err)
 		}
-		searched = append(searched, d)
 		// Exact memory feasibility (AutoPipe plans with the real budget; no
 		// conservative margin is needed because the partitioner's load
 		// balance keeps estimates tight).

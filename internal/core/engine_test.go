@@ -300,6 +300,38 @@ func TestEngineBadConfig(t *testing.T) {
 	}
 }
 
+// smallVocab is a 32-layer model whose head block is light next to its
+// layers.
+var smallVocab = config.Model{Name: "small-vocab", Layers: 32, Hidden: 512, Heads: 8, FFNMult: 4, SeqLen: 512, Vocab: 256, TiedHead: true}
+
+// TestPlanClusterDropsDepthOverSimCap checks that a depth the simulator
+// rejects is dropped rather than failing the plan. On 32 GPUs at
+// micro-batch 1 and global batch 65536 (Run.Validate's cap), depth 32 has
+// 65536 micro-batches, past the simulator's op cap, while the shallower
+// depths plan. A small vocabulary keeps the head block light, so the lower
+// bound does not prune depth 32 and the search reaches it.
+func TestPlanClusterDropsDepthOverSimCap(t *testing.T) {
+	mc := smallVocab
+	cluster := config.DefaultCluster()
+	cluster.NumGPUs = 32
+	run := config.Run{MicroBatch: 1, GlobalBatch: 65536, Checkpoint: true}
+	reg := obs.NewRegistry()
+	spec, bl, err := PlanClusterOpts(context.Background(), mc, run, cluster, Options{Obs: reg})
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	if spec.Depth() == 32 {
+		t.Errorf("chose depth 32, which the simulator cannot take")
+	}
+	counters := reg.Snapshot().Counters
+	if _, ok := counters["planner.p32.candidates"]; !ok {
+		t.Fatalf("depth 32 was not searched (%g depths pruned), so the check shows nothing", counters["planner.engine.depths_pruned"])
+	}
+	if _, err := PlanDepthOpts(context.Background(), bl, 32, run.MicroBatches(1), Options{}); !errors.Is(err, errdefs.ErrBadConfig) {
+		t.Errorf("depth 32 alone: err = %v, want ErrBadConfig", err)
+	}
+}
+
 // TestEngineBudget checks that a search budget truncates the search
 // deterministically while still returning a usable plan.
 func TestEngineBudget(t *testing.T) {
@@ -443,7 +475,8 @@ func TestDepthLowerBoundSound(t *testing.T) {
 // cross-depth pruning) against a brute-force scan that searches every
 // divisor depth to completion and scores it the same way, on three
 // hand-picked configurations and on plan-cold's 144: the zoo × GPUs
-// {4, 8, 16} × micro-batch {4, 8, 16, 32} × global batch {128, 256, 512}.
+// {4, 8, 16} × micro-batch {4, 8, 16, 32} × global batch {128, 256, 512},
+// and on one with a depth the simulator rejects, which both drop.
 // The two must agree exactly on the depth and the predicted score; where no
 // depth's plan fits memory the engine must answer ErrInfeasible.
 func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
@@ -455,6 +488,8 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 		{config.GPT2_345M(), 16, 4, 128},
 		{config.GPT2_345M(), 16, 32, 512},
 		{config.BERTLarge(), 16, 8, 256},
+		// Depth 32 is past the simulator's op cap; both sides drop it.
+		{smallVocab, 32, 1, 65536},
 	}
 	for _, mc := range config.Zoo() {
 		for _, gpus := range []int{4, 8, 16} {
@@ -465,7 +500,7 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	infeasible := 0
+	infeasible, overCap := 0, 0
 	for _, tc := range inputs {
 		name := fmt.Sprintf("%s gpus=%d mbs=%d gbs=%d", tc.mc.Name, tc.gpus, tc.mbs, tc.gbs)
 		cluster := config.DefaultCluster()
@@ -485,6 +520,10 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 			dp := tc.gpus / p
 			m := run.MicroBatches(dp)
 			res, err := PlanDepthOpts(context.Background(), bl, p, m, Options{})
+			if errors.Is(err, errdefs.ErrBadConfig) {
+				overCap++
+				continue
+			}
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
@@ -523,6 +562,9 @@ func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
 	}
 	if infeasible != 3 {
 		t.Errorf("%d infeasible configurations, want the grid's 3 (GPT-2 1.3B, 4 GPUs, mbs 32)", infeasible)
+	}
+	if overCap != 1 {
+		t.Errorf("%d depths rejected by the simulator, want 1 (small-vocab depth 32)", overCap)
 	}
 }
 

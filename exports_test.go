@@ -23,11 +23,8 @@ import (
 // the reason it stays exported. Every other such identifier belongs in a
 // _test.go file or nowhere.
 var testOnlyExports = map[string]string{
-	"nn.TinyGPT":                      "the tiny-model config the nn and train tests share",
-	"nn.Checkpoint":                   "activation checkpointing (paper §II-C) of the miniature framework; the nn tests and train's TestCheckpointedPipelineMatchesSerial show it leaves gradients unchanged",
-	"schedule.ParseJSON":              "parses the schedule goldens for the root fixture manifest and the schedule tests",
-	"schedule.EncodeJSON":             "writes the schedule golden format for the JSON round-trip tests and FuzzParseSchedule",
-	"schedule.Schedule.CheckDeadlock": "the static deadlock check (DESIGN.md §11.3) the root fixture manifest runs over every schedule golden; the exec sanitizer is its dynamic half",
+	"nn.TinyGPT":    "the tiny-model config the nn and train tests share",
+	"nn.Checkpoint": "activation checkpointing (paper §II-C) of the miniature framework; the nn tests and train's TestCheckpointedPipelineMatchesSerial show it leaves gradients unchanged",
 }
 
 // TestNoTestOnlyExports fails when an exported package-level func or type, or

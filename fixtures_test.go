@@ -13,16 +13,14 @@ import (
 
 	"autopipe"
 	"autopipe/client"
-	"autopipe/internal/schedule"
 )
 
-// The fixture manifest: every checked-in JSON artifact — the schedule goldens,
-// chaos plans, trace goldens, and the negative fixtures under
-// testdata/reject, daemon submit bodies among them — mapped to the parser
-// that owns its format and the outcome
-// that parser must produce. A nil want means the file must be accepted;
-// otherwise the parser must reject it with an error matching want under
-// errors.Is. The chaos plans are the exception: their parser is test code in
+// The fixture manifest: every checked-in JSON artifact — chaos plans, trace
+// goldens, and the negative fixtures under testdata/reject, daemon submit
+// bodies among them — mapped to the parser that owns its format and the
+// outcome that parser must produce. A nil want means the file must be
+// accepted; otherwise the parser must reject it with an error matching want
+// under errors.Is. The chaos plans are the exception: their parser is test code in
 // internal/service, so their rows check only well-formed JSON, and
 // TestChaosFixtures there checks that chaos_basic.json is accepted and
 // reject/chaos_bad_prob.json rejected.
@@ -33,13 +31,8 @@ var fixtures = []struct {
 }{
 	{"internal/exec/testdata/trace_golden.json", parseTrace, nil},
 	{"testdata/chaos_basic.json", chaosJSON, nil},
-	{"testdata/schedules/1f1b_p4_m8.json", parseSchedule, nil},
-	{"testdata/schedules/interleaved_p4_m8_v2.json", parseSchedule, nil},
-	{"testdata/schedules/sliced_p4_m8_s2.json", parseSchedule, nil},
 
 	{"testdata/reject/chaos_bad_prob.json", chaosJSON, nil},
-	{"testdata/reject/sched_cycle.json", parseSchedule, autopipe.ErrDeadlock},
-	{"testdata/reject/sched_dup.json", parseSchedule, autopipe.ErrBadConfig},
 	{"testdata/reject/submit_plan_huge_batch.json", parseSubmit, autopipe.ErrBadConfig},
 	{"testdata/reject/submit_sim_huge_micro.json", parseSubmit, autopipe.ErrBadConfig},
 }
@@ -105,17 +98,6 @@ func chaosJSON(data []byte) error {
 		return errors.New("chaos plan is not well-formed JSON")
 	}
 	return nil
-}
-
-// parseSchedule parses a schedule golden and runs the static deadlock check:
-// a cycle in the dependency graph means the executor would stall with every
-// device blocked.
-func parseSchedule(data []byte) error {
-	s, err := schedule.ParseJSON(data)
-	if err != nil {
-		return err
-	}
-	return s.CheckDeadlock()
 }
 
 // parseSubmit decodes a POST /v1/jobs body the way the daemon does — unknown

@@ -474,32 +474,18 @@ func TestDepthLowerBoundSound(t *testing.T) {
 // TestPlanClusterPruningMatchesBruteForce compares the engine (with its
 // cross-depth pruning) against a brute-force scan that searches every
 // divisor depth to completion and scores it the same way, on three
-// hand-picked configurations and on plan-cold's 144: the zoo × GPUs
-// {4, 8, 16} × micro-batch {4, 8, 16, 32} × global batch {128, 256, 512},
-// and on one with a depth the simulator rejects, which both drop.
+// hand-picked configurations, on plan-cold's 144 (gridConfigs), and on one
+// with a depth the simulator rejects, which both drop.
 // The two must agree exactly on the depth and the predicted score; where no
 // depth's plan fits memory the engine must answer ErrInfeasible.
 func TestPlanClusterPruningMatchesBruteForce(t *testing.T) {
-	type input struct {
-		mc             config.Model
-		gpus, mbs, gbs int
-	}
-	inputs := []input{
+	inputs := append([]gridConfig{
 		{config.GPT2_345M(), 16, 4, 128},
 		{config.GPT2_345M(), 16, 32, 512},
 		{config.BERTLarge(), 16, 8, 256},
 		// Depth 32 is past the simulator's op cap; both sides drop it.
 		{smallVocab, 32, 1, 65536},
-	}
-	for _, mc := range config.Zoo() {
-		for _, gpus := range []int{4, 8, 16} {
-			for _, mbs := range []int{4, 8, 16, 32} {
-				for _, gbs := range []int{128, 256, 512} {
-					inputs = append(inputs, input{mc, gpus, mbs, gbs})
-				}
-			}
-		}
-	}
+	}, gridConfigs()...)
 	infeasible, overCap := 0, 0
 	for _, tc := range inputs {
 		name := fmt.Sprintf("%s gpus=%d mbs=%d gbs=%d", tc.mc.Name, tc.gpus, tc.mbs, tc.gbs)

@@ -23,6 +23,91 @@ func TestRunDetectsDeadlock(t *testing.T) {
 	}
 }
 
+// TestRunDetectsDependencyCycles: the executor is the deadlock check for
+// schedules whose dependency graph builds but has a cycle. Every generator's
+// schedule runs to completion, and each structurally valid schedule below,
+// whose ops wait on each other in a ring, fails with ErrDeadlock.
+func TestRunDetectsDependencyCycles(t *testing.T) {
+	must := func(s *schedule.Schedule, err error) *schedule.Schedule {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	run := func(s *schedule.Schedule) error {
+		_, err := Run(s, uniformCfg(s.VirtStages, 1, 2))
+		return err
+	}
+	for _, s := range []*schedule.Schedule{
+		must(schedule.OneFOneB(4, 8)),
+		must(schedule.GPipe(3, 5)),
+		must(schedule.Sliced(4, 8, 2)),
+		must(schedule.Sliced(4, 8, 8)),
+		must(schedule.Interleaved(4, 8, 2)),
+	} {
+		if err := run(s); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+
+	for _, c := range []struct {
+		name  string
+		build func() *schedule.Schedule
+	}{
+		// Device 0 issues its backward first. B0@s0 waits on B0@s1, which
+		// waits on F0@s1, which waits on F0@s0, issued after B0@s0.
+		{"crossed", func() *schedule.Schedule {
+			return &schedule.Schedule{
+				Name: "crossed", Devices: 2, VirtStages: 2, DeviceOf: []int{0, 1}, NumMicro: 1, Chunks: 1,
+				Ops: [][]schedule.Op{
+					{{Kind: schedule.Bwd, Half: -1}, {Kind: schedule.Fwd, Half: -1}},
+					{{Kind: schedule.Fwd, Virt: 1, Half: -1}, {Kind: schedule.Bwd, Virt: 1, Half: -1}},
+				},
+			}
+		}},
+		// The aggregated send that carries a NoSend half moves behind the
+		// backwards that transitively need that half's activation.
+		{"sliced/carrier-after-consumers", func() *schedule.Schedule {
+			s := must(schedule.Sliced(4, 8, 2))
+			for d, ops := range s.Ops {
+				for i, op := range ops {
+					if op.AggSend {
+						copy(ops[i:], ops[i+1:])
+						s.Ops[d][len(ops)-1] = op
+						return s
+					}
+				}
+			}
+			t.Fatal("sliced schedule has no aggregated send")
+			return nil
+		}},
+		// Device 1 issues in reverse: its first op is a backward whose
+		// gradient needs the forwards it issues last.
+		{"interleaved/reversed-issue-order", func() *schedule.Schedule {
+			s := must(schedule.Interleaved(4, 8, 2))
+			ops := s.Ops[1]
+			for a, b := 0, len(ops)-1; a < b; a, b = a+1, b-1 {
+				ops[a], ops[b] = ops[b], ops[a]
+			}
+			return s
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.build()
+			if err := s.Validate(); err != nil {
+				t.Fatalf("should be structurally valid: %v", err)
+			}
+			if _, err := s.Dependencies(); err != nil {
+				t.Fatalf("dependency graph should build: %v", err)
+			}
+			if err := run(s); !errors.Is(err, errdefs.ErrDeadlock) {
+				t.Errorf("err = %v, want errdefs.ErrDeadlock", err)
+			}
+		})
+	}
+}
+
 // TestRunValidatesScheduleFirst: structural corruption is caught by
 // validation before execution.
 func TestRunValidatesScheduleFirst(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 	"autopipe/internal/sim"
 )
 
-// Sanitizer is the dynamic half of the schedule-correctness tier: a
-// happens-before checker threaded through the discrete-event loop. The static
-// half (schedule.CheckDeadlock, run by the root fixture test over every
-// checked-in golden) topologically sorts the schedule dependency model; the
-// Sanitizer replays the *executed* trace against the very same
-// schedule.DepGraph edges, op by op, as Run records them:
+// Sanitizer is the schedule-correctness check: a happens-before checker
+// threaded through the discrete-event loop. It replays the *executed* trace
+// against the schedule dependency model (schedule.DepGraph), op by op, as Run
+// records them. Dependency cycles are Run's to report: when no device can
+// make progress, Run stops with errdefs.ErrDeadlock. The Sanitizer checks
+// that:
 //
 //   - no op starts before every schedule dependency has completed;
 //   - each device's ops run in issue order on a monotone simulated clock;
@@ -55,8 +55,8 @@ type Sanitizer struct {
 var testSanitize bool
 
 // newSanitizer builds the checker for one execution. Building the dependency
-// graph can fail with errdefs.ErrBadConfig on a structurally broken schedule
-// (the same defects CheckDeadlock rejects).
+// graph fails with errdefs.ErrBadConfig on a structurally broken schedule,
+// such as a NoSend forward whose payload no AggSend sibling carries.
 func newSanitizer(s *schedule.Schedule, cfg Config) (*Sanitizer, error) {
 	g, err := s.Dependencies()
 	if err != nil {

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// Dependency-model micro-benchmarks: DepGraph construction and the Kahn
-// check run once per sanitized execution and once per checked-in golden in
-// the root fixture test. TestDepGraphAllocsPinned pins their allocations.
+// Dependency-model micro-benchmark: DepGraph construction runs once per
+// sanitized execution. TestDepGraphAllocsPinned pins its allocations.
 
 func BenchmarkDependencies(b *testing.B) {
 	for _, tc := range []struct{ p, m int }{{8, 32}, {16, 64}} {
@@ -38,22 +37,4 @@ func BenchmarkDependencies(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkAcyclic(b *testing.B) {
-	s, err := OneFOneB(16, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := s.Dependencies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.Acyclic(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

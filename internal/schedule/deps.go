@@ -2,19 +2,15 @@ package schedule
 
 import (
 	"fmt"
-	"strings"
 
 	"autopipe/internal/errdefs"
 )
 
-// This file is the schedule dependency model: the single definition of "op A
-// must complete before op B may start" that both enforcement tiers consume.
-// The static tier (CheckDeadlock, run by the root fixture test over every
-// checked-in golden) topologically sorts the graph; the dynamic tier
-// (exec.Sanitizer) replays an executed trace against the very same edges.
-// Keeping one producer of edges means the Kahn check and the live
-// happens-before check cannot drift: a schedule the linter accepts is
-// validated op-for-op, against identical semantics, every time it runs.
+// This file is the schedule dependency model: the definition of "op A must
+// complete before op B may start" that the runtime sanitizer (exec.Sanitizer)
+// replays every executed trace against, op by op. A cycle in these edges is a
+// schedule that can never finish; the executor itself reports it as
+// errdefs.ErrDeadlock when no device can make progress.
 //
 // The edges mirror the discrete-event executor's blocking semantics:
 //
@@ -32,7 +28,7 @@ type OpRef struct {
 	Device, Index int
 }
 
-// DepGraph is the dependency DAG of one schedule over flattened op ids
+// DepGraph is the dependency graph of one schedule over flattened op ids
 // (device-major issue order). Build it with Schedule.Dependencies.
 type DepGraph struct {
 	s *Schedule
@@ -192,51 +188,4 @@ func (s *Schedule) Dependencies() (*DepGraph, error) {
 		}
 	}
 	return g, nil
-}
-
-// Acyclic topologically sorts the graph (Kahn's algorithm) and returns nil
-// when every op can be scheduled. A cycle — every device eventually waiting
-// on a message that can never be sent — is reported as an error wrapping
-// errdefs.ErrDeadlock naming up to six of the stuck ops.
-func (g *DepGraph) Acyclic() error {
-	indeg := make([]int, g.total)
-	for id := 0; id < g.total; id++ {
-		indeg[id] = len(g.Preds(id))
-	}
-	// Successor lists, inverted from Preds.
-	succ := make([][]int, g.total)
-	for id := 0; id < g.total; id++ {
-		for _, p := range g.Preds(id) {
-			succ[p] = append(succ[p], id)
-		}
-	}
-	queue := make([]int, 0, g.total)
-	for id, deg := range indeg {
-		if deg == 0 {
-			queue = append(queue, id)
-		}
-	}
-	scheduled := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		scheduled++
-		for _, m := range succ[n] {
-			if indeg[m]--; indeg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if scheduled == g.total {
-		return nil
-	}
-	var stuck []string
-	for id, deg := range indeg {
-		if deg > 0 && len(stuck) < 6 {
-			r := g.Ref(id)
-			stuck = append(stuck, fmt.Sprintf("%v (device %d op %d)", g.Op(id), r.Device, r.Index))
-		}
-	}
-	return fmt.Errorf("%w: schedule %s: %d ops in a dependency cycle: %s",
-		errdefs.ErrDeadlock, g.s.Name, g.total-scheduled, strings.Join(stuck, ", "))
 }

@@ -2,22 +2,16 @@ package schedule
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"autopipe/internal/errdefs"
 )
 
-func loadGolden(t *testing.T, name string) *Schedule {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "schedules", name))
+// must returns a generator's schedule; the generators reject only bad shapes,
+// which these tests never pass.
+func must(s *Schedule, err error) *Schedule {
 	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := ParseJSON(data)
-	if err != nil {
-		t.Fatalf("golden %s does not parse: %v", name, err)
+		panic(err)
 	}
 	return s
 }
@@ -36,35 +30,30 @@ func findOp(t *testing.T, s *Schedule, match func(Op) bool) (int, int) {
 	return 0, 0
 }
 
-// TestDependenciesMirrorsCheckDeadlock pins the refactor invariant: the
-// exported dependency model and CheckDeadlock are the same code path, so a
-// schedule is acyclic exactly when its graph is.
-func TestDependenciesMirrorsCheckDeadlock(t *testing.T) {
-	for _, name := range []string{"1f1b_p4_m8.json", "sliced_p4_m8_s2.json", "interleaved_p4_m8_v2.json"} {
-		s := loadGolden(t, name)
+// TestDepGraphIDRef checks the graph's op numbering on the 1F1B, sliced and
+// interleaved shapes: it covers every op, and ID and Ref are inverses.
+func TestDepGraphIDRef(t *testing.T) {
+	for _, s := range []*Schedule{
+		must(OneFOneB(4, 8)),
+		must(Sliced(4, 8, 2)),
+		must(Interleaved(4, 8, 2)),
+	} {
 		g, err := s.Dependencies()
 		if err != nil {
-			t.Fatalf("%s: Dependencies: %v", name, err)
-		}
-		if err := g.Acyclic(); err != nil {
-			t.Errorf("%s: golden should be acyclic: %v", name, err)
-		}
-		if err := s.CheckDeadlock(); err != nil {
-			t.Errorf("%s: CheckDeadlock disagrees with Acyclic: %v", name, err)
+			t.Fatalf("%s: Dependencies: %v", s.Name, err)
 		}
 		total := 0
 		for _, ops := range s.Ops {
 			total += len(ops)
 		}
 		if g.NumOps() != total {
-			t.Errorf("%s: graph has %d ops, schedule has %d", name, g.NumOps(), total)
+			t.Errorf("%s: graph has %d ops, schedule has %d", s.Name, g.NumOps(), total)
 		}
-		// ID/Ref round-trip over every op.
 		for d := range s.Ops {
 			for i := range s.Ops[d] {
 				ref := OpRef{d, i}
 				if got := g.Ref(g.ID(ref)); got != ref {
-					t.Fatalf("%s: ID/Ref round-trip: %v -> %v", name, ref, got)
+					t.Fatalf("%s: ID/Ref round-trip: %v -> %v", s.Name, ref, got)
 				}
 			}
 		}
@@ -85,7 +74,7 @@ func dataPreds(g *DepGraph, id int) []int {
 // replays: cross-stage activation flow, the backward stash, and the NoSend
 // redirect onto the aggregating sibling.
 func TestDepGraphEdges(t *testing.T) {
-	s := loadGolden(t, "sliced_p4_m8_s2.json")
+	s := must(Sliced(4, 8, 2))
 	g, err := s.Dependencies()
 	if err != nil {
 		t.Fatal(err)
@@ -121,81 +110,65 @@ func TestDepGraphEdges(t *testing.T) {
 	}
 }
 
-// TestCheckDeadlockGoldenRedirects exercises the static deadlock check
-// against the checked-in interleaved and sliced goldens under mutated
-// NoSend/AggSend redirects — the schedule surface slicing rewrites. Each
-// mutation must be classified with a typed error, never accepted and never
-// an untyped failure.
-func TestCheckDeadlockGoldenRedirects(t *testing.T) {
+// TestDependenciesRedirects mutates the NoSend/AggSend redirects of the
+// sliced and interleaved shapes, the schedule surface slicing rewrites. A
+// NoSend payload that no AggSend sibling carries must be rejected with
+// ErrBadConfig, never accepted. Redirects that build without error but form
+// a cycle are the executor's to reject: exec's TestRunDetectsDependencyCycles.
+func TestDependenciesRedirects(t *testing.T) {
 	t.Run("sliced/orphan-nosend", func(t *testing.T) {
 		// Stripping AggSend from the sibling leaves the NoSend half's payload
-		// with no carrier: structurally broken, ErrBadConfig.
-		s := loadGolden(t, "sliced_p4_m8_s2.json")
+		// with no carrier.
+		s := must(Sliced(4, 8, 2))
 		d, i := findOp(t, s, func(op Op) bool { return op.AggSend })
 		s.Ops[d][i].AggSend = false
-		if err := s.CheckDeadlock(); !errors.Is(err, errdefs.ErrBadConfig) {
+		if _, err := s.Dependencies(); !errors.Is(err, errdefs.ErrBadConfig) {
 			t.Errorf("orphaned NoSend half: got %v, want ErrBadConfig", err)
 		}
 	})
 
 	t.Run("sliced/nosend-both-halves", func(t *testing.T) {
 		// Marking the AggSend op NoSend as well parks both halves forever.
-		s := loadGolden(t, "sliced_p4_m8_s2.json")
+		s := must(Sliced(4, 8, 2))
 		d, i := findOp(t, s, func(op Op) bool { return op.AggSend })
 		s.Ops[d][i].AggSend = false
 		s.Ops[d][i].NoSend = true
-		if err := s.CheckDeadlock(); !errors.Is(err, errdefs.ErrBadConfig) {
+		if _, err := s.Dependencies(); !errors.Is(err, errdefs.ErrBadConfig) {
 			t.Errorf("NoSend pair with no carrier: got %v, want ErrBadConfig", err)
 		}
 	})
 
-	t.Run("sliced/redirect-cycle", func(t *testing.T) {
-		// Redirecting a warmup half's payload onto a sibling that issues
-		// AFTER the downstream consumer's device needs it creates a cycle:
-		// move the aggregated send behind the backward that (transitively)
-		// needs its activation. We synthesize this by swapping the AggSend
-		// onto the *first* half and NoSend onto the second, then moving the
-		// pair's aggregated carrier to the end of the device's issue order.
-		s := loadGolden(t, "sliced_p4_m8_s2.json")
-		d, i := findOp(t, s, func(op Op) bool { return op.AggSend })
-		ops := s.Ops[d]
-		agg := ops[i]
-		copy(ops[i:], ops[i+1:])
-		ops[len(ops)-1] = agg
-		err := s.CheckDeadlock()
-		if !errors.Is(err, errdefs.ErrDeadlock) {
-			t.Errorf("carrier issued after its consumers: got %v, want ErrDeadlock", err)
+	t.Run("two-stage/orphan-nosend", func(t *testing.T) {
+		// A hand-built pair whose NoSend half's sibling does not aggregate.
+		s := &Schedule{
+			Name: "orphan-nosend", Devices: 2, VirtStages: 2, DeviceOf: []int{0, 1}, NumMicro: 1, Chunks: 1, NumSliced: 1,
+			Ops: [][]Op{
+				{{Kind: Fwd, Virt: 0, Micro: 0, Half: 0, NoSend: true}, {Kind: Fwd, Virt: 0, Micro: 0, Half: 1}, {Kind: Bwd, Virt: 0, Micro: 0, Half: -1}},
+				{{Kind: Fwd, Virt: 1, Micro: 0, Half: 0}, {Kind: Fwd, Virt: 1, Micro: 0, Half: 1}, {Kind: Bwd, Virt: 1, Micro: 0, Half: -1}},
+			},
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("orphan schedule should be structurally valid: %v", err)
+		}
+		if _, err := s.Dependencies(); !errors.Is(err, errdefs.ErrBadConfig) {
+			t.Errorf("orphan NoSend: got %v, want ErrBadConfig", err)
 		}
 	})
 
 	t.Run("interleaved/clean", func(t *testing.T) {
-		s := loadGolden(t, "interleaved_p4_m8_v2.json")
-		if err := s.CheckDeadlock(); err != nil {
-			t.Fatalf("interleaved golden: %v", err)
+		s := must(Interleaved(4, 8, 2))
+		if _, err := s.Dependencies(); err != nil {
+			t.Fatalf("interleaved schedule: %v", err)
 		}
 	})
 
 	t.Run("interleaved/nosend-without-slicing", func(t *testing.T) {
 		// NoSend on an unsliced interleaved forward has no sibling at all.
-		s := loadGolden(t, "interleaved_p4_m8_v2.json")
+		s := must(Interleaved(4, 8, 2))
 		d, i := findOp(t, s, func(op Op) bool { return op.Kind == Fwd && op.Virt == 1 })
 		s.Ops[d][i].NoSend = true
-		if err := s.CheckDeadlock(); !errors.Is(err, errdefs.ErrBadConfig) {
+		if _, err := s.Dependencies(); !errors.Is(err, errdefs.ErrBadConfig) {
 			t.Errorf("interleaved NoSend with no sibling: got %v, want ErrBadConfig", err)
-		}
-	})
-
-	t.Run("interleaved/swapped-issue-order", func(t *testing.T) {
-		// Reversing one device's issue order makes its first op a backward
-		// that needs a gradient that can never be produced: a cycle through
-		// the issue-order edges.
-		s := loadGolden(t, "interleaved_p4_m8_v2.json")
-		ops := s.Ops[1]
-		for a, b := 0, len(ops)-1; a < b; a, b = a+1, b-1 {
-			ops[a], ops[b] = ops[b], ops[a]
-		}
-		if err := s.CheckDeadlock(); !errors.Is(err, errdefs.ErrDeadlock) {
-			t.Errorf("reversed device issue order: got %v, want ErrDeadlock", err)
 		}
 	})
 }

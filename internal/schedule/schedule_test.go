@@ -2,9 +2,112 @@ package schedule
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// renderOps renders one device's issue order as space-separated Op.String
+// forms, with [nosend] and [agg] marking the redirected sends.
+func renderOps(ops []Op) string {
+	parts := make([]string, len(ops))
+	for i, op := range ops {
+		parts[i] = op.String()
+		if op.NoSend {
+			parts[i] += "[nosend]"
+		}
+		if op.AggSend {
+			parts[i] += "[agg]"
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestScheduleGoldens pins the op order of one schedule of each shape the
+// executor runs, 1F1B p4 m8, interleaved p4 m8 v2 and sliced p4 m8 s2, to a
+// table of expected per-device sequences, and their shape fields with it.
+func TestScheduleGoldens(t *testing.T) {
+	cases := []struct {
+		build func() (*Schedule, error)
+		want  Schedule // every field but Ops
+		ops   []string // one rendered issue order per device
+	}{
+		{
+			build: func() (*Schedule, error) { return OneFOneB(4, 8) },
+			want:  Schedule{Name: "1F1B", Devices: 4, VirtStages: 4, DeviceOf: []int{0, 1, 2, 3}, NumMicro: 8, Chunks: 1},
+			ops: []string{
+				"F0@s0 F1@s0 F2@s0 F3@s0 B0@s0 F4@s0 B1@s0 F5@s0 " +
+					"B2@s0 F6@s0 B3@s0 F7@s0 B4@s0 B5@s0 B6@s0 B7@s0",
+				"F0@s1 F1@s1 F2@s1 B0@s1 F3@s1 B1@s1 F4@s1 B2@s1 " +
+					"F5@s1 B3@s1 F6@s1 B4@s1 F7@s1 B5@s1 B6@s1 B7@s1",
+				"F0@s2 F1@s2 B0@s2 F2@s2 B1@s2 F3@s2 B2@s2 F4@s2 " +
+					"B3@s2 F5@s2 B4@s2 F6@s2 B5@s2 F7@s2 B6@s2 B7@s2",
+				"F0@s3 B0@s3 F1@s3 B1@s3 F2@s3 B2@s3 F3@s3 B3@s3 " +
+					"F4@s3 B4@s3 F5@s3 B5@s3 F6@s3 B6@s3 F7@s3 B7@s3",
+			},
+		},
+		{
+			build: func() (*Schedule, error) { return Interleaved(4, 8, 2) },
+			want:  Schedule{Name: "Interleaved-2", Devices: 4, VirtStages: 8, DeviceOf: []int{0, 1, 2, 3, 0, 1, 2, 3}, NumMicro: 8, Chunks: 2},
+			ops: []string{
+				"F0@s0 F1@s0 F2@s0 F3@s0 F0@s4 F1@s4 F2@s4 F3@s4 " +
+					"F4@s0 F5@s0 F6@s0 B0@s4 F7@s0 B1@s4 F4@s4 B2@s4 " +
+					"F5@s4 B3@s4 F6@s4 B0@s0 F7@s4 B1@s0 B2@s0 B3@s0 " +
+					"B4@s4 B5@s4 B6@s4 B7@s4 B4@s0 B5@s0 B6@s0 B7@s0",
+				"F0@s1 F1@s1 F2@s1 F3@s1 F0@s5 F1@s5 F2@s5 F3@s5 " +
+					"F4@s1 B0@s5 F5@s1 B1@s5 F6@s1 B2@s5 F7@s1 B3@s5 " +
+					"F4@s5 B0@s1 F5@s5 B1@s1 F6@s5 B2@s1 F7@s5 B3@s1 " +
+					"B4@s5 B5@s5 B6@s5 B7@s5 B4@s1 B5@s1 B6@s1 B7@s1",
+				"F0@s2 F1@s2 F2@s2 F3@s2 F0@s6 F1@s6 F2@s6 B0@s6 " +
+					"F3@s6 B1@s6 F4@s2 B2@s6 F5@s2 B3@s6 F6@s2 B0@s2 " +
+					"F7@s2 B1@s2 F4@s6 B2@s2 F5@s6 B3@s2 F6@s6 B4@s6 " +
+					"F7@s6 B5@s6 B6@s6 B7@s6 B4@s2 B5@s2 B6@s2 B7@s2",
+				"F0@s3 F1@s3 F2@s3 F3@s3 F0@s7 B0@s7 F1@s7 B1@s7 " +
+					"F2@s7 B2@s7 F3@s7 B3@s7 F4@s3 B0@s3 F5@s3 B1@s3 " +
+					"F6@s3 B2@s3 F7@s3 B3@s3 F4@s7 B4@s7 F5@s7 B5@s7 " +
+					"F6@s7 B6@s7 F7@s7 B7@s7 B4@s3 B5@s3 B6@s3 B7@s3",
+			},
+		},
+		{
+			build: func() (*Schedule, error) { return Sliced(4, 8, 2) },
+			want:  Schedule{Name: "Sliced-1F1B", Devices: 4, VirtStages: 4, DeviceOf: []int{0, 1, 2, 3}, NumMicro: 8, Chunks: 1, NumSliced: 2},
+			ops: []string{
+				"F0a@s0 F0b@s0 F1a@s0 F1b@s0 F2@s0 F3@s0 B0@s0 F4@s0 " +
+					"B1@s0 F5@s0 B2@s0 F6@s0 B3@s0 F7@s0 B4@s0 B5@s0 " +
+					"B6@s0 B7@s0",
+				"F0a@s1 F0b@s1 F1a@s1 F1b@s1 F2@s1 B0@s1 F3@s1 B1@s1 " +
+					"F4@s1 B2@s1 F5@s1 B3@s1 F6@s1 B4@s1 F7@s1 B5@s1 " +
+					"B6@s1 B7@s1",
+				"F0a@s2 F0b@s2 F1a@s2[nosend] F1b@s2[agg] B0@s2 F2@s2 B1@s2 F3@s2 " +
+					"B2@s2 F4@s2 B3@s2 F5@s2 B4@s2 F6@s2 B5@s2 F7@s2 " +
+					"B6@s2 B7@s2",
+				"F0a@s3 F0b@s3 B0@s3 F1a@s3 F1b@s3 B1@s3 F2@s3 B2@s3 " +
+					"F3@s3 B3@s3 F4@s3 B4@s3 F5@s3 B5@s3 F6@s3 B6@s3 " +
+					"F7@s3 B7@s3",
+			},
+		},
+	}
+	for _, c := range cases {
+		s, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := s.Ops
+		shape := *s
+		shape.Ops = nil
+		if !reflect.DeepEqual(shape, c.want) {
+			t.Errorf("%s: shape %+v, want %+v", s.Name, shape, c.want)
+		}
+		if len(ops) != len(c.ops) {
+			t.Fatalf("%s: %d op lists, want %d", s.Name, len(ops), len(c.ops))
+		}
+		for d := range ops {
+			if got := renderOps(ops[d]); got != c.ops[d] {
+				t.Errorf("%s device %d:\n got %s\nwant %s", s.Name, d, got, c.ops[d])
+			}
+		}
+	}
+}
 
 func TestOneFOneBValidates(t *testing.T) {
 	for _, tc := range []struct{ p, m int }{{1, 1}, {2, 4}, {4, 8}, {8, 3}, {16, 32}} {
@@ -185,6 +288,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("validate accepted an out-of-range micro-batch")
 	}
 	s, _ = OneFOneB(2, 2)
+	s.Ops[0][0].Virt = 5
+	if err := s.Validate(); err == nil {
+		t.Error("validate accepted a dangling virtual stage")
+	}
+	s, _ = OneFOneB(2, 2)
 	s.Ops[0] = s.Ops[0][1:]
 	if err := s.Validate(); err == nil {
 		t.Error("validate accepted a missing op")
@@ -213,6 +321,13 @@ func TestValidateTruncationAndDuplication(t *testing.T) {
 	s.Ops[0] = append(s.Ops[0], s.Ops[0][0])
 	if err := s.Validate(); err == nil {
 		t.Error("validate accepted a duplicated op")
+	}
+	single := &Schedule{
+		Name: "duplicated", Devices: 1, VirtStages: 1, DeviceOf: []int{0}, NumMicro: 1, Chunks: 1,
+		Ops: [][]Op{{{Kind: Fwd, Half: -1}, {Kind: Fwd, Half: -1}, {Kind: Bwd, Half: -1}}},
+	}
+	if err := single.Validate(); err == nil {
+		t.Error("validate accepted a one-stage schedule that issues its forward twice")
 	}
 
 	// Duplicate masking a truncation: op count is unchanged but one

@@ -1,6 +1,8 @@
 package slicer
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -90,51 +92,89 @@ func TestSolveBounds(t *testing.T) {
 
 // TestSolvedCountHalvesStartupWithoutSlowingIteration is the paper's core
 // Slicer claim, verified end-to-end on the executor: the solved slicing
-// count halves the startup overhead and never lengthens the iteration.
+// count halves the startup overhead and never lengthens the iteration. It
+// runs on five uniform profiles and on 600 seeded non-uniform ones (p 2–12,
+// m ∈ {p, 2p, 4p}, per-stage forward times in [0.5, 1.5) and backward/forward
+// ratios in [1, 3.5), no communication), and logs how far Algorithm 2's
+// count is from the best count k ≤ p on the executor.
 func TestSolvedCountHalvesStartupWithoutSlowingIteration(t *testing.T) {
-	net := config.Network{Bandwidth: 1e12, Latency: 0}
-	for _, tc := range []struct {
-		p, m int
-		f, b float64
-	}{
-		{4, 8, 1, 3},
-		{8, 16, 1, 3},
-		{12, 24, 1, 3},
-		{4, 8, 1, 2},
-		{6, 12, 2, 6},
-	} {
-		fs := make([]float64, tc.p)
-		bs := make([]float64, tc.p)
-		for i := range fs {
-			fs[i], bs[i] = tc.f, tc.b
+	type profile struct {
+		f, b []float64
+		m    int
+	}
+	uniform := func(p, m int, f, b float64) profile {
+		pr := profile{f: make([]float64, p), b: make([]float64, p), m: m}
+		for i := range pr.f {
+			pr.f[i], pr.b[i] = f, b
 		}
-		plan, err := SolveProfile(sim.StageProfile{Fwd: fs, Bwd: bs, Micro: tc.m})
+		return pr
+	}
+	profiles := []profile{
+		uniform(4, 8, 1, 3),
+		uniform(8, 16, 1, 3),
+		uniform(12, 24, 1, 3),
+		uniform(4, 8, 1, 2),
+		uniform(6, 12, 2, 6),
+	}
+	// -short (the race-detector run) keeps the first 60 random profiles:
+	// the full sweep takes 3 s plain and 40 s under -race.
+	n := 600
+	if testing.Short() {
+		n = 60
+	}
+	rng := rand.New(rand.NewSource(8))
+	for range n {
+		p := 2 + rng.Intn(11)
+		pr := profile{f: make([]float64, p), b: make([]float64, p), m: p << rng.Intn(3)}
+		for i := range pr.f {
+			pr.f[i] = 0.5 + rng.Float64()
+			pr.b[i] = pr.f[i] * (1 + 2.5*rng.Float64())
+		}
+		profiles = append(profiles, pr)
+	}
+
+	cfg := exec.Config{Network: config.Network{Bandwidth: 1e12, Latency: 0}}
+	run := func(pr profile, k int) *exec.Result {
+		t.Helper()
+		s, err := schedule.Sliced(len(pr.f), pr.m, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _ := schedule.OneFOneB(tc.p, tc.m)
-		sliced, err := schedule.Sliced(tc.p, tc.m, plan.NumSliced)
+		cfg.VirtFwd, cfg.VirtBwd = pr.f, pr.b
+		r, err := exec.Run(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := exec.Config{VirtFwd: fs, VirtBwd: bs, Network: net}
-		rb, err := exec.Run(base, cfg)
+		return r
+	}
+	var gapped int
+	var worst float64
+	for _, pr := range profiles {
+		p := len(pr.f)
+		plan, err := SolveProfile(sim.StageProfile{Fwd: pr.f, Bwd: pr.b, Micro: pr.m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := exec.Run(sliced, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rb, rs := run(pr, 0), run(pr, plan.NumSliced)
 		if rs.Startup > rb.Startup/2+1e-9 {
-			t.Errorf("p=%d m=%d b/f=%.1f sliced=%d: startup %v, want <= half of %v",
-				tc.p, tc.m, tc.b/tc.f, plan.NumSliced, rs.Startup, rb.Startup)
+			t.Errorf("p=%d m=%d f=%v b=%v sliced=%d: startup %v, want <= half of %v",
+				p, pr.m, pr.f, pr.b, plan.NumSliced, rs.Startup, rb.Startup)
 		}
 		if rs.IterTime > rb.IterTime+1e-9 {
-			t.Errorf("p=%d m=%d sliced=%d: iteration %v slower than base %v",
-				tc.p, tc.m, plan.NumSliced, rs.IterTime, rb.IterTime)
+			t.Errorf("p=%d m=%d f=%v b=%v sliced=%d: iteration %v slower than base %v",
+				p, pr.m, pr.f, pr.b, plan.NumSliced, rs.IterTime, rb.IterTime)
+		}
+		best := rs.IterTime
+		for k := 1; k <= p && k <= pr.m; k++ {
+			best = math.Min(best, run(pr, k).IterTime)
+		}
+		if gap := rs.IterTime/best - 1; gap > 1e-9 {
+			gapped++
+			worst = math.Max(worst, gap)
 		}
 	}
+	t.Logf("%d profiles: a count k <= p beats Algorithm 2's on the executor in %d, worst gap %.2f%%",
+		len(profiles), gapped, 100*worst)
 }
 
 func TestSolveMatchesGeometry(t *testing.T) {

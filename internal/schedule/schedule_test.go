@@ -26,13 +26,16 @@ func renderOps(ops []Op) string {
 // TestScheduleGoldens pins the op order of one schedule of each shape the
 // executor runs, 1F1B p4 m8, interleaved p4 m8 v2 and sliced p4 m8 s2, to a
 // table of expected per-device sequences, and their shape fields with it.
+// Each case runs as a subtest named for its shape.
 func TestScheduleGoldens(t *testing.T) {
 	cases := []struct {
+		name  string
 		build func() (*Schedule, error)
 		want  Schedule // every field but Ops
 		ops   []string // one rendered issue order per device
 	}{
 		{
+			name:  "1f1b_p4_m8",
 			build: func() (*Schedule, error) { return OneFOneB(4, 8) },
 			want:  Schedule{Name: "1F1B", Devices: 4, VirtStages: 4, DeviceOf: []int{0, 1, 2, 3}, NumMicro: 8, Chunks: 1},
 			ops: []string{
@@ -47,6 +50,7 @@ func TestScheduleGoldens(t *testing.T) {
 			},
 		},
 		{
+			name:  "interleaved_p4_m8_v2",
 			build: func() (*Schedule, error) { return Interleaved(4, 8, 2) },
 			want:  Schedule{Name: "Interleaved-2", Devices: 4, VirtStages: 8, DeviceOf: []int{0, 1, 2, 3, 0, 1, 2, 3}, NumMicro: 8, Chunks: 2},
 			ops: []string{
@@ -69,6 +73,7 @@ func TestScheduleGoldens(t *testing.T) {
 			},
 		},
 		{
+			name:  "sliced_p4_m8_s2",
 			build: func() (*Schedule, error) { return Sliced(4, 8, 2) },
 			want:  Schedule{Name: "Sliced-1F1B", Devices: 4, VirtStages: 4, DeviceOf: []int{0, 1, 2, 3}, NumMicro: 8, Chunks: 1, NumSliced: 2},
 			ops: []string{
@@ -88,24 +93,26 @@ func TestScheduleGoldens(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		s, err := c.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := s.Ops
-		shape := *s
-		shape.Ops = nil
-		if !reflect.DeepEqual(shape, c.want) {
-			t.Errorf("%s: shape %+v, want %+v", s.Name, shape, c.want)
-		}
-		if len(ops) != len(c.ops) {
-			t.Fatalf("%s: %d op lists, want %d", s.Name, len(ops), len(c.ops))
-		}
-		for d := range ops {
-			if got := renderOps(ops[d]); got != c.ops[d] {
-				t.Errorf("%s device %d:\n got %s\nwant %s", s.Name, d, got, c.ops[d])
+		t.Run(c.name, func(t *testing.T) {
+			s, err := c.build()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			ops := s.Ops
+			shape := *s
+			shape.Ops = nil
+			if !reflect.DeepEqual(shape, c.want) {
+				t.Errorf("%s: shape %+v, want %+v", s.Name, shape, c.want)
+			}
+			if len(ops) != len(c.ops) {
+				t.Fatalf("%s: %d op lists, want %d", s.Name, len(ops), len(c.ops))
+			}
+			for d := range ops {
+				if got := renderOps(ops[d]); got != c.ops[d] {
+					t.Errorf("%s device %d:\n got %s\nwant %s", s.Name, d, got, c.ops[d])
+				}
+			}
+		})
 	}
 }
 
@@ -322,13 +329,15 @@ func TestValidateTruncationAndDuplication(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("validate accepted a duplicated op")
 	}
-	single := &Schedule{
-		Name: "duplicated", Devices: 1, VirtStages: 1, DeviceOf: []int{0}, NumMicro: 1, Chunks: 1,
-		Ops: [][]Op{{{Kind: Fwd, Half: -1}, {Kind: Fwd, Half: -1}, {Kind: Bwd, Half: -1}}},
-	}
-	if err := single.Validate(); err == nil {
-		t.Error("validate accepted a one-stage schedule that issues its forward twice")
-	}
+	t.Run("one-stage-duplicate-forward", func(t *testing.T) {
+		single := &Schedule{
+			Name: "duplicated", Devices: 1, VirtStages: 1, DeviceOf: []int{0}, NumMicro: 1, Chunks: 1,
+			Ops: [][]Op{{{Kind: Fwd, Half: -1}, {Kind: Fwd, Half: -1}, {Kind: Bwd, Half: -1}}},
+		}
+		if err := single.Validate(); err == nil {
+			t.Error("validate accepted a one-stage schedule that issues its forward twice")
+		}
+	})
 
 	// Duplicate masking a truncation: op count is unchanged but one
 	// micro-batch runs twice and another never runs.
